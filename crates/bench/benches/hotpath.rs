@@ -3,7 +3,7 @@
 //! One iteration is a full warmed-up steady-state round — the
 //! send → stamp-in-place → deliver → dispatch cycle the frame-layout
 //! certificate licenses — so `wall/events` here is the same per-event
-//! cost `wsn-lint --perf-gate` tracks as `events_per_sec`, measured in
+//! cost the `perf` gate row tracks as `events_per_sec`, measured in
 //! isolation from topology bring-up. The codec microbenches pin the
 //! encode/decode halves so a codec regression is attributable even when
 //! the end-to-end number moves.

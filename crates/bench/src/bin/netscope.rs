@@ -32,13 +32,14 @@
 //! the exactness invariant. `diff` prints per-counter/per-span deltas
 //! between two traces.
 //!
-//! `shards` decodes a shard-metrics trace (`wsn-lint
-//! --record-shard-metrics-trace`, or its own `--demo` run) into the
+//! `shards` decodes a shard-metrics trace
+//! (`wsn_bench::experiments::record_shard_metrics_trace`, or its own
+//! `--demo` run) into the
 //! per-shard utilization/skew/barrier-stall table, exiting 1 when the
 //! per-shard counters fail to reconcile with the kernel's dispatch total.
-//! `flight` renders a flight-recorder dump (`wsn-lint
-//! --record-flight-dump`, or a crash artifact) as a per-dispatch
-//! waterfall. Both exit 2 on unreadable input.
+//! `flight` renders a flight-recorder dump
+//! (`wsn_bench::experiments::record_flight_dump`, or a crash artifact)
+//! as a per-dispatch waterfall. Both exit 2 on unreadable input.
 
 use std::process::ExitCode;
 use wsn_obs::{

@@ -1,13 +1,9 @@
 //! Runs every figure regenerator and experiment in DESIGN.md order, then
-//! the model-fidelity conformance gate and the perf-baseline regression
-//! gate (seeded snapshots vs the committed `BENCH_topoquery.json`).
+//! the gate table's `conform` and `perf` rows (the model-fidelity gate,
+//! and the seeded snapshots vs the committed `BENCH_topoquery.json`),
+//! and only then rewrites the baseline — its only writer.
 
-/// Where the committed perf baseline lives, relative to the invocation
-/// directory (the workspace root in CI).
-const BASELINE_PATH: &str = "BENCH_topoquery.json";
-
-/// Allowed per-metric drift before the regression gate fails the run.
-const TOLERANCE_PCT: f64 = 10.0;
+use wsn_bench::gates::{self, BASELINE_PATH};
 
 fn main() {
     print!("{}\n\n", wsn_bench::fig2_quadtree());
@@ -67,51 +63,30 @@ fn main() {
             ],
         )
     );
-    // Model-fidelity gate: the measurements the tables above are built
-    // from must sit inside the symbolically certified §4 bounds. Any
-    // drift between the runtime's pricing and the certified cost model
-    // fails the whole regeneration loudly.
-    match wsn_bench::lint::conformance_gate(&[4, 8]) {
-        Ok(quantities) => {
-            println!("conformance gate: sides 4 and 8 inside all {quantities} certified bounds")
+    // The gate table's model-fidelity and perf rows: the measurements the
+    // tables above are built from must sit inside the symbolically
+    // certified §4 bounds, and the seeded snapshots must match the
+    // committed baseline *before* it is rewritten, so drift fails loudly
+    // instead of being silently absorbed into a fresh snapshot.
+    let baseline = std::fs::read_to_string(BASELINE_PATH).ok();
+    for row in ["conform", "perf"] {
+        if row == "perf" && baseline.is_none() {
+            println!("no {BASELINE_PATH} baseline found; recording a fresh one");
+            continue;
         }
-        Err(failures) => {
-            for (side, diags) in &failures {
-                eprintln!(
-                    "side {side} escaped its certificate:\n{}",
-                    diags.render_text()
-                );
-            }
-            panic!("model-fidelity drift: measured runs escaped the certified bounds");
-        }
+        let run = gates::find(row).expect("gate row").clean();
+        print!("{}", run.report);
+        println!("{}", run.line);
+        assert!(run.passed, "gate row {row} failed");
     }
-    // Perf-baseline regression gate: distill the seeded runs into
-    // machine-readable snapshots (latency, messages, energy, critical
-    // path per side) and diff them against the committed baseline
-    // *before* rewriting it, so drift fails loudly instead of being
-    // silently absorbed into a fresh snapshot.
     let mut snaps = wsn_bench::perfbase::perf_snapshots(&[4, 8], 1.0, 1.0)
         .expect("seeded perf snapshots must record");
-    match std::fs::read_to_string(BASELINE_PATH) {
-        Ok(text) => {
-            let baseline = wsn_bench::perfbase::parse_snapshots(&text)
-                .unwrap_or_else(|e| panic!("{BASELINE_PATH}: {e}"));
-            match wsn_bench::perfbase::regression_gate(&snaps, &baseline, TOLERANCE_PCT, false) {
-                Ok(report) => {
-                    print!("{report}");
-                    println!("perf baseline gate: every metric within +/-{TOLERANCE_PCT}%");
-                }
-                Err(report) => {
-                    eprint!("{report}");
-                    panic!("perf regression: current run drifted from {BASELINE_PATH}");
-                }
-            }
-            // Carry the committed scale rows (the side-512 sharded run)
-            // forward unchanged — run_all does not re-record them; use
-            // `wsn-lint --perf-baseline --include-scale` for that.
-            snaps.extend(baseline.into_iter().filter(|r| r.scale));
-        }
-        Err(_) => println!("no {BASELINE_PATH} baseline found; recording a fresh one"),
+    // Carry the committed scale rows forward unchanged; run_all does not
+    // re-record them.
+    if let Some(text) = baseline {
+        let committed = wsn_bench::perfbase::parse_snapshots(&text)
+            .unwrap_or_else(|e| panic!("{BASELINE_PATH}: {e}"));
+        snaps.extend(committed.into_iter().filter(|r| r.scale));
     }
     std::fs::write(BASELINE_PATH, wsn_bench::perfbase::render_snapshots(&snaps))
         .unwrap_or_else(|e| panic!("cannot write {BASELINE_PATH}: {e}"));

@@ -4,6 +4,7 @@
 //! run paper scale while tests smoke-test miniatures. All randomness is
 //! seeded; rerunning a binary reproduces its table bit for bit.
 
+use crate::gates::Mutation;
 use crate::table::{f, Table};
 use wsn_core::{
     follower_to_leader_hops, quadtree_merge_estimate, tree_convergecast_estimate, CollectiveMsg,
@@ -11,7 +12,7 @@ use wsn_core::{
     ReduceOp, ReduceProgram, SortProgram, TreeVm, VirtualGrid, VirtualTree, Vm,
 };
 use wsn_net::{DeploymentSpec, LinkModel, RadioModel, UnitDiskGraph};
-use wsn_runtime::{AppReport, ParallelConfig, PhysicalRuntime};
+use wsn_runtime::{AppReport, ParallelConfig, PhysicalRuntime, ShardMutation};
 use wsn_synth::{
     quadtree_task_graph, AnnealingMapper, CentroidMapper, Mapper, Mapping, MappingCost,
     QuadrantMapper, RandomFeasibleMapper,
@@ -817,6 +818,92 @@ impl std::fmt::Display for RunEngine {
     }
 }
 
+/// How a seeded mission is observed.
+#[derive(Debug, Clone, Copy)]
+enum Observe {
+    /// Telemetry on (with the kernel's dispatch log when `events`), and
+    /// the application traced causally.
+    Traced { events: bool },
+    /// Only the per-shard flight recorder: `capacity` retained
+    /// dispatches per shard of the cut-`cut` quadrant map.
+    Flight { cut: u8, capacity: usize },
+}
+
+/// Telemetry and causal tracing on, no kernel dispatch log.
+const TRACED: Observe = Observe::Traced { events: false };
+
+/// The sharded engine on one lane at quad-tree cut `cut`.
+fn one_lane(cut: u8) -> RunEngine {
+    RunEngine::Sharded {
+        cut_level: u32::from(cut),
+        workers: 1,
+    }
+}
+
+/// The Figure-4 divide-and-conquer program every seeded mission runs.
+fn dandc(side: u32) -> Box<dyn NodeProgram<wsn_topoquery::DandcMsg>> {
+    Box::new(wsn_topoquery::DandcProgram::new(side, 5.0))
+}
+
+/// The uniform field of the model-fidelity runs: every summary is the
+/// full boundary the §4 analysis prices.
+fn uniform_field(side: u32) -> Field {
+    Field::generate(FieldSpec::Uniform(10.0), side, 1)
+}
+
+/// The one seeded-mission set-up behind every recorder below: deploy
+/// `per_cell` nodes per cell of a `side` grid from `seed`, sense `field`,
+/// bring up the topology and the leaders, install `program` on every
+/// leader and run the application on `engine`. `mutation` is planted in
+/// the layer it sabotages: the radio model or the sharded runtime.
+#[allow(clippy::too_many_arguments)]
+fn seeded_mission<P: Clone + 'static>(
+    side: u32,
+    per_cell: usize,
+    seed: u64,
+    field: Field,
+    observe: Observe,
+    engine: RunEngine,
+    mutation: Option<Mutation>,
+    program: impl Fn(u32) -> Box<dyn NodeProgram<P>> + 'static,
+) -> (PhysicalRuntime<P>, AppReport) {
+    let deployment = DeploymentSpec::per_cell(side, per_cell).generate(seed);
+    let range = deployment.grid().range_for_adjacent_cell_reachability();
+    let mut radio = RadioModel::uniform(range);
+    let (hop_cost, tx_energy) = Mutation::radio_scale(mutation);
+    radio.ticks_per_unit *= hop_cost;
+    radio.tx_energy_per_unit *= tx_energy;
+    let mut rt: PhysicalRuntime<P> = PhysicalRuntime::new(
+        deployment,
+        radio,
+        LinkModel::ideal(),
+        None,
+        1,
+        seed,
+        move |c| field.value(c),
+    );
+    if let Some(Mutation::Shard(m)) = mutation {
+        rt.plant_shard_mutation(m);
+    }
+    match observe {
+        Observe::Traced { events } => rt.enable_telemetry(events),
+        Observe::Flight { cut, capacity } => rt.enable_flight_recorder(u32::from(cut), capacity),
+    }
+    let topo = rt.run_topology_emulation();
+    assert!(topo.complete, "topology emulation must complete");
+    let bind = rt.run_binding();
+    assert!(bind.unique, "binding must elect unique leaders");
+    rt.install_programs(move |_| program(side));
+    // Causal tracing goes on after the control phases so the exported
+    // happens-before DAG covers exactly the application — the shape the
+    // critical-path profiler walks.
+    if let Observe::Traced { .. } = observe {
+        rt.enable_causal_tracing();
+    }
+    let app = engine.run_application(&mut rt);
+    (rt, app)
+}
+
 /// Runs the full mission (topology emulation → binding → D&C application)
 /// on an emulated deployment with telemetry enabled, and exports the run
 /// as a [`wsn_obs::TraceDocument`]: phase spans, registry counters, kernel
@@ -843,65 +930,53 @@ pub fn record_end_to_end_trace_with(
     trace_events: bool,
     engine: RunEngine,
 ) -> (wsn_obs::TraceDocument, wsn_core::RunMetrics) {
+    record_end_to_end_trace_mutated(side, per_cell, seed, trace_events, engine, None)
+}
+
+/// [`record_end_to_end_trace_with`] with `mutation` planted — how the
+/// differential checks prove they notice a misordered boundary merge.
+pub fn record_end_to_end_trace_mutated(
+    side: u32,
+    per_cell: usize,
+    seed: u64,
+    trace_events: bool,
+    engine: RunEngine,
+    mutation: Option<Mutation>,
+) -> (wsn_obs::TraceDocument, wsn_core::RunMetrics) {
+    fn export<P: Clone + 'static>(
+        (rt, app): (PhysicalRuntime<P>, AppReport),
+    ) -> (wsn_obs::TraceDocument, wsn_core::RunMetrics) {
+        (rt.record_trace(), rt.metrics(&app))
+    }
+    let field = blob_field(side, seed);
+    let observe = Observe::Traced {
+        events: trace_events,
+    };
     // The certified zero-copy hot path: whenever the frame-layout
     // certificate covers this side (every payload bound fits the fixed
     // frame), summaries travel as encoded `FrameBuf`s instead of
     // heap-owning `DandcMsg` values. Both engines take the same path, so
     // the differential suite keeps comparing byte-identical artifacts.
     if wsn_core::framed_payload_fits(side) {
-        traced_topoquery_run::<wsn_net::FrameBuf>(side, per_cell, seed, trace_events, engine, |s| {
-            Box::new(wsn_runtime::FramedProgram::new(
-                wsn_topoquery::DandcProgram::new(s, 5.0),
-            ))
-        })
-    } else {
-        traced_topoquery_run::<wsn_topoquery::DandcMsg>(
+        export(seeded_mission::<wsn_net::FrameBuf>(
             side,
             per_cell,
             seed,
-            trace_events,
+            field,
+            observe,
             engine,
-            |s| Box::new(wsn_topoquery::DandcProgram::new(s, 5.0)),
-        )
+            mutation,
+            |s| {
+                Box::new(wsn_runtime::FramedProgram::new(
+                    wsn_topoquery::DandcProgram::new(s, 5.0),
+                ))
+            },
+        ))
+    } else {
+        export(seeded_mission(
+            side, per_cell, seed, field, observe, engine, mutation, dandc,
+        ))
     }
-}
-
-/// Shared body of [`record_end_to_end_trace_with`], generic over the
-/// payload representation on the air.
-fn traced_topoquery_run<P: Clone + 'static>(
-    side: u32,
-    per_cell: usize,
-    seed: u64,
-    trace_events: bool,
-    engine: RunEngine,
-    make_program: impl Fn(u32) -> Box<dyn NodeProgram<P>> + 'static,
-) -> (wsn_obs::TraceDocument, wsn_core::RunMetrics) {
-    let field = blob_field(side, seed);
-    let deployment = DeploymentSpec::per_cell(side, per_cell).generate(seed);
-    let range = deployment.grid().range_for_adjacent_cell_reachability();
-    let f2 = field.clone();
-    let mut rt: PhysicalRuntime<P> = PhysicalRuntime::new(
-        deployment,
-        RadioModel::uniform(range),
-        LinkModel::ideal(),
-        None,
-        1,
-        seed,
-        move |c| f2.value(c),
-    );
-    rt.enable_telemetry(trace_events);
-    let topo = rt.run_topology_emulation();
-    assert!(topo.complete, "topology emulation must complete");
-    let bind = rt.run_binding();
-    assert!(bind.unique, "binding must elect unique leaders");
-    rt.install_programs(move |_| make_program(side));
-    // Causal tracing goes on after the control phases so the exported
-    // happens-before DAG covers exactly the application — the shape the
-    // critical-path profiler walks.
-    rt.enable_causal_tracing();
-    let app = engine.run_application(&mut rt);
-    let metrics = rt.metrics(&app);
-    (rt.record_trace(), metrics)
 }
 
 /// Records the seeded model-fidelity run the conformance gate checks:
@@ -944,30 +1019,12 @@ pub fn record_model_fidelity_trace_with(
     tx_energy_multiplier: f64,
     engine: RunEngine,
 ) -> wsn_obs::TraceDocument {
-    let field = Field::generate(FieldSpec::Uniform(10.0), side, 1);
-    let deployment = DeploymentSpec::per_cell(side, per_cell).generate(seed);
-    let range = deployment.grid().range_for_adjacent_cell_reachability();
-    let mut radio = RadioModel::uniform(range);
-    radio.ticks_per_unit *= hop_cost_multiplier;
-    radio.tx_energy_per_unit *= tx_energy_multiplier;
-    let f2 = field.clone();
-    let mut rt: PhysicalRuntime<wsn_topoquery::DandcMsg> = PhysicalRuntime::new(
-        deployment,
-        radio,
-        LinkModel::ideal(),
-        None,
-        1,
-        seed,
-        move |c| f2.value(c),
-    );
-    rt.enable_telemetry(false);
-    let topo = rt.run_topology_emulation();
-    assert!(topo.complete, "topology emulation must complete");
-    let bind = rt.run_binding();
-    assert!(bind.unique, "binding must elect unique leaders");
-    rt.install_programs(move |_| Box::new(wsn_topoquery::DandcProgram::new(side, 5.0)));
-    rt.enable_causal_tracing();
-    engine.run_application(&mut rt);
+    let radio = Some(Mutation::Radio {
+        hop_cost: hop_cost_multiplier,
+        tx_energy: tx_energy_multiplier,
+    });
+    let field = uniform_field(side);
+    let (rt, _) = seeded_mission(side, per_cell, seed, field, TRACED, engine, radio, dandc);
     rt.record_trace()
 }
 
@@ -977,8 +1034,8 @@ pub fn record_model_fidelity_trace_with(
 /// merged into the exported trace — the document the TC010 shard
 /// accounting check reconciles against the shard certificate.
 ///
-/// `skew` arms the runtime's `WSN_SHARD_SKEW` undercounting tap, the
-/// planted mutation the CI inverted check proves TC010 catches.
+/// `skew` plants the runtime's undercounting tap
+/// ([`ShardMutation::UndercountTap`]), the mutation TC010 must catch.
 pub fn record_shard_metrics_trace(
     side: u32,
     per_cell: usize,
@@ -986,37 +1043,9 @@ pub fn record_shard_metrics_trace(
     cut: u8,
     skew: bool,
 ) -> wsn_obs::TraceDocument {
-    let field = Field::generate(FieldSpec::Uniform(10.0), side, 1);
-    let deployment = DeploymentSpec::per_cell(side, per_cell).generate(seed);
-    let range = deployment.grid().range_for_adjacent_cell_reachability();
-    let f2 = field.clone();
-    let mut rt: PhysicalRuntime<wsn_topoquery::DandcMsg> = PhysicalRuntime::new(
-        deployment,
-        RadioModel::uniform(range),
-        LinkModel::ideal(),
-        None,
-        1,
-        seed,
-        move |c| f2.value(c),
-    );
-    rt.enable_telemetry(false);
-    let topo = rt.run_topology_emulation();
-    assert!(topo.complete, "topology emulation must complete");
-    let bind = rt.run_binding();
-    assert!(bind.unique, "binding must elect unique leaders");
-    rt.install_programs(move |_| Box::new(wsn_topoquery::DandcProgram::new(side, 5.0)));
-    rt.enable_causal_tracing();
-    if skew {
-        std::env::set_var("WSN_SHARD_SKEW", "1");
-    }
-    let engine = RunEngine::Sharded {
-        cut_level: u32::from(cut),
-        workers: 1,
-    };
-    engine.run_application(&mut rt);
-    if skew {
-        std::env::remove_var("WSN_SHARD_SKEW");
-    }
+    let mutation = skew.then_some(Mutation::Shard(ShardMutation::UndercountTap));
+    let (engine, field) = (one_lane(cut), uniform_field(side));
+    let (rt, _) = seeded_mission(side, per_cell, seed, field, TRACED, engine, mutation, dandc);
     let mut doc = rt.record_trace();
     doc.absorb_registry(rt.shard_telemetry());
     doc
@@ -1035,30 +1064,9 @@ pub fn record_flight_dump(
     capacity: usize,
     reason: &str,
 ) -> wsn_obs::FlightDump {
-    let field = Field::generate(FieldSpec::Uniform(10.0), side, 1);
-    let deployment = DeploymentSpec::per_cell(side, per_cell).generate(seed);
-    let range = deployment.grid().range_for_adjacent_cell_reachability();
-    let f2 = field.clone();
-    let mut rt: PhysicalRuntime<wsn_topoquery::DandcMsg> = PhysicalRuntime::new(
-        deployment,
-        RadioModel::uniform(range),
-        LinkModel::ideal(),
-        None,
-        1,
-        seed,
-        move |c| f2.value(c),
-    );
-    rt.enable_flight_recorder(u32::from(cut), capacity);
-    let topo = rt.run_topology_emulation();
-    assert!(topo.complete, "topology emulation must complete");
-    let bind = rt.run_binding();
-    assert!(bind.unique, "binding must elect unique leaders");
-    rt.install_programs(move |_| Box::new(wsn_topoquery::DandcProgram::new(side, 5.0)));
-    let engine = RunEngine::Sharded {
-        cut_level: u32::from(cut),
-        workers: 1,
-    };
-    engine.run_application(&mut rt);
+    let observe = Observe::Flight { cut, capacity };
+    let (engine, field) = (one_lane(cut), uniform_field(side));
+    let (rt, _) = seeded_mission(side, per_cell, seed, field, observe, engine, None, dandc);
     rt.flight_dump(reason).expect("recorder was armed")
 }
 
@@ -1158,38 +1166,18 @@ impl NodeProgram<wsn_topoquery::DandcMsg> for ShardLeakProgram {
 }
 
 /// Records the seeded model-fidelity run with the planted cross-shard
-/// leak of `ShardLeakProgram` — the dynamic half of the
-/// `--mutate-shard-leak` gate check. The static analyzer cannot see this
-/// defect (it lives in the hand-written program, not the synthesized
-/// one); the `TC009` trace replay must.
+/// leak of `ShardLeakProgram` — the dynamic half of the shard gate's
+/// [`Mutation::ShardLeak`]. The static analyzer cannot see this defect
+/// (it lives in the hand-written program, not the synthesized one); the
+/// `TC009` trace replay must.
 pub fn record_shard_leak_trace(side: u32, per_cell: usize, seed: u64) -> wsn_obs::TraceDocument {
     assert!(side >= 2, "a leak needs somewhere to cross");
-    let field = Field::generate(FieldSpec::Uniform(10.0), side, 1);
-    let deployment = DeploymentSpec::per_cell(side, per_cell).generate(seed);
-    let range = deployment.grid().range_for_adjacent_cell_reachability();
-    let f2 = field.clone();
-    let mut rt: PhysicalRuntime<wsn_topoquery::DandcMsg> = PhysicalRuntime::new(
-        deployment,
-        RadioModel::uniform(range),
-        LinkModel::ideal(),
-        None,
-        1,
-        seed,
-        move |c| f2.value(c),
-    );
-    rt.enable_telemetry(false);
-    let topo = rt.run_topology_emulation();
-    assert!(topo.complete, "topology emulation must complete");
-    let bind = rt.run_binding();
-    assert!(bind.unique, "binding must elect unique leaders");
-    rt.install_programs(move |_| {
-        Box::new(ShardLeakProgram {
-            inner: wsn_topoquery::DandcProgram::new(side, 5.0),
-            side,
-        })
-    });
-    rt.enable_causal_tracing();
-    rt.run_application();
+    let leaky = |side| -> Box<dyn NodeProgram<wsn_topoquery::DandcMsg>> {
+        let inner = wsn_topoquery::DandcProgram::new(side, 5.0);
+        Box::new(ShardLeakProgram { inner, side })
+    };
+    let (engine, field) = (RunEngine::Sequential, uniform_field(side));
+    let (rt, _) = seeded_mission(side, per_cell, seed, field, TRACED, engine, None, leaky);
     rt.record_trace()
 }
 

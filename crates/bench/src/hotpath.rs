@@ -10,8 +10,8 @@
 //!   then one measured round whose send→stamp→deliver→dispatch cycles
 //!   are counted against the process allocator;
 //! * [`allocprobe`] is the hook a counting `#[global_allocator]`
-//!   registers (the `wsn-lint` binary and the `alloc_gate` integration
-//!   test install one; the library itself stays `forbid(unsafe_code)`);
+//!   registers (the `wsn-lint` binary installs one; the library itself
+//!   stays `forbid(unsafe_code)`);
 //! * the wall-clock per-event figure feeds the `BENCH_topoquery.json`
 //!   perf baseline, so a per-event cost regression trips the same 10%
 //!   gate as a latency regression.
@@ -137,7 +137,7 @@ pub fn steady_state_hotpath(side: u32, volleys: u64, warmup_rounds: u32) -> Hotp
 /// [`steady_state_hotpath`] with the telemetry registry switchable: the
 /// `telemetry` variant runs the same mission with every counter, gauge,
 /// and kernel metric live, so the bare-vs-instrumented throughput ratio
-/// is the `telemetry_overhead_pct` column the `--obs-gate` bounds. (The
+/// is the `telemetry_overhead_pct` column the `obs` gate row bounds. (The
 /// instrumented round is *allowed* to allocate — registry series are
 /// heap-keyed; only the bare configuration carries the no-alloc claim.)
 pub fn steady_state_hotpath_with(

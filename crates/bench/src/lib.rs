@@ -9,6 +9,7 @@
 
 pub mod experiments;
 pub mod figures;
+pub mod gates;
 pub mod hotpath;
 pub mod lint;
 pub mod parallel;

@@ -3,16 +3,17 @@
 //! verdict for terminals, JSON consumers, or the CI gate. Also home of
 //! the certification entry points: symbolic bound derivation
 //! (`--certify`) and measured-trace conformance (`--conform`), plus the
-//! model-fidelity gate `run_all` executes after the experiments.
+//! checks the rows of [`crate::gates::GATES`] run.
 
-use crate::experiments::{record_end_to_end_trace_with, RunEngine};
+use crate::experiments::RunEngine;
+use crate::gates::Mutation;
 use crate::hotpath::HotpathReport;
 use wsn_analyze::{
     analyze_deployment, analyze_frames, analyze_program, analyze_shards, certify,
     check_conformance, check_deadlock, check_shard_accounting, check_shard_conformance, CertConfig,
     Certificate, Diagnostics, FrameCertificate, ReachConfig, ShardCertificate,
 };
-use wsn_core::{Hierarchy, ShardPlan};
+use wsn_core::ShardPlan;
 use wsn_obs::{Json, TraceDocument};
 use wsn_synth::{
     quadtree_task_graph, synthesize_quadtree_program, Expr, Mapper, QuadTree, QuadrantMapper,
@@ -60,30 +61,6 @@ pub fn figure4_program_json(depth: u8) -> String {
     wsn_analyze::program_to_json(&synthesize_quadtree_program(depth)).render()
 }
 
-/// The CI gate: every paper deployment that the experiments regenerate
-/// must analyze clean of errors. Returns the per-depth reports on
-/// failure.
-pub fn check_gate() -> Result<(), Vec<(u8, Diagnostics)>> {
-    let mut failures = Vec::new();
-    for depth in 1..=3 {
-        let diags = lint_figure4(depth);
-        if diags.has_errors() {
-            failures.push((depth, diags));
-        }
-    }
-    if failures.is_empty() {
-        Ok(())
-    } else {
-        Err(failures)
-    }
-}
-
-/// Sanity anchor for the gate: the depth the paper's figures use.
-pub fn paper_depth() -> u8 {
-    let h = Hierarchy::new(4);
-    h.max_level()
-}
-
 /// Certifies the paper's Figure-4 program at hierarchy depth `depth`
 /// under the §3.2 uniform cost model: symbolic per-quantity bounds,
 /// evaluated at side `2^depth`.
@@ -117,17 +94,26 @@ pub fn conform_trace_text(text: &str) -> Result<(Certificate, Diagnostics), Stri
     Ok((cert, diags))
 }
 
-/// The model-fidelity gate `run_all` finishes with: re-record the seeded
-/// EXP-9 uniform-field run on the emulated physical network at each
-/// side, certify the Figure-4 program, and demand the measurements land
-/// inside every certified bound. Returns the per-side reports on
-/// failure.
+/// The model-fidelity gate: re-record the seeded EXP-9 uniform-field run
+/// on the emulated physical network at each side, certify the Figure-4
+/// program, and demand the measurements land inside every certified
+/// bound. Returns the number of bounds checked, or the per-side reports
+/// on failure.
 pub fn conformance_gate(sides: &[u32]) -> Result<usize, Vec<(u32, Diagnostics)>> {
+    conformance_gate_with(sides, None)
+}
+
+/// [`conformance_gate`] over runs whose radio `mutation` mis-prices.
+pub fn conformance_gate_with(
+    sides: &[u32],
+    mutation: Option<Mutation>,
+) -> Result<usize, Vec<(u32, Diagnostics)>> {
+    let (hop_cost, tx_energy) = Mutation::radio_scale(mutation);
     let mut checked = 0;
     let mut failures = Vec::new();
     for &side in sides {
         let depth = u8::try_from(side.trailing_zeros()).expect("side fits");
-        let doc = crate::experiments::record_model_fidelity_trace(side, 3, 5, 1.0, 1.0);
+        let doc = crate::experiments::record_model_fidelity_trace(side, 3, 5, hop_cost, tx_energy);
         let (cert, mut diags) = certify_figure4(depth);
         diags.extend(check_conformance(&cert, &doc));
         diags.sort();
@@ -155,8 +141,8 @@ fn shard_plan(depth: u8, cut: u8) -> Result<ShardPlan, String> {
     Ok(ShardPlan::new(2u32.pow(u32::from(depth)), cut))
 }
 
-/// The Figure-4 program with the planted static shard leak the
-/// `--mutate-shard-leak` CI check uses: every cell also addresses the
+/// The Figure-4 program with the planted static shard leak of the shard
+/// gate's [`Mutation::ShardLeak`]: every cell also addresses the
 /// global root directly at boot — reachable, same-slot (`SI002`) and,
 /// once there is more than one shard, off the region boundary (`SI003`).
 pub fn leak_mutated_figure4(depth: u8) -> wsn_synth::GuardedProgram {
@@ -240,16 +226,15 @@ pub fn shard_conform_trace_text(
     Ok((cert, diags))
 }
 
-/// The TC010 driver behind `wsn-lint --shard-metrics`: certify the
+/// The TC010 driver behind the `shard-metrics` gate row: certify the
 /// Figure-4 shard plan at `(depth, cut)`, re-record the seeded
 /// uniform-field run on the sharded engine with per-shard telemetry
 /// merged into the trace, and reconcile the `shard=`-labeled counters
 /// against the certificate and the kernel's own dispatch total.
 ///
-/// `skew` arms the runtime's undercounting tap (the
-/// `--mutate-shard-skew` planted defect): shard 0 silently drops one
-/// event per barrier window from its counter, which TC010 must catch —
-/// the CI inverted-mutation step.
+/// `skew` plants the runtime's undercounting tap: shard 0 silently drops
+/// one event per barrier window from its counter, which TC010 must
+/// catch.
 pub fn shard_metrics_figure4(
     depth: u8,
     cut: u8,
@@ -291,7 +276,7 @@ pub fn telemetry_overhead_pct(side: u32, volleys: u64, rounds: u32) -> f64 {
     ((ratios[ratios.len() / 2] - 1.0) * 100.0).max(0.0)
 }
 
-/// The live-export overhead gate behind `wsn-lint --obs-gate`: the
+/// The live-export overhead gate behind the `obs` gate row: the
 /// instrumented steady-state hot path (every counter, gauge, and kernel
 /// metric live) must stay within `threshold_pct` percent of the bare
 /// run's per-event cost, judged by the median of five interleaved
@@ -346,80 +331,25 @@ pub fn obs_gate(side: u32, volleys: u64, threshold_pct: f64) -> Result<String, S
     }
 }
 
-/// The shard CI gate: the paper deployments must shard-check clean and
-/// their seeded causal traces must replay inside the certified boundary
-/// (`TC009`) at every listed `(depth, cut)`. Returns the number of
-/// certificates checked, or the failing reports.
-#[allow(clippy::type_complexity)]
-pub fn shard_gate(configs: &[(u8, u8)]) -> Result<usize, Vec<(u8, u8, Diagnostics)>> {
-    let mut checked = 0;
-    let mut failures = Vec::new();
-    let mut traces: std::collections::BTreeMap<u8, String> = std::collections::BTreeMap::new();
-    for &(depth, cut) in configs {
-        let (cert, mut diags) = match shard_check_figure4(depth, cut, false) {
-            Ok(r) => r,
-            Err(e) => {
-                let mut d = Diagnostics::new();
-                d.push(wsn_analyze::Diagnostic::error(
-                    wsn_analyze::Code::CC001,
-                    wsn_analyze::Span::Program,
-                    e,
-                ));
-                failures.push((depth, cut, d));
-                continue;
-            }
-        };
-        if let Some(cert) = cert {
-            let side = 2u32.pow(u32::from(depth));
-            let text = traces.entry(depth).or_insert_with(|| {
-                crate::experiments::record_model_fidelity_trace(side, 3, 5, 1.0, 1.0).to_jsonl()
-            });
-            let doc = TraceDocument::from_jsonl(text).expect("own trace round-trips");
-            diags.extend(check_shard_conformance(&cert, &doc));
-            diags.sort();
-            checked += 1;
-        }
-        if diags.has_errors() {
-            failures.push((depth, cut, diags));
-        }
-    }
-    if failures.is_empty() {
-        Ok(checked)
-    } else {
-        Err(failures)
-    }
-}
-
-/// The Figure-4 program in a deployment the fixed frame cannot carry:
-/// the faithful depth-5 synthesis analyzed at side 32, where the root
-/// exfiltration's full-boundary summary (5624 bytes) exceeds the
-/// certified payload capacity — the `--mutate-payload-overflow` defect
-/// `FL001` must catch. Unlike the other planted mutations this one is a
-/// *deployment* overflow, not a program edit: every payload bound is a
-/// closed form in the extent side, so scaling the deployment past the
-/// frame envelope is exactly how a real overflow would arrive.
-pub fn overflow_mutated_figure4() -> (wsn_synth::GuardedProgram, u32) {
-    (synthesize_quadtree_program(5), 32)
-}
-
 /// Runs the frame-layout and allocation certifier (`wsn-analyze` pass 7,
 /// `FL001`–`FL005` / `AL001`–`AL003`) on the paper's Figure-4 program at
-/// hierarchy depth `depth`. `mutate` analyzes the
-/// [`overflow_mutated_figure4`] deployment instead — the planted payload
-/// overflow the CI inverted check proves the pass catches.
-pub fn frame_check_figure4(depth: u8, mutate: bool) -> (Option<FrameCertificate>, Diagnostics) {
-    let (program, side) = if mutate {
-        overflow_mutated_figure4()
-    } else {
-        (
-            synthesize_quadtree_program(depth),
-            2u32.pow(u32::from(depth)),
-        )
-    };
-    analyze_frames(&program, side, ReachConfig::default())
+/// hierarchy depth `depth`. Depth 5 (side 32) is the deployment the
+/// fixed frame cannot carry — the root exfiltration's full-boundary
+/// summary (5624 bytes) exceeds the certified payload capacity, which is
+/// how the frame gate's [`Mutation::PayloadOverflow`] plants `FL001`:
+/// every payload bound is a closed form in the extent side, so scaling
+/// the deployment past the frame envelope is exactly how a real overflow
+/// would arrive.
+pub fn frame_check_figure4(depth: u8) -> (Option<FrameCertificate>, Diagnostics) {
+    let side = 2u32.pow(u32::from(depth));
+    analyze_frames(
+        &synthesize_quadtree_program(depth),
+        side,
+        ReachConfig::default(),
+    )
 }
 
-/// The no-alloc gate behind `wsn-lint --alloc-gate`: the frame
+/// The no-alloc gate behind the `alloc` gate row: the frame
 /// certificate must hold at the gate side, and the measured steady-state
 /// round of the framed ping-pong mission must dispatch its events with
 /// **zero** heap allocations (when a counting allocator is installed —
@@ -428,7 +358,7 @@ pub fn frame_check_figure4(depth: u8, mutate: bool) -> (Option<FrameCertificate>
 /// Returns the rendered report, or what went over budget.
 pub fn alloc_gate(side: u32, volleys: u64) -> Result<String, String> {
     let depth = u8::try_from(side.trailing_zeros()).expect("side fits");
-    let (cert, diags) = frame_check_figure4(depth, false);
+    let (cert, diags) = frame_check_figure4(depth);
     if cert.is_none() || diags.has_errors() {
         return Err(format!(
             "frame certificate refused at side {side}:\n{}",
@@ -465,7 +395,8 @@ pub fn alloc_gate(side: u32, volleys: u64) -> Result<String, String> {
 /// deployment's own depth; otherwise the run falls back to the
 /// sequential reference kernel. Returns the selected engine together
 /// with the analyzer's report. `mutate` plants the
-/// [`leak_mutated_figure4`] defect first — the fallback path CI proves.
+/// [`leak_mutated_figure4`] defect first — the fallback path the
+/// parallel gate proves.
 pub fn certified_engine(
     side: u32,
     cut: u8,
@@ -504,71 +435,10 @@ pub fn certified_engine(
     }
 }
 
-/// The parallel CI gate behind `wsn-lint --parallel-gate`:
-///
-/// 1. certificate gating — the sharded engine must engage on the clean
-///    Figure-4 program and must *refuse* (fall back to sequential) on the
-///    leak-mutated program;
-/// 2. the differential matrix at CLI scale — for each (side, cut, seed),
-///    the sharded run's JSONL trace (dispatch log + causal log inside it)
-///    and its `RunMetrics` must be **byte-identical** to the sequential
-///    reference.
-///
-/// Returns the number of differential comparisons performed, or a
-/// description of the first divergence. The `WSN_SHARD_MISORDER`
-/// sabotage knob (a deliberately misordered boundary merge) must make
-/// this gate fail — the CI inverted-mutation step.
-pub fn parallel_gate(workers: usize) -> Result<usize, String> {
-    let (mutated, _) = certified_engine(4, 1, workers, true);
-    if mutated != RunEngine::Sequential {
-        return Err(
-            "certificate gating is broken: the leak-mutated program still selected the \
-             sharded engine"
-                .into(),
-        );
-    }
-    let mut checked = 0;
-    for &(side, cut) in &[(4u32, 1u8), (4, 2), (8, 1), (8, 2)] {
-        let (engine, diags) = certified_engine(side, cut, workers, false);
-        if engine == RunEngine::Sequential {
-            return Err(format!(
-                "side {side} cut {cut}: shard certificate not clean, sharded kernel refused \
-                 to engage:\n{}",
-                diags.render_text()
-            ));
-        }
-        for seed in [5u64, 6] {
-            let (seq_doc, seq_metrics) =
-                record_end_to_end_trace_with(side, 3, seed, true, RunEngine::Sequential);
-            let (par_doc, par_metrics) = record_end_to_end_trace_with(side, 3, seed, true, engine);
-            if seq_doc.to_jsonl() != par_doc.to_jsonl() {
-                return Err(format!(
-                    "side {side} cut {cut} seed {seed}: sharded trace diverged from the \
-                     sequential reference"
-                ));
-            }
-            if format!("{seq_metrics:?}") != format!("{par_metrics:?}") {
-                return Err(format!(
-                    "side {side} cut {cut} seed {seed}: sharded RunMetrics diverged: \
-                     {par_metrics:?} vs {seq_metrics:?}"
-                ));
-            }
-            checked += 1;
-        }
-    }
-    Ok(checked)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use wsn_analyze::Code;
-
-    #[test]
-    fn gate_passes_on_the_paper_artifacts() {
-        assert!(check_gate().is_ok());
-        assert_eq!(paper_depth(), 2);
-    }
 
     #[test]
     fn figure4_lints_clean_and_round_trips_through_the_cli_path() {
@@ -607,13 +477,6 @@ mod tests {
     }
 
     #[test]
-    fn shard_leak_mutation_trips_the_static_check() {
-        let (_, diags) = shard_check_figure4(2, 1, true).unwrap();
-        assert!(diags.has_code(Code::SI003), "{}", diags.render_text());
-        assert!(diags.has_errors());
-    }
-
-    #[test]
     fn shard_conformance_holds_on_the_seeded_trace_and_trips_on_the_leak() {
         let faithful = crate::experiments::record_model_fidelity_trace(4, 3, 5, 1.0, 1.0);
         let (cert, diags) = shard_conform_trace_text(&faithful.to_jsonl(), 1).unwrap();
@@ -628,7 +491,7 @@ mod tests {
     #[test]
     fn frame_check_certifies_the_paper_depths() {
         for depth in [2u8, 3] {
-            let (cert, diags) = frame_check_figure4(depth, false);
+            let (cert, diags) = frame_check_figure4(depth);
             assert_eq!(
                 diags.error_count(),
                 0,
@@ -639,14 +502,6 @@ mod tests {
             assert!(cert.fits());
             assert_eq!(cert.side, 2u32.pow(u32::from(depth)));
         }
-    }
-
-    #[test]
-    fn payload_overflow_mutation_trips_fl001() {
-        let (cert, diags) = frame_check_figure4(2, true);
-        assert!(cert.is_none());
-        assert!(diags.has_code(Code::FL001), "{}", diags.render_text());
-        assert!(diags.has_errors());
     }
 
     #[test]
@@ -663,9 +518,6 @@ mod tests {
 
     #[test]
     fn shard_metrics_reconcile_and_the_skew_tap_trips_tc010() {
-        // One test on purpose: the skew tap is plumbed through a
-        // process-global env var, so the clean and mutated runs must not
-        // race each other from parallel test threads.
         for (depth, cut) in [(2u8, 1u8), (3, 2)] {
             let (cert, diags) = shard_metrics_figure4(depth, cut, false).unwrap();
             assert_eq!(cert.cut_level, cut);
@@ -694,19 +546,5 @@ mod tests {
         // A negative bound must trip deterministically (overhead >= 0).
         let err = obs_gate(4, 20, -1.0).unwrap_err();
         assert!(err.contains("exceeds"), "{err}");
-    }
-
-    #[test]
-    fn shard_gate_passes_on_the_paper_artifacts() {
-        let checked = shard_gate(&[(2, 1), (2, 2)]).unwrap_or_else(|fails| {
-            panic!(
-                "{}",
-                fails
-                    .iter()
-                    .map(|(d, c, diags)| format!("depth {d} cut {c}:\n{}", diags.render_text()))
-                    .collect::<String>()
-            )
-        });
-        assert_eq!(checked, 2);
     }
 }

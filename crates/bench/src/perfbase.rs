@@ -55,11 +55,11 @@ pub struct RunSnapshot {
     /// bare (disabled-registry) configuration, best-of-run on the same
     /// machine (see [`crate::lint::telemetry_overhead_pct`]). Machine-
     /// dependent and noisy, so recorded but never drift-gated here; the
-    /// absolute ≤10% bound is `wsn-lint --obs-gate`'s job. `-1.0` means
+    /// absolute ≤10% bound is the `obs` gate row's job. `-1.0` means
     /// unmeasured; small negative measured values are clamped to `0.0`.
     pub telemetry_overhead_pct: f64,
     /// Scale-experiment row (sharded kernel at a large side): exempt
-    /// from the default gate's missing-side check so routine `--perf-gate`
+    /// from the default gate's missing-side check so routine `perf` gate
     /// runs stay cheap.
     pub scale: bool,
 }
@@ -364,7 +364,7 @@ pub fn regression_gate(
                 base.allocs_per_event >= 0.0 && cur.allocs_per_event >= 0.0,
             ),
             // Wall-clock ratio: recorded for the record, never
-            // drift-gated (the absolute bound lives in --obs-gate).
+            // drift-gated (the absolute bound lives in the `obs` gate row).
             (
                 "telemetry_overhead_pct",
                 base.telemetry_overhead_pct,

@@ -1,42 +1,49 @@
-//! Golden exit-code matrix for `wsn-lint`: every gate/check entry point
-//! must exit 0 on a clean run, 1 when it finds error-severity findings,
-//! and 2 on usage or decode errors — so CI can trust the process status
-//! without parsing the report.
+//! Golden exit-code matrix for `wsn-lint`: every check entry point must
+//! exit 0 on a clean run, 1 when it finds error-severity findings, and 2
+//! on usage or decode errors — so CI can trust the process status without
+//! parsing the report. The gate rows come from the gate table itself.
 
-use std::path::PathBuf;
-use std::process::Command;
+use std::path::{Path, PathBuf};
+use std::process::{Command, Output};
+use wsn_bench::experiments::{
+    record_flight_dump, record_model_fidelity_trace, record_shard_leak_trace,
+    record_shard_metrics_trace,
+};
+use wsn_bench::gates::GATES;
 
-fn lint() -> Command {
+/// Runs `wsn-lint` from the workspace root, where the gate table finds
+/// the committed perf baseline.
+fn lint(args: &[&str]) -> Output {
+    let root = Path::new(env!("CARGO_MANIFEST_DIR")).join("../..");
     Command::new(env!("CARGO_BIN_EXE_wsn-lint"))
+        .args(args)
+        .current_dir(root)
+        .output()
+        .expect("spawn wsn-lint")
 }
 
 fn run(args: &[&str]) -> i32 {
-    lint()
-        .args(args)
-        .output()
-        .expect("spawn wsn-lint")
-        .status
-        .code()
-        .expect("exit code")
+    lint(args).status.code().expect("exit code")
 }
 
 fn fixture(name: &str) -> String {
     format!("{}/tests/fixtures/{name}", env!("CARGO_MANIFEST_DIR"))
 }
 
-fn temp(name: &str) -> PathBuf {
+/// Writes `text` to a fresh temporary file.
+fn temp(name: &str, text: &str) -> PathBuf {
     let mut p = std::env::temp_dir();
     p.push(format!("wsn-lint-exit-codes-{}-{name}", std::process::id()));
+    std::fs::write(&p, text).expect("write temp file");
     p
 }
 
 #[test]
-fn static_analysis_paths() {
+fn kept_modes_exit_by_their_findings() {
     // (args, expected exit) — 0 clean, 1 findings, 2 usage.
     let matrix: &[(&[&str], i32)] = &[
         (&[], 0),
         (&["--fig4", "2"], 0),
-        (&["--check"], 0),
         (&["--codes"], 0),
         (&["--certify", "2"], 0),
         (&["--program", &fixture("figure4_depth2.json")], 0),
@@ -44,27 +51,10 @@ fn static_analysis_paths() {
         (&["--program", &fixture("broken_under_supplied.json")], 1),
         (&["--program", "/nonexistent/nope.json"], 2),
         (&["--fig4", "9"], 2),
-    ];
-    for (args, want) in matrix {
-        assert_eq!(run(args), *want, "wsn-lint {}", args.join(" "));
-    }
-}
-
-#[test]
-fn shard_check_paths() {
-    let matrix: &[(&[&str], i32)] = &[
         (&["--shard-check"], 0),
         (&["--shard-check", "2", "--cut-level", "2"], 0),
         (&["--shard-check", "3", "--cut-level", "1"], 0),
         (&["--shard-check", "--emit-shard-cert"], 0),
-        (&["--shard-check", "--mutate-shard-leak"], 1),
-        (
-            &["--shard-check", "--mutate-shard-leak", "--cut-level", "2"],
-            1,
-        ),
-        // cut level beyond the hierarchy depth is a usage error.
-        (&["--shard-check", "2", "--cut-level", "5"], 2),
-        (&["--shard-check", "--cut-level"], 2),
         (
             &[
                 "--shard-check",
@@ -77,7 +67,15 @@ fn shard_check_paths() {
             &["--shard-check", "--program", &fixture("shard_leak.json")],
             1,
         ),
+        // A cut level beyond the hierarchy depth is a usage error.
+        (&["--shard-check", "2", "--cut-level", "5"], 2),
+        (&["--shard-check", "--cut-level"], 2),
         (&["--shard-conform", "/nonexistent/nope.jsonl"], 2),
+        (&["--frame-check"], 0),
+        (&["--frame-check", "3"], 0),
+        (&["--frame-check", "--emit-frame-cert"], 0),
+        (&["--frame-check", "2", "--json"], 0),
+        (&["--frame-check", "9"], 2),
     ];
     for (args, want) in matrix {
         assert_eq!(run(args), *want, "wsn-lint {}", args.join(" "));
@@ -85,17 +83,78 @@ fn shard_check_paths() {
 }
 
 #[test]
+fn bad_arguments_exit_2() {
+    let matrix: &[&[&str]] = &[
+        // Unknown flags, including the retired per-gate ones.
+        &["--chek"],
+        &["--check"],
+        &["--perf-gate", "BENCH_topoquery.json"],
+        // Flags the chosen mode does not take.
+        &["--frame-check", "--mutate"],
+        &["--frame-check", "--cut-level", "1"],
+        &["--certify", "--conform", "x.jsonl"],
+        &["--codes", "--json"],
+        &["--fig4", "2", "3"],
+        // Gate rows: none, unknown, mixed forms.
+        &["gate"],
+        &["gate", "nope"],
+        &["gate", "--all", "--mutate"],
+        &["gate", "conform", "--all"],
+        &["gate", "conform", "--json"],
+        &["gate", "conform", "perf"],
+        &["--fig4", "gate", "lint"],
+    ];
+    for args in matrix {
+        assert_eq!(run(args), 2, "wsn-lint {}", args.join(" "));
+    }
+}
+
+/// Every gate row the table lists runs clean with exit 0, every planted
+/// mutation exits exactly 1 with a report naming its detectors, and
+/// `--mutate` on a row without one is a usage error. `obs` (a wall-clock
+/// ratio) and `scale` (minutes in a debug build) run clean in CI's
+/// `gate --all` step only.
+#[test]
+fn gate_rows_exit_by_the_table() {
+    for gate in GATES {
+        if gate.mutation.is_none() {
+            assert_eq!(run(&["gate", gate.name, "--mutate"]), 2, "{}", gate.name);
+        }
+        if matches!(gate.name, "obs" | "scale") {
+            continue;
+        }
+        let out = lint(&["gate", gate.name]);
+        let text = String::from_utf8_lossy(&out.stdout);
+        assert_eq!(out.status.code(), Some(0), "gate {}:\n{text}", gate.name);
+        if let Some((_, detectors)) = gate.mutation {
+            let out = lint(&["gate", gate.name, "--mutate"]);
+            let text = String::from_utf8_lossy(&out.stdout);
+            assert_eq!(
+                out.status.code(),
+                Some(1),
+                "gate {} --mutate:\n{text}",
+                gate.name
+            );
+            for detector in detectors {
+                assert!(
+                    text.contains(detector),
+                    "gate {} --mutate does not name {detector}:\n{text}",
+                    gate.name
+                );
+            }
+        }
+    }
+}
+
+#[test]
 fn shard_cert_json_is_machine_checkable() {
-    let out = lint()
-        .args([
-            "--shard-check",
-            "2",
-            "--cut-level",
-            "1",
-            "--emit-shard-cert",
-        ])
-        .output()
-        .expect("spawn wsn-lint");
+    let out = lint(&[
+        "--shard-check",
+        "2",
+        "--cut-level",
+        "1",
+        "--emit-shard-cert",
+    ]);
     assert!(out.status.success());
     let text = String::from_utf8(out.stdout).expect("utf8 cert");
     let json = wsn_obs::Json::parse(text.trim()).expect("cert parses");
@@ -108,30 +167,8 @@ fn shard_cert_json_is_machine_checkable() {
 }
 
 #[test]
-fn frame_check_paths() {
-    let matrix: &[(&[&str], i32)] = &[
-        (&["--frame-check"], 0),
-        (&["--frame-check", "2"], 0),
-        (&["--frame-check", "3"], 0),
-        (&["--frame-check", "--emit-frame-cert"], 0),
-        // The planted mutation: a deployment whose top-level summary
-        // cannot fit the fixed frame. FL001, exit 1 — CI inverts this.
-        (&["--frame-check", "--mutate-payload-overflow"], 1),
-        (&["--frame-check", "--mutate-payload-overflow", "--json"], 1),
-        (&["--frame-check", "9"], 2),
-        (&["--alloc-gate"], 0),
-    ];
-    for (args, want) in matrix {
-        assert_eq!(run(args), *want, "wsn-lint {}", args.join(" "));
-    }
-}
-
-#[test]
 fn frame_cert_json_is_machine_checkable() {
-    let out = lint()
-        .args(["--frame-check", "2", "--emit-frame-cert"])
-        .output()
-        .expect("spawn wsn-lint");
+    let out = lint(&["--frame-check", "2", "--emit-frame-cert"]);
     assert!(out.status.success());
     let text = String::from_utf8(out.stdout).expect("utf8 cert");
     let json = wsn_obs::Json::parse(text.trim()).expect("cert parses");
@@ -146,27 +183,8 @@ fn frame_cert_json_is_machine_checkable() {
 }
 
 #[test]
-fn overflow_mutation_names_fl001_and_matches_the_golden_fixture() {
-    let out = lint()
-        .args(["--frame-check", "--mutate-payload-overflow", "--json"])
-        .output()
-        .expect("spawn wsn-lint");
-    assert_eq!(out.status.code(), Some(1));
-    let text = String::from_utf8(out.stdout).expect("utf8 diags");
-    assert!(text.contains("\"FL001\""), "missing FL001 in: {text}");
-    let golden =
-        std::fs::read_to_string(fixture("frame_overflow_diags.json")).expect("read golden fixture");
-    assert_eq!(
-        text, golden,
-        "frame-check --json drifted from the golden fixture; if the change \
-         is intentional, regenerate tests/fixtures/frame_overflow_diags.json \
-         with wsn-lint --frame-check --mutate-payload-overflow --json"
-    );
-}
-
-#[test]
 fn frame_and_alloc_codes_are_catalogued() {
-    let out = lint().args(["--codes"]).output().expect("spawn wsn-lint");
+    let out = lint(&["--codes"]);
     assert!(out.status.success());
     let text = String::from_utf8(out.stdout).expect("utf8 catalog");
     for code in [
@@ -180,94 +198,29 @@ fn frame_and_alloc_codes_are_catalogued() {
 fn conformance_paths_trip_on_recorded_mutations() {
     // Record the faithful and mutated runs once, then drive every
     // trace-checking entry point through both.
-    let faithful = temp("faithful.jsonl");
-    let drifted = temp("drifted.jsonl");
-    let leak = temp("leak.jsonl");
-    assert_eq!(
-        run(&["--record-fidelity-trace", faithful.to_str().unwrap(), "2"]),
-        0
-    );
-    assert_eq!(
-        run(&[
-            "--record-fidelity-trace",
-            drifted.to_str().unwrap(),
-            "2",
-            "--mutate-hop-cost",
-            "2.0",
-        ]),
-        0
-    );
-    assert_eq!(
-        run(&["--record-shard-leak-trace", leak.to_str().unwrap(), "2"]),
-        0
-    );
-
+    let faithful = record_model_fidelity_trace(4, 3, 5, 1.0, 1.0).to_jsonl();
+    let drifted = record_model_fidelity_trace(4, 3, 5, 2.0, 1.0).to_jsonl();
+    let leak = record_shard_leak_trace(4, 3, 5).to_jsonl();
+    let paths = [
+        temp("faithful.jsonl", &faithful),
+        temp("drifted.jsonl", &drifted),
+        temp("leak.jsonl", &leak),
+    ];
+    let [faithful, drifted, leak] = paths.each_ref().map(|p| p.to_str().unwrap());
     let matrix: &[(&[&str], i32)] = &[
-        (&["--conform", faithful.to_str().unwrap()], 0),
-        (&["--conform", drifted.to_str().unwrap()], 1),
-        (
-            &[
-                "--shard-conform",
-                faithful.to_str().unwrap(),
-                "--cut-level",
-                "1",
-            ],
-            0,
-        ),
-        (
-            &[
-                "--shard-conform",
-                leak.to_str().unwrap(),
-                "--cut-level",
-                "1",
-            ],
-            1,
-        ),
+        (&["--conform", faithful], 0),
+        (&["--conform", drifted], 1),
+        (&["--shard-conform", faithful, "--cut-level", "1"], 0),
+        (&["--shard-conform", leak, "--cut-level", "1"], 1),
         // With a single shard (cut = depth) nothing can cross: even the
         // leaking run conforms, which is exactly what the plan says.
-        (
-            &[
-                "--shard-conform",
-                leak.to_str().unwrap(),
-                "--cut-level",
-                "2",
-            ],
-            0,
-        ),
+        (&["--shard-conform", leak, "--cut-level", "2"], 0),
     ];
     for (args, want) in matrix {
         assert_eq!(run(args), *want, "wsn-lint {}", args.join(" "));
     }
-    for p in [faithful, drifted, leak] {
+    for p in paths {
         let _ = std::fs::remove_file(p);
-    }
-}
-
-#[test]
-fn parallel_gate_paths() {
-    assert_eq!(run(&["--parallel-gate"]), 0);
-    // A misordered boundary merge must trip the differential gate — CI
-    // inverts this exit code to prove the suite has teeth.
-    assert_eq!(run(&["--parallel-gate", "--mutate-misorder"]), 1);
-    assert_eq!(run(&["--parallel-gate", "--scale-workers"]), 2);
-}
-
-#[test]
-fn shard_metrics_paths() {
-    let matrix: &[(&[&str], i32)] = &[
-        (&["--shard-metrics"], 0),
-        (&["--shard-metrics", "3", "--cut-level", "2"], 0),
-        // The planted undercounting tap: shard 0 drops one dispatch per
-        // window from its counter, so the per-shard sum falls short of
-        // the certified total. TC010, exit 1 — CI inverts this.
-        (&["--shard-metrics", "--mutate-shard-skew"], 1),
-        // Cut level beyond the hierarchy depth is a usage error.
-        (&["--shard-metrics", "--cut-level", "9"], 2),
-        (&["--shard-metrics", "--cut-level"], 2),
-        (&["--obs-gate", "--tolerance", "abc"], 2),
-    ];
-    for (args, want) in matrix {
-        assert_eq!(run(args), *want, "wsn-lint {}", args.join(" "));
     }
 }
 
@@ -283,25 +236,17 @@ fn netscope(args: &[&str]) -> i32 {
 
 #[test]
 fn netscope_shard_and_flight_paths() {
-    let clean = temp("shard-metrics.jsonl");
-    let skewed = temp("shard-metrics-skew.jsonl");
-    let dump = temp("flight-dump.jsonl");
-    assert_eq!(
-        run(&["--record-shard-metrics-trace", clean.to_str().unwrap(), "2"]),
-        0
+    let clean = temp(
+        "shard-metrics.jsonl",
+        &record_shard_metrics_trace(4, 3, 5, 1, false).to_jsonl(),
     );
-    assert_eq!(
-        run(&[
-            "--record-shard-metrics-trace",
-            skewed.to_str().unwrap(),
-            "2",
-            "--mutate-shard-skew",
-        ]),
-        0
+    let skewed = temp(
+        "shard-metrics-skew.jsonl",
+        &record_shard_metrics_trace(4, 3, 5, 1, true).to_jsonl(),
     );
-    assert_eq!(
-        run(&["--record-flight-dump", dump.to_str().unwrap(), "2"]),
-        0
+    let dump = temp(
+        "flight-dump.jsonl",
+        &record_flight_dump(4, 3, 5, 1, 64, "recorded").to_jsonl(),
     );
 
     // netscope shards: 0 reconciled, 1 mismatch, 2 usage/decode.
@@ -319,22 +264,4 @@ fn netscope_shard_and_flight_paths() {
     for p in [clean, skewed, dump] {
         let _ = std::fs::remove_file(p);
     }
-}
-
-#[test]
-fn perf_gate_path_round_trips_and_trips() {
-    let baseline = temp("perf-baseline.json");
-    assert_eq!(run(&["--perf-baseline", baseline.to_str().unwrap()]), 0);
-    assert_eq!(run(&["--perf-gate", baseline.to_str().unwrap()]), 0);
-    assert_eq!(
-        run(&[
-            "--perf-gate",
-            baseline.to_str().unwrap(),
-            "--mutate-hop-cost",
-            "1.5",
-        ]),
-        1
-    );
-    assert_eq!(run(&["--perf-gate", "/nonexistent/base.json"]), 2);
-    let _ = std::fs::remove_file(baseline);
 }

@@ -159,6 +159,25 @@ fn shard_leak_fixture_reports_si_codes_byte_stably() {
 }
 
 #[test]
+fn planted_mutations_match_their_golden_fixtures() {
+    // The shard gate's static leak is exactly the committed fixture...
+    let leak = wsn_analyze::program_to_json(&lint::leak_mutated_figure4(2)).render();
+    assert_eq!(format!("{leak}\n"), fixture("shard_leak.json"));
+    // ...and the frame gate's side-32 deployment trips FL001 with the
+    // committed JSON report.
+    let (cert, diags) = lint::frame_check_figure4(5);
+    assert!(cert.is_none());
+    assert!(diags.has_code(Code::FL001), "{}", diags.render_text());
+    assert_eq!(
+        format!("{}\n", diags.to_json().render()),
+        fixture("frame_overflow_diags.json"),
+        "the payload-overflow report drifted from the golden fixture; if the \
+         change is intentional, regenerate tests/fixtures/frame_overflow_diags.json \
+         from lint::frame_check_figure4(5)"
+    );
+}
+
+#[test]
 fn the_three_broken_classes_have_distinct_codes() {
     let codes_of = |name: &str| lint::lint_program_text(&fixture(name)).unwrap().codes();
     let unbound = codes_of("broken_unbound_var.json");

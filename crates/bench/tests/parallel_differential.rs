@@ -6,16 +6,14 @@
 //! the sequential run's. One chaos mission (fault injection + crash +
 //! self-healing) rides in the matrix so the epoch-sliced driver is
 //! differenced too, not just the plain application run.
-//!
-//! The suite doubles as CI's mutation detector: with
-//! `WSN_SHARD_MISORDER=1` in the environment the sharded kernel merges
-//! boundary traffic in a deliberately wrong order, and this suite MUST
-//! fail (the workflow inverts the exit code to prove it has teeth).
 
-use wsn_bench::experiments::{record_end_to_end_trace_with, RunEngine};
+use wsn_bench::experiments::{
+    record_end_to_end_trace_mutated, record_end_to_end_trace_with, RunEngine,
+};
+use wsn_bench::gates::Mutation;
 use wsn_core::{GridCoord, NodeApi, NodeProgram};
 use wsn_net::{ChaosPlan, DeliveryChaos, DeploymentSpec, LinkModel, RadioModel};
-use wsn_runtime::{ParallelConfig, PhysicalRuntime, SelfHealConfig};
+use wsn_runtime::{ParallelConfig, PhysicalRuntime, SelfHealConfig, ShardMutation};
 use wsn_sim::SimTime;
 
 const SEEDS: [u64; 5] = [3, 5, 11, 21, 42];
@@ -88,6 +86,31 @@ fn side_8_sharded_traces_are_byte_identical() {
 #[test]
 fn side_16_sharded_traces_are_byte_identical() {
     differential_matrix(16);
+}
+
+/// The suite's teeth: a misordered boundary merge planted on one matrix
+/// cell makes its sharded trace diverge from the sequential one, while
+/// the same cell without the mutation still matches it.
+#[test]
+fn a_misordered_merge_on_one_cell_diverges() {
+    let (side, seed) = (4, SEEDS[0]);
+    let engine = RunEngine::Sharded {
+        cut_level: 1,
+        workers: 4,
+    };
+    let trace = |engine, mutation| {
+        record_end_to_end_trace_mutated(side, 3, seed, true, engine, mutation)
+            .0
+            .to_jsonl()
+    };
+    let sequential = trace(RunEngine::Sequential, None);
+    assert_eq!(trace(engine, None), sequential, "the clean cell must match");
+    let misorder = Mutation::Shard(ShardMutation::MisorderedMerge);
+    assert_ne!(
+        trace(engine, Some(misorder)),
+        sequential,
+        "a misordered boundary merge went unnoticed"
+    );
 }
 
 /// The chaos cell of the matrix: duplicated + reordered deliveries, a

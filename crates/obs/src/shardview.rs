@@ -1,6 +1,6 @@
 //! Per-shard telemetry view — the table behind `netscope shards`.
 //!
-//! A shard-metrics trace (recorded by `wsn-lint --record-shard-metrics-trace`
+//! A shard-metrics trace (recorded by `wsn_bench::experiments::record_shard_metrics_trace`
 //! or `netscope shards --demo`) carries the engine's per-shard accounting as
 //! `shard=`-labeled registry series. [`shard_table`] folds those series back
 //! into one row per shard — events dispatched, cross-shard traffic staged and
@@ -62,7 +62,7 @@ pub fn shard_table(doc: &TraceDocument) -> Result<ShardTable, String> {
     if !doc.counters.iter().any(|(k, _)| k == "shard.events.total") {
         return Err(
             "trace carries no shard telemetry (no shard.events.total counter); record one \
-             with wsn-lint --record-shard-metrics-trace or netscope shards --demo"
+             with wsn_bench::experiments::record_shard_metrics_trace or netscope shards --demo"
                 .to_string(),
         );
     }
@@ -177,7 +177,7 @@ impl ShardTable {
         } else {
             out.push_str(&format!(
                 "reconciliation: MISMATCH — per-shard sum {events_sum} vs kernel total {} \
-                 (see wsn-lint --shard-metrics / TC010)\n",
+                 (see wsn-lint gate shard-metrics / TC010)\n",
                 self.total
             ));
         }

@@ -44,7 +44,7 @@ pub use node::{
 };
 pub use runner::{
     AppReport, BindReport, ChaosMissionReport, MissionConfig, MissionReport, ParallelConfig,
-    PhysicalRuntime, SelfHealConfig, TopoReport,
+    PhysicalRuntime, SelfHealConfig, ShardMutation, TopoReport,
 };
 pub use wire::{
     decode_framed, decode_rtmsg, encode_rtmsg, frame_stamp, is_stamped_tag, set_frame_stamp,

@@ -207,6 +207,19 @@ pub struct ParallelConfig {
     pub workers: usize,
 }
 
+/// A planted defect of the sharded engine, armed through
+/// [`PhysicalRuntime::plant_shard_mutation`] so the check guarding that
+/// part of the engine can prove it notices. Never planted elsewhere.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum ShardMutation {
+    /// Boundary traffic merges in a deliberately wrong order
+    /// ([`ShardSchedule::with_misordered_merge`]).
+    MisorderedMerge,
+    /// Shard 0's telemetry counter drops one dispatch per window
+    /// ([`ShardObs::with_undercount_tap`]).
+    UndercountTap,
+}
+
 impl ParallelConfig {
     /// One worker lane per shard at `cut_level`.
     pub fn at_cut(cut_level: u32) -> Self {
@@ -251,6 +264,8 @@ pub struct PhysicalRuntime<P: Clone + 'static> {
     /// Reusable per-cell leader scratch for the self-heal loop — the
     /// steady-state hot path must not allocate per epoch.
     leader_scratch: Vec<Option<usize>>,
+    /// Defect planted in every sharded run; `None` outside mutation checks.
+    shard_mutation: Option<ShardMutation>,
 }
 
 impl<P: Clone + 'static> PhysicalRuntime<P> {
@@ -332,6 +347,7 @@ impl<P: Clone + 'static> PhysicalRuntime<P> {
             causal: None,
             tx_scratch: Vec::new(),
             leader_scratch: Vec::new(),
+            shard_mutation: None,
         }
     }
 
@@ -781,14 +797,17 @@ impl<P: Clone + 'static> PhysicalRuntime<P> {
             })
             .collect();
         let schedule = ShardSchedule::new(map, plan.shard_count()).with_workers(cfg.workers);
-        // Sabotage knob for the CI inverted-mutation step: a deliberately
-        // misordered boundary merge must make the differential suite
-        // fail. Never set outside that check.
-        if std::env::var_os("WSN_SHARD_MISORDER").is_some() {
+        if self.shard_mutation == Some(ShardMutation::MisorderedMerge) {
             schedule.with_misordered_merge()
         } else {
             schedule
         }
+    }
+
+    /// Plants `mutation` in every later sharded run of this runtime.
+    /// Sequential runs are untouched. Only mutation checks call this.
+    pub fn plant_shard_mutation(&mut self, mutation: ShardMutation) {
+        self.shard_mutation = Some(mutation);
     }
 
     /// Runs the kernel under `schedule`, wiring the window order tap into
@@ -813,16 +832,16 @@ impl<P: Clone + 'static> PhysicalRuntime<P> {
         // Per-shard accounting rides along whenever telemetry is on. The
         // arrays are write-only bookkeeping outside every kernel
         // observable, so the bit-identical contract with the sequential
-        // engine is untouched. WSN_SHARD_SKEW is the sabotage knob for
-        // the CI inverted-mutation step: an undercounting tap must make
-        // the TC010 reconciliation fail. Never set outside that check.
+        // engine is untouched.
         let mut obs = if self.shard_telemetry.is_enabled() {
             let obs = ShardObs::new(schedule.shard_count());
-            Some(if std::env::var_os("WSN_SHARD_SKEW").is_some() {
-                obs.with_undercount_tap()
-            } else {
-                obs
-            })
+            Some(
+                if self.shard_mutation == Some(ShardMutation::UndercountTap) {
+                    obs.with_undercount_tap()
+                } else {
+                    obs
+                },
+            )
         } else {
             None
         };

@@ -17,7 +17,7 @@
 //! (a stack value — cloning it through the medium is a memcpy), receives
 //! decode once at the destination leader. Running
 //! `PhysicalRuntime<FrameBuf>` this way keeps the entire hop-by-hop relay
-//! path allocation-free, which is what the `wsn-lint --alloc-gate`
+//! path allocation-free, which is what the `wsn-lint gate alloc`
 //! counting-allocator harness asserts.
 
 use crate::messages::{AppEnvelope, RtMsg};

@@ -180,7 +180,7 @@ pub struct Kernel<M: Payload> {
     /// [`Kernel::flush_metrics_scratch`] folds them into the named
     /// stats histograms at run exit — a string-keyed map lookup per
     /// *run* instead of two per *event*, which is what keeps the
-    /// instrumented hot path inside the `--obs-gate` overhead bound.
+    /// instrumented hot path inside the `obs` gate row's overhead bound.
     pub(crate) metrics_scratch: (Vec<f64>, Vec<f64>),
 }
 
@@ -229,7 +229,7 @@ impl<M: Payload> Kernel<M> {
     /// stats sink. Off by default — the hot loop then pays only a bool
     /// check. When on, the per-event cost is two vector pushes into a
     /// capacity-retaining scratch; the named histograms materialize
-    /// when the run returns (see the `--obs-gate` overhead bound).
+    /// when the run returns (see the `obs` gate row's overhead bound).
     pub fn enable_metrics(&mut self) {
         self.metrics = true;
     }

@@ -29,7 +29,7 @@ impl Stats {
     /// The fast path is allocation-free: a counter that already exists is
     /// bumped through `get_mut` without cloning the key, so per-event
     /// counters settle after their first touch and stay off the heap —
-    /// the invariant the no-alloc gate (`wsn-lint --alloc-gate`) measures.
+    /// the invariant the no-alloc gate (`wsn-lint gate alloc`) measures.
     pub fn add(&mut self, key: &str, delta: u64) {
         match self.counters.get_mut(key) {
             Some(v) => *v += delta,
