@@ -16,6 +16,12 @@
 //!   serializes);
 //! * **exfils** — `ExfiltrateSummary` level intervals.
 //!
+//! A footprint is exact only when its exploration completes. A role whose
+//! exploration stops at the [`ReachConfig`] state cap is an `RD004`
+//! error, and passes 6 and 7 issue no certificate from a partial
+//! footprint. Postponed deliveries ([`crate::reach`]) keep Figure 4's
+//! explorations small: the largest role at side 512 needs 93 states.
+//!
 //! `SI001` fires when any footprint component escapes the region space
 //! `[0, p]` of the deployment — a handler that addresses a region outside
 //! the hierarchy cannot be assigned to any shard.
@@ -29,17 +35,32 @@ use wsn_synth::GuardedProgram;
 /// Computes the per-role footprints of `program` on a `side × side`
 /// deployment: one [`RoleFootprint`] per role `0..=p`, each from an
 /// exhaustive exploration restricted to that role's delivery tags.
-/// Sites that never fire at a role are absent from its footprint.
+/// Sites that never fire at a role are absent from its footprint. The
+/// first role whose exploration stops at the state cap is an `RD004`
+/// error instead: its footprint would cover only an explored prefix.
 pub fn role_footprints(
     program: &GuardedProgram,
     side: u32,
     config: ReachConfig,
-) -> Vec<RoleFootprint> {
+) -> Result<Vec<RoleFootprint>, Diagnostic> {
     let hier = Hierarchy::new(side);
     (0..=hier.max_level())
         .map(|role| {
             let levels: Vec<i64> = (1..=i64::from(role)).collect();
             let report = explore_with_levels(program, config, &levels);
+            if report.truncated {
+                return Err(Diagnostic::error(
+                    Code::RD004,
+                    Span::Program,
+                    format!(
+                        "the footprint exploration of role {role} stopped at the state cap of \
+                         {} states: its footprint covers only the explored prefix, so no \
+                         certificate can rest on it",
+                        config.max_states
+                    ),
+                )
+                .with_suggestion("raise ReachConfig::max_states until every role completes"));
+            }
             let mut fp = RoleFootprint {
                 role,
                 writes: Vec::new(),
@@ -60,7 +81,7 @@ pub fn role_footprints(
                     IndexKind::MsgsReceived => {}
                 }
             }
-            fp
+            Ok(fp)
         })
         .collect()
 }
@@ -68,14 +89,15 @@ pub fn role_footprints(
 /// Runs the footprint pass: computes [`role_footprints`] and reports
 /// every site whose footprint escapes the region space `[0, p]` as
 /// `SI001`, one diagnostic per site with the interval merged across
-/// roles. Callers must run [`crate::wellformed::check_program`] first
+/// roles. A truncated exploration is the `Err` of [`role_footprints`].
+/// Callers must run [`crate::wellformed::check_program`] first
 /// (evaluation over unbound names is meaningless).
 pub fn check_footprints(
     program: &GuardedProgram,
     side: u32,
     config: ReachConfig,
-) -> (Vec<RoleFootprint>, Diagnostics) {
-    let footprints = role_footprints(program, side, config);
+) -> Result<(Vec<RoleFootprint>, Diagnostics), Diagnostic> {
+    let footprints = role_footprints(program, side, config)?;
     let p = i64::from(Hierarchy::new(side).max_level());
     let mut diags = Diagnostics::new();
 
@@ -121,7 +143,7 @@ pub fn check_footprints(
         }
     }
     diags.sort();
-    (footprints, diags)
+    Ok((footprints, diags))
 }
 
 #[cfg(test)]
@@ -135,7 +157,7 @@ mod tests {
         // subset of the next role's; footprints must stay within the
         // paper's [1, r+1] send envelope.
         let p = synthesize_quadtree_program(2);
-        let fps = role_footprints(&p, 4, ReachConfig::default());
+        let fps = role_footprints(&p, 4, ReachConfig::default()).unwrap();
         assert_eq!(fps.len(), 3);
         for fp in &fps {
             for w in &fp.writes {
@@ -161,7 +183,7 @@ mod tests {
             synthesize_quadtree_program(2),
             synthesize_gather_program(2, 4),
         ] {
-            let (_, d) = check_footprints(&program, 4, ReachConfig::default());
+            let (_, d) = check_footprints(&program, 4, ReachConfig::default()).unwrap();
             assert_eq!(d.error_count(), 0, "{}: {}", program.name, d.render_text());
         }
     }
@@ -175,8 +197,47 @@ mod tests {
                 group_level: wsn_synth::Expr::var("maxrecLevel").plus(2),
                 data_level: wsn_synth::Expr::Int(0),
             });
-        let (_, d) = check_footprints(&p, 4, ReachConfig::default());
+        let (_, d) = check_footprints(&p, 4, ReachConfig::default()).unwrap();
         assert!(d.has_code(Code::SI001), "{}", d.render_text());
         assert!(d.has_errors());
+    }
+
+    /// The envelope of a footprint component across its sites.
+    fn hull(sites: &[SiteFootprint]) -> Option<(i64, i64)> {
+        sites.iter().fold(None, |acc, s| match acc {
+            None => Some((s.lo, s.hi)),
+            Some((lo, hi)) => Some((lo.min(s.lo), hi.max(s.hi))),
+        })
+    }
+
+    #[test]
+    fn figure4_footprints_are_complete_from_side_64_to_512() {
+        // An eager exploration stops at the state cap from side 64 up
+        // (role 6 at side 64; role 7 at side 128, whose footprint then
+        // wrote only [1, 5]). With postponed deliveries every role
+        // completes, and each reads and writes exactly its §4 envelope.
+        for p in 6..=9u8 {
+            let side = 1u32 << p;
+            let program = synthesize_quadtree_program(p);
+            let fps = role_footprints(&program, side, ReachConfig::default())
+                .unwrap_or_else(|d| panic!("side {side}: {}", d.message));
+            assert_eq!(fps.len(), usize::from(p) + 1);
+            let p = i64::from(p);
+            for fp in &fps {
+                let r = i64::from(fp.role);
+                assert_eq!(
+                    hull(&fp.writes),
+                    Some((1, (r + 1).min(p))),
+                    "side {side} role {r}"
+                );
+                assert_eq!(
+                    hull(&fp.reads),
+                    Some((0, r.min(p - 1))),
+                    "side {side} role {r}"
+                );
+                let exfils = if r == p { Some((p, p)) } else { None };
+                assert_eq!(hull(&fp.exfils), exfils, "side {side} role {r}");
+            }
+        }
     }
 }

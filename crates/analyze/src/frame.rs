@@ -550,7 +550,14 @@ pub fn analyze_frames(
     diags.extend(check_variant_table(RTMSG_VARIANTS, HEADER_FIELDS));
 
     // ---- Per-site payload bounds from the role footprints ----
-    let footprints = role_footprints(program, side, config);
+    let footprints = match role_footprints(program, side, config) {
+        Ok(footprints) => footprints,
+        Err(truncated) => {
+            diags.push(truncated);
+            diags.sort();
+            return (None, diags);
+        }
+    };
     // Merge each site's data interval across roles: one finding per site.
     type SiteKey = (usize, Vec<usize>, &'static str);
     let mut data_sites: BTreeMap<SiteKey, (i64, i64)> = BTreeMap::new();
@@ -979,6 +986,21 @@ mod tests {
         let (cert, diags) = analyze_frames(&program, 4, ReachConfig::default());
         assert!(cert.is_none());
         assert!(diags.has_code(Code::AL003), "{}", diags.render_text());
+    }
+
+    #[test]
+    fn a_truncated_footprint_forfeits_the_certificate() {
+        let program = synthesize_quadtree_program(4);
+        let (cert, diags) = analyze_frames(&program, 16, ReachConfig { max_states: 2 });
+        assert!(cert.is_none());
+        assert!(diags.has_errors(), "{}", diags.render_text());
+        let rd004: Vec<_> = diags
+            .items()
+            .iter()
+            .filter(|d| d.code == Code::RD004)
+            .collect();
+        assert_eq!(rd004.len(), 1, "{}", diags.render_text());
+        assert!(rd004[0].message.contains("role 1"), "{}", rd004[0].message);
     }
 
     #[test]

@@ -15,7 +15,8 @@
 //!    `WF009`).
 //! 2. **Reachability & determinism** ([`reach`]) — an exhaustive bounded
 //!    exploration of the rule system that mirrors the interpreter's scan
-//!    semantics: unsatisfiable guards, scan-order-observable overlaps,
+//!    semantics, with deliveries postponed until a scan reads their
+//!    level: unsatisfiable guards, scan-order-observable overlaps,
 //!    livelock, and exact index intervals for `msgsReceived[·]` and
 //!    summary levels (`RD001`–`RD004`, `WF006`, `WF007`, `WF010`).
 //! 3. **Graph & mapping structure** ([`graphcheck`]) — cycle witnesses,
@@ -30,7 +31,9 @@
 //!    read/write footprints in region space and commutativity under a
 //!    quad-tree [`wsn_core::ShardPlan`], yielding a machine-checkable
 //!    [`shard::ShardCertificate`] with the closed-form cross-shard
-//!    message bound (`SI001`–`SI004`, trace replay `TC009`).
+//!    message bound (`SI001`–`SI004`, trace replay `TC009`). A role
+//!    whose exploration is truncated is an `RD004` error here and in the
+//!    frame pass ([`frame`]), and no certificate is issued.
 //!
 //! [`verified`] gates synthesis and code generation on the verdict:
 //! error-bearing artifacts are refused unless the caller opts out.

@@ -17,6 +17,34 @@
 //!   program compares against, and scalar values clamp at a bound derived
 //!   from the program's literals, keeping the state space finite.
 //!
+//! ## Postponed deliveries
+//!
+//! Enumerating every delivery at every stable state multiplies the
+//! per-level counters into each other: from side 64 up, a Figure-4 role
+//! has more stable states than the default 400,000-state cap. Most of
+//! those interleavings cannot be told apart, so the explorer applies a
+//! partial-order reduction (Godefroid 1996).
+//!
+//! A receive rule is *slot-local* when its actions are only
+//! `MergeIncoming`, `CountIncoming` and `IfElse` on `IncomingFromSelf` or
+//! `Received`. When every receive rule is slot-local, a delivery of level
+//! `l` touches nothing but `msgsReceived[l]` and summary slot `l`. If the
+//! stable state's last scan did not read level `l`, that delivery enables
+//! no rule and commutes with everything up to the next read of `l`. So
+//! the explorer does not enumerate it. It marks the level *postponed*
+//! instead: the level then stands for every value in its *closure* under
+//! the receive rules, meaning every counter and slot value that further
+//! deliveries can give it, its current value included.
+//!
+//! When a later delivery, scan or action first reads or writes a
+//! postponed level, the settle is re-run once for each value in the
+//! level's closure, with the level resolved to that value. Every scan
+//! the eager enumeration performs is then performed with the same values
+//! read, so the report is the same in every field but `states`. A
+//! role-7 Figure-4 cell needs 59 states instead of more than 400,000.
+//! For a program that is not slot-local nothing is postponable, and the
+//! same code path runs the eager exploration.
+//!
 //! The exploration yields, per reachable behavior: which rules ever fire
 //! (unsatisfiable-guard detection), which state rules are enabled
 //! *simultaneously* (scan-order observability), and the exact interval of
@@ -82,7 +110,8 @@ pub struct SiteKey {
 /// What the exploration observed.
 #[derive(Debug, Clone)]
 pub struct ReachReport {
-    /// Distinct stable states enumerated.
+    /// Distinct stable states enumerated; a state with postponed levels
+    /// counts once, however many values those levels stand for.
     pub states: usize,
     /// The state cap was hit; `fired`/`overlaps` are lower bounds and
     /// interval facts cover only the explored prefix.
@@ -261,19 +290,37 @@ fn site_span(site: &SiteKey) -> Span {
     }
 }
 
-/// One model state: scalar values, saturating per-level counters, and the
-/// written-slot bitmask of `mySubGraph`.
+/// One model state: scalar values, saturating per-level counters, the
+/// written-slot bitmask of `mySubGraph`, and the postponed levels.
 #[derive(Debug, Clone, PartialEq, Eq, Hash)]
 struct State {
     vars: Vec<i64>,
     msgs: Vec<u16>,
     slots: u64,
+    /// Bit `l` set: deliveries to level `l` are postponed, and the level
+    /// stands for every counter and slot value in its closure under the
+    /// receive rules, starting from the stored one.
+    postponed: u64,
 }
 
 #[derive(Clone, Copy)]
 struct Incoming {
     level: i64,
     from_self: bool,
+}
+
+/// A delivery, guard or action touched this postponed level: the settle
+/// is re-run once for each value the level can hold.
+#[derive(Debug)]
+struct Postponed(i64);
+
+/// The bit of `level` in a level mask; 0 for a level no mask can hold.
+fn level_bit(level: i64) -> u64 {
+    if (0..64).contains(&level) {
+        1 << level
+    } else {
+        0
+    }
 }
 
 struct Explorer<'p> {
@@ -286,6 +333,11 @@ struct Explorer<'p> {
     max_level: i64,
     clamp: i64,
     counter_cap: u16,
+    /// Levels whose deliveries may be postponed: the deliverable ones
+    /// when the program is slot-local, none otherwise.
+    postponable: u64,
+    /// Levels the current scan pass has read.
+    reads: u64,
     report: ReachReport,
 }
 
@@ -306,6 +358,14 @@ impl<'p> Explorer<'p> {
         }
         let max_literal = max_abs_literal(program);
         let max_level = i64::from(program.max_level);
+        let postponable = if slot_local(program) {
+            levels
+                .iter()
+                .filter(|l| (0..=max_level).contains(*l))
+                .fold(0, |mask, &l| mask | level_bit(l))
+        } else {
+            0
+        };
         Explorer {
             config,
             levels,
@@ -315,6 +375,8 @@ impl<'p> Explorer<'p> {
             max_level,
             clamp: max_literal.max(max_level) + 2,
             counter_cap: (max_literal.clamp(1, u16::MAX as i64 - 1) + 1) as u16,
+            postponable,
+            reads: 0,
             report: ReachReport {
                 states: 0,
                 truncated: false,
@@ -343,6 +405,7 @@ impl<'p> Explorer<'p> {
                 .collect(),
             msgs: vec![0; self.max_level as usize + 1],
             slots: 0,
+            postponed: 0,
         };
         // The runtime trigger: on_init flips `start` before the first scan.
         if let Some(&i) = self.var_index.get("start") {
@@ -351,26 +414,29 @@ impl<'p> Explorer<'p> {
 
         let mut seen: HashSet<State> = HashSet::new();
         let mut queue: VecDeque<State> = VecDeque::new();
-        if let Some(stable) = self.stabilize(st) {
-            seen.insert(stable.clone());
-            queue.push_back(stable);
+        for stable in self.settle(st, None) {
+            if seen.insert(stable.clone()) {
+                queue.push_back(stable);
+            }
         }
 
         while let Some(st) = queue.pop_front() {
             if self.report.livelock.is_some() {
                 break;
             }
+            if !self.levels.is_empty() {
+                // A delivery runs every receive rule, postponed or not.
+                for &r in &self.receive_rules {
+                    self.report.fired[r] = true;
+                }
+            }
             for level in self.levels.clone() {
+                if st.postponed & level_bit(level) != 0 {
+                    continue;
+                }
                 for from_self in [false, true] {
-                    let mut next = st.clone();
                     let incoming = Incoming { level, from_self };
-                    for &r in &self.receive_rules.clone() {
-                        self.report.fired[r] = true;
-                        let mut path = Vec::new();
-                        let actions = &self.program.rules[r].actions;
-                        self.exec_actions(&mut next, actions, r, &mut path, Some(incoming));
-                    }
-                    if let Some(stable) = self.stabilize(next) {
+                    for stable in self.settle(st.clone(), Some(incoming)) {
                         if seen.contains(&stable) {
                             continue;
                         }
@@ -389,34 +455,107 @@ impl<'p> Explorer<'p> {
         self.report
     }
 
-    /// Runs the interpreter's scan loop to a stable state, recording
-    /// fired rules and simultaneously-enabled pairs. `None` on livelock.
-    fn stabilize(&mut self, mut st: State) -> Option<State> {
+    /// Delivers `incoming` (when given) and scans to a stable state, once
+    /// for each value every postponed level the delivery, the scan or its
+    /// actions touch can hold. Returns the stable states; a livelocked
+    /// branch yields none.
+    fn settle(&mut self, st: State, incoming: Option<Incoming>) -> Vec<State> {
+        let mut stable = Vec::new();
+        let mut branches = vec![st];
+        while let Some(st) = branches.pop() {
+            match self.stabilize(st.clone(), incoming) {
+                Ok(Some(s)) => stable.push(s),
+                Ok(None) => {}
+                Err(Postponed(level)) => branches.extend(self.closure(st, level)),
+            }
+        }
+        stable
+    }
+
+    /// The closure of `level` under the receive rules: `st` with the
+    /// level resolved to each counter and slot value that further
+    /// deliveries can give it, its current value included.
+    fn closure(&mut self, mut st: State, level: i64) -> Vec<State> {
+        st.postponed &= !level_bit(level);
+        let mut values = vec![st];
+        let mut i = 0;
+        while i < values.len() {
+            for from_self in [false, true] {
+                let mut next = values[i].clone();
+                self.deliver(&mut next, Incoming { level, from_self })
+                    .expect("a slot-local delivery touches only its own, resolved level");
+                if !values.contains(&next) {
+                    values.push(next);
+                }
+            }
+            i += 1;
+        }
+        values
+    }
+
+    /// Runs every receive rule on one delivery.
+    fn deliver(&mut self, st: &mut State, incoming: Incoming) -> Result<(), Postponed> {
+        for i in 0..self.receive_rules.len() {
+            let r = self.receive_rules[i];
+            let actions = &self.program.rules[r].actions;
+            self.exec_actions(st, actions, r, &mut Vec::new(), Some(incoming))?;
+        }
+        Ok(())
+    }
+
+    /// Delivers `incoming` (when given), then runs the interpreter's scan
+    /// loop to a stable state, recording fired rules and
+    /// simultaneously-enabled pairs. `Ok(None)` on livelock; `Err` when
+    /// the delivery, a guard or an action touches a postponed level.
+    fn stabilize(
+        &mut self,
+        mut st: State,
+        incoming: Option<Incoming>,
+    ) -> Result<Option<State>, Postponed> {
+        if let Some(m) = incoming {
+            self.deliver(&mut st, m)?;
+        }
         let mut fuel = 16 * (u32::from(self.program.max_level) + 4);
         loop {
-            let enabled: Vec<usize> = self
-                .state_rules
-                .clone()
-                .into_iter()
-                .filter(|&r| self.eval_guard(&st, &self.program.rules[r].guard, r, &[], None))
-                .collect();
+            self.reads = 0;
+            let mut enabled = Vec::new();
+            for i in 0..self.state_rules.len() {
+                let r = self.state_rules[i];
+                if self.eval_guard(&st, &self.program.rules[r].guard, r, &[], None)? {
+                    enabled.push(r);
+                }
+            }
             for (i, &a) in enabled.iter().enumerate() {
                 for &b in &enabled[i + 1..] {
                     self.report.overlaps.insert((a, b));
                 }
             }
             let Some(&r) = enabled.first() else {
-                return Some(st);
+                // A delivery to a level this last scan did not read
+                // enables no rule: postpone it until a scan reads the
+                // level.
+                st.postponed = self.postponable & !self.reads;
+                return Ok(Some(st));
             };
             if fuel == 0 {
                 self.report.livelock.get_or_insert(r);
-                return None;
+                return Ok(None);
             }
             fuel -= 1;
             self.report.fired[r] = true;
             let mut path = Vec::new();
             let actions = &self.program.rules[r].actions;
-            self.exec_actions(&mut st, actions, r, &mut path, None);
+            self.exec_actions(&mut st, actions, r, &mut path, None)?;
+        }
+    }
+
+    /// Fails on a postponed `level`, which must be resolved before it is
+    /// read or written.
+    fn touch(&self, st: &State, level: i64) -> Result<(), Postponed> {
+        if st.postponed & level_bit(level) != 0 {
+            Err(Postponed(level))
+        } else {
+            Ok(())
         }
     }
 
@@ -440,8 +579,14 @@ impl<'p> Explorer<'p> {
         }
     }
 
-    fn eval(&mut self, st: &State, e: &Expr, rule: usize, path: &[usize]) -> i64 {
-        match e {
+    fn eval(
+        &mut self,
+        st: &State,
+        e: &Expr,
+        rule: usize,
+        path: &[usize],
+    ) -> Result<i64, Postponed> {
+        Ok(match e {
             Expr::Int(v) => *v,
             Expr::Bool(b) => i64::from(*b),
             Expr::Var(name) => self
@@ -450,23 +595,25 @@ impl<'p> Explorer<'p> {
                 .map(|&i| st.vars[i])
                 .unwrap_or(0),
             Expr::Add(a, b) => {
-                let v = self.eval(st, a, rule, path) + self.eval(st, b, rule, path);
+                let v = self.eval(st, a, rule, path)? + self.eval(st, b, rule, path)?;
                 self.clamp_value(v)
             }
             Expr::Sub(a, b) => {
-                let v = self.eval(st, a, rule, path) - self.eval(st, b, rule, path);
+                let v = self.eval(st, a, rule, path)? - self.eval(st, b, rule, path)?;
                 self.clamp_value(v)
             }
             Expr::MsgsReceivedAt(idx) => {
-                let i = self.eval(st, idx, rule, path);
+                let i = self.eval(st, idx, rule, path)?;
                 self.record(IndexKind::MsgsReceived, rule, path, i);
                 if (0..=self.max_level).contains(&i) {
+                    self.touch(st, i)?;
+                    self.reads |= level_bit(i);
                     i64::from(st.msgs[i as usize])
                 } else {
                     0 // mirror the interpreter's out-of-range read
                 }
             }
-        }
+        })
     }
 
     fn eval_guard(
@@ -476,16 +623,16 @@ impl<'p> Explorer<'p> {
         rule: usize,
         path: &[usize],
         incoming: Option<Incoming>,
-    ) -> bool {
-        match g {
-            Guard::Eq(a, b) => self.eval(st, a, rule, path) == self.eval(st, b, rule, path),
+    ) -> Result<bool, Postponed> {
+        Ok(match g {
+            Guard::Eq(a, b) => self.eval(st, a, rule, path)? == self.eval(st, b, rule, path)?,
             Guard::Received => incoming.is_some(),
             Guard::IncomingFromSelf => incoming.map(|m| m.from_self).unwrap_or(false),
             Guard::And(a, b) => {
-                self.eval_guard(st, a, rule, path, incoming)
-                    && self.eval_guard(st, b, rule, path, incoming)
+                self.eval_guard(st, a, rule, path, incoming)?
+                    && self.eval_guard(st, b, rule, path, incoming)?
             }
-        }
+        })
     }
 
     fn exec_actions(
@@ -495,22 +642,24 @@ impl<'p> Explorer<'p> {
         rule: usize,
         path: &mut Vec<usize>,
         incoming: Option<Incoming>,
-    ) {
+    ) -> Result<(), Postponed> {
         for (i, action) in actions.iter().enumerate() {
             path.push(i);
             match action {
                 Action::Set(name, e) => {
-                    let v = self.eval(st, e, rule, path);
+                    let v = self.eval(st, e, rule, path)?;
                     let v = self.clamp_value(v);
                     if let Some(&idx) = self.var_index.get(name.as_str()) {
                         st.vars[idx] = v;
                     }
                 }
                 Action::ComputeLocalSummary => {
+                    self.touch(st, 0)?;
                     st.slots |= 1;
                 }
                 Action::MergeIncoming => {
                     if let Some(m) = incoming {
+                        self.touch(st, m.level)?;
                         st.slots |= 1 << m.level;
                     }
                 }
@@ -519,6 +668,7 @@ impl<'p> Explorer<'p> {
                     // self-message filter is part of the program text
                     // (an IfElse on IncomingFromSelf), not the semantics.
                     if let Some(m) = incoming {
+                        self.touch(st, m.level)?;
                         let slot = &mut st.msgs[m.level as usize];
                         *slot = (*slot + 1).min(self.counter_cap);
                     }
@@ -528,13 +678,13 @@ impl<'p> Explorer<'p> {
                     then,
                     otherwise,
                 } => {
-                    if self.eval_guard(st, cond, rule, path, incoming) {
+                    if self.eval_guard(st, cond, rule, path, incoming)? {
                         path.push(0);
-                        self.exec_actions(st, then, rule, path, incoming);
+                        self.exec_actions(st, then, rule, path, incoming)?;
                         path.pop();
                     } else {
                         path.push(1);
-                        self.exec_actions(st, otherwise, rule, path, incoming);
+                        self.exec_actions(st, otherwise, rule, path, incoming)?;
                         path.pop();
                     }
                 }
@@ -542,31 +692,66 @@ impl<'p> Explorer<'p> {
                     group_level,
                     data_level,
                 } => {
-                    let g = self.eval(st, group_level, rule, path);
+                    let g = self.eval(st, group_level, rule, path)?;
                     self.record(IndexKind::GroupLevel, rule, path, g);
-                    let dl = self.eval(st, data_level, rule, path);
+                    let dl = self.eval(st, data_level, rule, path)?;
                     self.record(IndexKind::DataLevel, rule, path, dl);
-                    self.check_slot(st, dl, IndexKind::DataLevel, rule, path);
+                    self.check_slot(st, dl, IndexKind::DataLevel, rule, path)?;
                 }
                 Action::ExfiltrateSummary { level } => {
-                    let l = self.eval(st, level, rule, path);
+                    let l = self.eval(st, level, rule, path)?;
                     self.record(IndexKind::ExfiltrateLevel, rule, path, l);
-                    self.check_slot(st, l, IndexKind::ExfiltrateLevel, rule, path);
+                    self.check_slot(st, l, IndexKind::ExfiltrateLevel, rule, path)?;
                 }
             }
             path.pop();
         }
+        Ok(())
     }
 
-    fn check_slot(&mut self, st: &State, level: i64, kind: IndexKind, rule: usize, path: &[usize]) {
-        if (0..=self.max_level).contains(&level) && st.slots & (1 << level) == 0 {
-            self.report.absent_summary.insert(SiteKey {
-                rule,
-                path: path.to_vec(),
-                kind,
-            });
+    fn check_slot(
+        &mut self,
+        st: &State,
+        level: i64,
+        kind: IndexKind,
+        rule: usize,
+        path: &[usize],
+    ) -> Result<(), Postponed> {
+        if (0..=self.max_level).contains(&level) {
+            self.touch(st, level)?;
+            if st.slots & (1 << level) == 0 {
+                self.report.absent_summary.insert(SiteKey {
+                    rule,
+                    path: path.to_vec(),
+                    kind,
+                });
+            }
         }
+        Ok(())
     }
+}
+
+/// Whether every receive rule is slot-local: its actions are only
+/// `MergeIncoming`, `CountIncoming` and `IfElse` on `IncomingFromSelf`
+/// or `Received`, so a delivery touches nothing but its own level's
+/// counter and summary slot.
+fn slot_local(program: &GuardedProgram) -> bool {
+    fn local(actions: &[Action]) -> bool {
+        actions.iter().all(|a| match a {
+            Action::MergeIncoming | Action::CountIncoming => true,
+            Action::IfElse {
+                cond,
+                then,
+                otherwise,
+            } => {
+                matches!(cond, Guard::IncomingFromSelf | Guard::Received)
+                    && local(then)
+                    && local(otherwise)
+            }
+            _ => false,
+        })
+    }
+    program.receive_rules().all(|r| local(&r.actions))
 }
 
 fn max_abs_literal(program: &GuardedProgram) -> i64 {
@@ -760,6 +945,8 @@ mod tests {
 
     #[test]
     fn truncation_is_reported_not_silent() {
+        // Depth 3 needs 15 stable states with postponed deliveries, over
+        // this cap of 10.
         let p = synthesize_quadtree_program(3);
         let d = check_dynamics(&p, ReachConfig { max_states: 10 });
         assert!(d.has_code(Code::RD004), "{}", d.render_text());

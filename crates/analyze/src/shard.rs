@@ -33,7 +33,7 @@
 
 use crate::certify::{certify, CertConfig};
 use crate::diag::{Code, Diagnostic, Diagnostics, Span};
-use crate::footprint::{check_footprints, role_footprints};
+use crate::footprint::check_footprints;
 use crate::opt::optimize_program;
 use crate::reach::ReachConfig;
 use std::collections::{BTreeMap, BTreeSet};
@@ -264,8 +264,17 @@ pub fn analyze_shards(
         return (None, diags);
     }
 
-    let (footprints, fp_diags) = check_footprints(program, side, config);
-    diags.extend(fp_diags);
+    let footprints = match check_footprints(program, side, config) {
+        Ok((footprints, fp_diags)) => {
+            diags.extend(fp_diags);
+            footprints
+        }
+        Err(truncated) => {
+            diags.push(truncated);
+            diags.sort();
+            return (None, diags);
+        }
+    };
     diags.extend(check_commutativity(program, plan, &footprints));
 
     // ---- The certificate, cross-checked against the cost certifier ----
@@ -789,16 +798,6 @@ pub fn check_shard_accounting(cert: &ShardCertificate, doc: &TraceDocument) -> D
     diags
 }
 
-/// Convenience wrapper for role-footprint inspection (used by the CLI's
-/// verbose output and tests): footprints of `program` at the plan's side.
-pub fn plan_footprints(
-    program: &GuardedProgram,
-    plan: &ShardPlan,
-    config: ReachConfig,
-) -> Vec<wsn_core::RoleFootprint> {
-    role_footprints(program, plan.side(), config)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -893,6 +892,25 @@ mod tests {
         let (_, diags) = analyze_shards(&program, &ShardPlan::new(4, 1), ReachConfig::default());
         assert!(diags.has_code(Code::SI004), "{}", diags.render_text());
         assert!(diags.has_errors());
+    }
+
+    #[test]
+    fn a_truncated_footprint_forfeits_the_certificate() {
+        let program = synthesize_quadtree_program(4);
+        let (cert, diags) = analyze_shards(
+            &program,
+            &ShardPlan::new(16, 2),
+            ReachConfig { max_states: 2 },
+        );
+        assert!(cert.is_none());
+        assert!(diags.has_errors(), "{}", diags.render_text());
+        let rd004: Vec<_> = diags
+            .items()
+            .iter()
+            .filter(|d| d.code == Code::RD004)
+            .collect();
+        assert_eq!(rd004.len(), 1, "{}", diags.render_text());
+        assert!(rd004[0].message.contains("role 1"), "{}", rd004[0].message);
     }
 
     #[test]

@@ -10,8 +10,10 @@
 //! wsn-lint --shard-check [depth] [--cut-level N] [--emit-shard-cert]
 //! wsn-lint --shard-check --program <file.json> [--cut-level N]
 //!                                    shard-interference analysis (SI001–SI004) under
-//!                                    the level-N quadrant plan; --emit-shard-cert
-//!                                    prints the machine-checkable certificate JSON
+//!                                    the level-N quadrant plan, at depths up to 9
+//!                                    (side 512; other modes take 1..=4);
+//!                                    --emit-shard-cert prints the machine-checkable
+//!                                    certificate JSON
 //! wsn-lint --shard-conform <trace.jsonl> [--cut-level N]
 //!                                    TC009: every cross-shard delivery of a causal
 //!                                    trace must be a certified boundary edge
@@ -201,11 +203,14 @@ fn run(args: &Args) -> Result<ExitCode, String> {
             ExitCode::SUCCESS
         }
         "--emit-json-program" => {
-            println!("{}", lint::figure4_program_json(parse_depth(first)?));
+            println!(
+                "{}",
+                lint::figure4_program_json(parse_depth(first, MAX_DEPTH)?)
+            );
             ExitCode::SUCCESS
         }
         "--certify" => {
-            let (cert, diags) = lint::certify_figure4(parse_depth(first)?);
+            let (cert, diags) = lint::certify_figure4(parse_depth(first, MAX_DEPTH)?);
             if !json {
                 print!("{}", cert.render_text());
             }
@@ -233,7 +238,11 @@ fn run(args: &Args) -> Result<ExitCode, String> {
                 lint::shard_check_program_text(&read(path)?, args.cut_level)
                     .map_err(|e| format!("{path}: {e}"))?
             } else {
-                lint::shard_check_figure4(parse_depth(first)?, args.cut_level, false)?
+                lint::shard_check_figure4(
+                    parse_depth(first, lint::SHARD_CHECK_MAX_DEPTH)?,
+                    args.cut_level,
+                    false,
+                )?
             };
             if args.has("--emit-shard-cert") {
                 emit(cert.as_ref().map(shard_cert_to_json), "shard-check");
@@ -245,7 +254,7 @@ fn run(args: &Args) -> Result<ExitCode, String> {
             exit(diags.has_errors() || cert.is_none())
         }
         "--frame-check" => {
-            let (cert, diags) = lint::frame_check_figure4(parse_depth(first)?);
+            let (cert, diags) = lint::frame_check_figure4(parse_depth(first, MAX_DEPTH)?);
             if args.has("--emit-frame-cert") {
                 emit(cert.as_ref().map(frame_cert_to_json), "frame-check");
             } else {
@@ -261,7 +270,7 @@ fn run(args: &Args) -> Result<ExitCode, String> {
                 lint::lint_program_text(&read(path)?).map_err(|e| format!("{path}: {e}"))?;
             report(&diags, json)
         }
-        _ => report(&lint::lint_figure4(parse_depth(first)?), json),
+        _ => report(&lint::lint_figure4(parse_depth(first, MAX_DEPTH)?), json),
     })
 }
 
@@ -336,12 +345,18 @@ fn checked(cert: Option<String>, diags: &Diagnostics, json: bool, clean: &str) {
     }
 }
 
-fn parse_depth(raw: Option<&str>) -> Result<u8, String> {
+/// The deepest hierarchy every mode but `--shard-check` takes.
+const MAX_DEPTH: u8 = 4;
+
+/// A hierarchy depth in `1..=max` (default 2). `--shard-check` takes up
+/// to [`lint::SHARD_CHECK_MAX_DEPTH`], every other mode up to
+/// [`MAX_DEPTH`].
+fn parse_depth(raw: Option<&str>, max: u8) -> Result<u8, String> {
     match raw {
         None => Ok(2),
         Some(raw) => match raw.parse::<u8>() {
-            Ok(d) if (1..=4).contains(&d) => Ok(d),
-            _ => Err(format!("depth must be 1..=4, got {raw:?}")),
+            Ok(d) if (1..=max).contains(&d) => Ok(d),
+            _ => Err(format!("depth must be 1..={max}, got {raw:?}")),
         },
     }
 }

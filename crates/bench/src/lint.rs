@@ -156,6 +156,10 @@ pub fn leak_mutated_figure4(depth: u8) -> wsn_synth::GuardedProgram {
     program
 }
 
+/// The deepest hierarchy the shard checks accept: depth 9 is side 512,
+/// the repository's scale deployment.
+pub const SHARD_CHECK_MAX_DEPTH: u8 = 9;
+
 /// Runs the shard-interference analyzer on the paper's Figure-4 program
 /// at hierarchy depth `depth` under the level-`cut` quadrant plan.
 /// `mutate` plants the [`leak_mutated_figure4`] defect first.
@@ -181,10 +185,10 @@ pub fn shard_check_program_text(
 ) -> Result<(Option<ShardCertificate>, Diagnostics), String> {
     let json = Json::parse(text).map_err(|e| format!("not valid JSON: {e:?}"))?;
     let program = wsn_analyze::program_from_json(&json)?;
-    if program.max_level < 1 || program.max_level > 5 {
+    if program.max_level < 1 || program.max_level > SHARD_CHECK_MAX_DEPTH {
         return Err(format!(
             "program declares maxrecLevel {}; the shard analyzer needs a hierarchy \
-             (1..=5)",
+             (1..={SHARD_CHECK_MAX_DEPTH})",
             program.max_level
         ));
     }

@@ -54,6 +54,9 @@ fn kept_modes_exit_by_their_findings() {
         (&["--shard-check"], 0),
         (&["--shard-check", "2", "--cut-level", "2"], 0),
         (&["--shard-check", "3", "--cut-level", "1"], 0),
+        // The plan perfbench's sharded-128 runs under: side 128, cut level 2.
+        (&["--shard-check", "7", "--cut-level", "2"], 0),
+        (&["--shard-check", "10"], 2),
         (&["--shard-check", "--emit-shard-cert"], 0),
         (
             &[

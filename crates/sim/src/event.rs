@@ -137,6 +137,12 @@ impl<M> EventQueue<M> {
             .collect()
     }
 
+    /// Drains every pending event like [`EventQueue::drain_all`], but
+    /// keeps the queue's capacity for its next use.
+    pub(crate) fn drain(&mut self) -> impl Iterator<Item = ScheduledEvent<M>> + '_ {
+        self.heap.drain().map(|e| e.0)
+    }
+
     /// The next sequence number this queue will assign.
     pub(crate) fn next_seq(&self) -> u64 {
         self.next_seq

@@ -3,6 +3,7 @@
 use crate::event::{EventKind, EventQueue};
 use crate::flight::FlightRecorder;
 use crate::rng::DetRng;
+use crate::shard::ShardBuffers;
 use crate::stats::Stats;
 use crate::time::SimTime;
 use crate::trace::{TraceEntry, TraceKind, Tracer};
@@ -182,6 +183,9 @@ pub struct Kernel<M: Payload> {
     /// *run* instead of two per *event*, which is what keeps the
     /// instrumented hot path inside the `obs` gate row's overhead bound.
     pub(crate) metrics_scratch: (Vec<f64>, Vec<f64>),
+    /// The sharded scheduler's queues and window buffers, kept between
+    /// runs so rounds on a standing kernel reuse their capacity.
+    pub(crate) shard_buffers: ShardBuffers<M>,
 }
 
 impl<M: Payload> Kernel<M> {
@@ -200,6 +204,7 @@ impl<M: Payload> Kernel<M> {
             started: false,
             outbox_scratch: Vec::new(),
             metrics_scratch: (Vec::new(), Vec::new()),
+            shard_buffers: ShardBuffers::default(),
         }
     }
 

@@ -236,6 +236,34 @@ struct ReadyChild<M> {
     kind: EventKind<M>,
 }
 
+/// The buffers of a sharded run, kept on the [`Kernel`] and cleared
+/// between uses, so that rounds on a standing kernel reuse their
+/// capacity: the per-slot queues, and each window's records, child FIFO,
+/// replay heap, canonical order, tags and staged events.
+pub(crate) struct ShardBuffers<M> {
+    queues: Vec<EventQueue<M>>,
+    recs: Vec<WindowRec<M>>,
+    ready: VecDeque<ReadyChild<M>>,
+    heap: BinaryHeap<Reverse<(u64, usize)>>,
+    order: Vec<usize>,
+    tags: Vec<DispatchTag>,
+    staged: Vec<ScheduledEvent<M>>,
+}
+
+impl<M> Default for ShardBuffers<M> {
+    fn default() -> Self {
+        ShardBuffers {
+            queues: Vec::new(),
+            recs: Vec::new(),
+            ready: VecDeque::new(),
+            heap: BinaryHeap::new(),
+            order: Vec::new(),
+            tags: Vec::new(),
+            staged: Vec::new(),
+        }
+    }
+}
+
 impl<M: Payload> Kernel<M> {
     /// Runs the kernel sharded under `schedule` until the queue drains,
     /// `until` passes, or `max_events` dispatches occur — producing
@@ -274,10 +302,11 @@ impl<M: Payload> Kernel<M> {
         mut obs: Option<&mut ShardObs>,
     ) -> RunReport {
         self.start_actors();
-        let slots = schedule.slot_count();
+        let mut bufs = std::mem::take(&mut self.shard_buffers);
+        let queues = &mut bufs.queues;
+        queues.resize_with(schedule.slot_count(), EventQueue::new);
         // Distribute the global queue into per-shard queues, preserving
         // every event's (time, seq, enqueued_at) verbatim.
-        let mut queues: Vec<EventQueue<M>> = (0..slots).map(|_| EventQueue::new()).collect();
         for ev in self.queue.drain_all() {
             let slot = schedule.slot_of_actor(ev.target);
             queues[slot].push_scheduled(ev);
@@ -294,24 +323,25 @@ impl<M: Payload> Kernel<M> {
         let mut processed = 0u64;
         let mut window: u64 = 0;
         let mut outbox: Vec<(SimTime, usize, EventKind<M>)> = Vec::new();
-        let finish = |kernel: &mut Kernel<M>, queues: Vec<EventQueue<M>>, next_seq: u64| {
+        let finish = |kernel: &mut Kernel<M>, mut bufs: ShardBuffers<M>, next_seq: u64| {
             // Re-merge leftovers into the global queue with their exact
             // (time, seq) identities so a sequential continuation picks
             // up precisely where a sequential run would have been.
-            for mut q in queues {
-                for ev in q.drain_all() {
+            for q in &mut bufs.queues {
+                for ev in q.drain() {
                     kernel.queue.push_scheduled(ev);
                 }
             }
             kernel.queue.set_next_seq(next_seq);
             kernel.flush_metrics_scratch();
+            kernel.shard_buffers = bufs;
         };
 
         loop {
             if let Some(budget) = max_events {
                 if processed >= budget {
                     set_tap(DispatchTag::NONE);
-                    finish(self, queues, next_seq);
+                    finish(self, bufs, next_seq);
                     return RunReport {
                         events_processed: processed,
                         end_time: self.now,
@@ -319,9 +349,9 @@ impl<M: Payload> Kernel<M> {
                     };
                 }
             }
-            let Some(tick) = queues.iter().filter_map(|q| q.peek_time()).min() else {
+            let Some(tick) = bufs.queues.iter().filter_map(|q| q.peek_time()).min() else {
                 set_tap(DispatchTag::NONE);
-                finish(self, queues, next_seq);
+                finish(self, bufs, next_seq);
                 return RunReport {
                     events_processed: processed,
                     end_time: self.now,
@@ -332,7 +362,7 @@ impl<M: Payload> Kernel<M> {
                 if tick > horizon {
                     self.now = horizon;
                     set_tap(DispatchTag::NONE);
-                    finish(self, queues, next_seq);
+                    finish(self, bufs, next_seq);
                     return RunReport {
                         events_processed: processed,
                         end_time: self.now,
@@ -344,13 +374,21 @@ impl<M: Payload> Kernel<M> {
             self.now = tick;
 
             // ---- The window: each slot drains its tick-`tick` events ----
-            let mut recs: Vec<WindowRec<M>> = Vec::new();
+            let ShardBuffers {
+                queues,
+                recs,
+                ready,
+                heap,
+                order,
+                tags,
+                staged,
+            } = &mut bufs;
+            recs.clear();
             let mut prov_rec: BTreeMap<u64, usize> = BTreeMap::new();
             let mut next_prov: u64 = 0;
             let mut stop = false;
             for &slot in &slot_order {
                 let mut idx_in_slot: u32 = 0;
-                let mut ready: VecDeque<ReadyChild<M>> = VecDeque::new();
                 loop {
                     // Roots first (they pop in seq order and all carry
                     // smaller seqs than any child), then the FIFO.
@@ -467,14 +505,15 @@ impl<M: Payload> Kernel<M> {
             // Roots enter the heap with their real seqs; popping a record
             // assigns the global counter to its pushes in push order —
             // exactly when the sequential loop would have.
-            let mut heap: BinaryHeap<Reverse<(u64, usize)>> = recs
-                .iter()
-                .enumerate()
-                .filter(|(_, r)| r.is_root)
-                .map(|(i, r)| Reverse((r.seq, i)))
-                .collect();
-            let mut order: Vec<usize> = Vec::with_capacity(recs.len());
-            let mut staged_future: Vec<ScheduledEvent<M>> = Vec::new();
+            heap.clear();
+            heap.extend(
+                recs.iter()
+                    .enumerate()
+                    .filter(|(_, r)| r.is_root)
+                    .map(|(i, r)| Reverse((r.seq, i))),
+            );
+            order.clear();
+            staged.clear();
             while let Some(Reverse((_, ri))) = heap.pop() {
                 order.push(ri);
                 let pushes = std::mem::take(&mut recs[ri].pushes);
@@ -488,7 +527,7 @@ impl<M: Payload> Kernel<M> {
                             heap.push(Reverse((seq, ci)));
                         }
                         PushRec::Future { time, target, kind } => {
-                            staged_future.push(ScheduledEvent {
+                            staged.push(ScheduledEvent {
                                 time,
                                 seq,
                                 enqueued_at: tick,
@@ -502,15 +541,15 @@ impl<M: Payload> Kernel<M> {
             debug_assert_eq!(order.len(), recs.len(), "replay lost a dispatch");
             if schedule.misorder_merge {
                 order.reverse();
-                let seqs: Vec<u64> = staged_future.iter().map(|e| e.seq).collect();
-                for (ev, seq) in staged_future.iter_mut().zip(seqs.into_iter().rev()) {
+                let seqs: Vec<u64> = staged.iter().map(|e| e.seq).collect();
+                for (ev, seq) in staged.iter_mut().zip(seqs.into_iter().rev()) {
                     ev.seq = seq;
                 }
             }
 
             // ---- Barrier emission: canonical-order observables ----
-            let mut tags_in_order = Vec::with_capacity(order.len());
-            for &ri in &order {
+            tags.clear();
+            for &ri in order.iter() {
                 let rec = &recs[ri];
                 let n_pushes = rec.push_count;
                 pending -= 1;
@@ -530,12 +569,12 @@ impl<M: Payload> Kernel<M> {
                     o.note_dispatch(rec.tag.slot as usize);
                 }
                 self.stats.absorb(&rec.stats);
-                tags_in_order.push(rec.tag);
+                tags.push(rec.tag);
             }
-            barrier_hook(&tags_in_order);
+            barrier_hook(tags);
 
             // ---- Mailbox exchange: futures enter their shard queues ----
-            for ev in staged_future {
+            for ev in staged.drain(..) {
                 let slot = schedule.slot_of_actor(ev.target);
                 queues[slot].push_scheduled(ev);
             }
@@ -548,7 +587,7 @@ impl<M: Payload> Kernel<M> {
 
             window += 1;
             if stop {
-                finish(self, queues, next_seq);
+                finish(self, bufs, next_seq);
                 return RunReport {
                     events_processed: processed,
                     end_time: self.now,
