@@ -47,10 +47,10 @@ impl NodeProgram<f64> for Gather {
 
 /// Sequential reference vs sharded run at every cut level, one side at a
 /// time so failures name the exact matrix cell.
-fn differential_matrix(side: u32) {
-    for seed in SEEDS {
+fn differential_matrix(side: u32, per_cell: usize, seeds: &[u64]) {
+    for &seed in seeds {
         let (seq_doc, seq_metrics) =
-            record_end_to_end_trace_with(side, 3, seed, true, RunEngine::Sequential);
+            record_end_to_end_trace_with(side, per_cell, seed, true, RunEngine::Sequential);
         let seq_jsonl = seq_doc.to_jsonl();
         let seq_metrics = format!("{seq_metrics:?}");
         for cut_level in [1u32, 2] {
@@ -58,7 +58,7 @@ fn differential_matrix(side: u32) {
                 cut_level,
                 workers: 4,
             };
-            let (doc, metrics) = record_end_to_end_trace_with(side, 3, seed, true, engine);
+            let (doc, metrics) = record_end_to_end_trace_with(side, per_cell, seed, true, engine);
             assert_eq!(
                 doc.to_jsonl(),
                 seq_jsonl,
@@ -75,17 +75,25 @@ fn differential_matrix(side: u32) {
 
 #[test]
 fn side_4_sharded_traces_are_byte_identical() {
-    differential_matrix(4);
+    differential_matrix(4, 3, &SEEDS);
 }
 
 #[test]
 fn side_8_sharded_traces_are_byte_identical() {
-    differential_matrix(8);
+    differential_matrix(8, 3, &SEEDS);
 }
 
 #[test]
 fn side_16_sharded_traces_are_byte_identical() {
-    differential_matrix(16);
+    differential_matrix(16, 3, &SEEDS);
+}
+
+/// Side 64 runs one-tick windows of up to 5,120 dispatches, where the
+/// sides above stop at 832. Two seeds at one node per cell keep the
+/// input cheap.
+#[test]
+fn side_64_sharded_traces_are_byte_identical() {
+    differential_matrix(64, 1, &SEEDS[..2]);
 }
 
 /// The suite's teeth: a misordered boundary merge planted on one matrix

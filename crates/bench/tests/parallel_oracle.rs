@@ -1,5 +1,5 @@
-//! Oracle-at-scale: where exhaustive differential fuzzing no longer
-//! reaches (sides ≥ 64), the certifier's closed forms in `s` remain the
+//! Oracle-at-scale: from side 64 up, where the differential matrix runs
+//! only a few cells, the certifier's closed forms in `s` remain the
 //! oracle. Each case runs the seeded uniform-field topoquery mission on
 //! the **sharded** kernel once and demands
 //!
@@ -8,9 +8,10 @@
 //! 2. every observed cross-shard delivery hop is a certified boundary
 //!    edge of the quadrant plan (`check_shard_conformance`, TC009).
 //!
-//! Side 64 runs in the default suite; sides 128 and 512 are `#[ignore]`d
-//! locally (minutes of wall clock) and executed by the CI parallel-gate
-//! job, which also records their throughput into the perf baseline.
+//! Sides 64 and 128 run in the default suite, in about 1 s and 3 s of a
+//! debug build. Side 512 takes about 30 s in a release build and 95 s in
+//! a debug one, so it is `#[ignore]`d locally; the CI parallel-gate job
+//! runs it with `--include-ignored`.
 
 use wsn_analyze::{check_conformance, check_shard_conformance};
 use wsn_bench::experiments::{record_model_fidelity_trace_with, RunEngine};
@@ -69,13 +70,12 @@ fn sharded_side_64_lands_inside_the_certified_intervals() {
 }
 
 #[test]
-#[ignore = "minutes of wall clock; run by the CI parallel-gate job"]
 fn sharded_side_128_lands_inside_the_certified_intervals() {
     oracle_at(128, 2, 4, 1);
 }
 
 #[test]
-#[ignore = "minutes of wall clock; run by the CI parallel-gate job"]
+#[ignore = "about 30 s in release and 95 s in debug; run by the CI parallel-gate job"]
 fn sharded_side_512_lands_inside_the_certified_intervals() {
     oracle_at(512, 2, 8, 1);
 }

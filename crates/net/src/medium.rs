@@ -25,7 +25,7 @@ use std::cell::RefCell;
 use std::collections::BTreeMap;
 use std::rc::Rc;
 use wsn_sim::{
-    ActorId, CausalStamp, Context, DispatchTag, OrderTap, Payload, SharedCausalLog, SimTime,
+    ActorId, BarrierReplay, CausalStamp, Context, OrderTap, Payload, SharedCausalLog, SimTime,
 };
 
 /// Stochastic message duplication and reordering — the delivery anomalies
@@ -172,8 +172,9 @@ pub struct Medium {
     /// order can be replayed canonically at the window barrier
     /// (see [`Medium::apply_energy_journal`]).
     tap: Option<OrderTap>,
-    /// Deferred charges `(tag, node, kind, units)` in append order.
-    journal: Vec<(DispatchTag, usize, EnergyKind, f64)>,
+    /// Deferred charges `(window position, node, kind, units)` in append
+    /// order.
+    journal: Vec<(u32, usize, EnergyKind, f64)>,
 }
 
 /// Handle shared by all node actors in one simulation.
@@ -380,8 +381,8 @@ impl Medium {
     }
 
     /// Connects the medium to the sharded scheduler's order tap. While
-    /// the tap holds a live [`DispatchTag`], energy charges are journaled
-    /// under that tag instead of hitting the ledger, because f64
+    /// the tap holds a window position, energy charges are journaled
+    /// under that position instead of hitting the ledger, because f64
     /// accumulation is order-sensitive and shard processing order differs
     /// from the sequential dispatch order. The runtime only engages
     /// sharded execution on unlimited ledgers, so deferring charges
@@ -391,37 +392,27 @@ impl Medium {
     }
 
     /// Replays all journaled charges into the ledger in canonical window
-    /// order (`tags` is the scheduler's barrier-hook order; intra-tag
-    /// charges keep their append order). Called once per window barrier.
-    pub fn apply_energy_journal(&mut self, tags: &[DispatchTag]) {
+    /// order (`order` is the scheduler's barrier-hook order; each
+    /// dispatch's charges keep their append order). Called once per
+    /// window barrier.
+    pub fn apply_energy_journal(&mut self, order: &[u32], replay: &mut BarrierReplay) {
         if self.journal.is_empty() {
             return;
         }
-        let rank: BTreeMap<DispatchTag, usize> =
-            tags.iter().enumerate().map(|(i, &t)| (t, i)).collect();
-        let mut journal = std::mem::take(&mut self.journal);
-        journal.sort_by_key(|&(tag, ..)| {
-            rank.get(&tag)
-                .copied()
-                .unwrap_or_else(|| panic!("journaled charge under unknown dispatch tag {tag:?}"))
+        let (journal, ledger) = (&self.journal, &mut self.ledger);
+        replay.replay(order, journal.iter().map(|&(pos, ..)| pos), |i| {
+            let (_, node, kind, units) = journal[i];
+            ledger.charge(node, kind, units);
         });
-        for (_, node, kind, units) in journal {
-            self.ledger.charge(node, kind, units);
-        }
+        self.journal.clear();
     }
 
     /// Charges the ledger directly, or journals the charge when a sharded
     /// window is in progress (see [`Medium::set_order_tap`]).
     fn charge_energy(&mut self, node: usize, kind: EnergyKind, units: f64) {
-        let tag = self
-            .tap
-            .as_ref()
-            .map(|t| t.get())
-            .unwrap_or(DispatchTag::NONE);
-        if tag.is_none() {
-            self.ledger.charge(node, kind, units);
-        } else {
-            self.journal.push((tag, node, kind, units));
+        match self.tap.as_ref().and_then(|t| t.get()) {
+            None => self.ledger.charge(node, kind, units),
+            Some(pos) => self.journal.push((pos, node, kind, units)),
         }
     }
 
@@ -1235,5 +1226,64 @@ mod tests {
         assert!(!m.is_alive(0), "budget exhausted by the shock");
         assert_eq!(m.death_time(0), Some(SimTime::from_ticks(2)));
         assert!(!m.wake(0), "depleted nodes stay dead");
+    }
+
+    /// Charges node 0 of `medium` with `units`, in order, on every timer.
+    struct Charger {
+        medium: SharedMedium,
+        units: Vec<f64>,
+    }
+
+    impl Actor<Msg> for Charger {
+        fn on_message(&mut self, _: &mut Context<'_, Msg>, _: ActorId, _: Msg) {}
+        fn on_timer(&mut self, ctx: &mut Context<'_, Msg>, _tag: u64) {
+            for &u in &self.units {
+                self.medium.borrow_mut().drain_energy(0, u, ctx.now());
+            }
+        }
+    }
+
+    #[test]
+    fn journaled_charges_replay_in_canonical_order() {
+        // Two same-tick dispatches charge node 0: actor 1 charges 0.1
+        // first in sequential order, then actor 0 charges 0.2 and 0.3.
+        // Shard processing runs actor 0 first, and f64 addition does not
+        // associate: (0.1 + 0.2) + 0.3 != (0.2 + 0.3) + 0.1.
+        let run = |sharded: bool| {
+            let pts = [Point::new(0.0, 0.0), Point::new(1.0, 0.0)];
+            let medium = Medium::new(
+                UnitDiskGraph::build(&pts, 1.0),
+                RadioModel::uniform(1.0),
+                LinkModel::ideal(),
+                EnergyLedger::unlimited(2),
+            )
+            .shared();
+            let mut k: Kernel<Msg> = Kernel::new(1);
+            for units in [vec![0.2, 0.3], vec![0.1]] {
+                k.add_actor(Box::new(Charger {
+                    medium: medium.clone(),
+                    units,
+                }));
+            }
+            k.schedule_timer(SimTime::from_ticks(1), 1, 0);
+            k.schedule_timer(SimTime::from_ticks(1), 0, 0);
+            if sharded {
+                let tap = wsn_sim::order_tap();
+                medium.borrow_mut().set_order_tap(tap.clone());
+                let schedule = wsn_sim::ShardSchedule::new(vec![0, 1], 2);
+                let mut replay = wsn_sim::BarrierReplay::default();
+                k.run_sharded(&schedule, None, None, Some(&tap), |order| {
+                    medium.borrow_mut().apply_energy_journal(order, &mut replay)
+                });
+            } else {
+                k.run();
+            }
+            let consumed = medium.borrow().ledger().consumed(0);
+            consumed
+        };
+        let sequential = run(false);
+        assert_eq!(sequential.to_bits(), ((0.1 + 0.2) + 0.3f64).to_bits());
+        assert_ne!(sequential.to_bits(), ((0.2 + 0.3) + 0.1f64).to_bits());
+        assert_eq!(run(true).to_bits(), sequential.to_bits());
     }
 }

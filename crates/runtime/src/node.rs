@@ -88,49 +88,37 @@ pub(crate) struct RtShared<P> {
     pub grid: VirtualGrid,
     pub field: Box<dyn Fn(GridCoord) -> f64>,
     pub exfil: RefCell<Vec<Exfiltrated<P>>>,
-    /// Sharded-scheduler order tap: while it holds a live tag,
-    /// exfiltrations are staged under that tag and appended to `exfil` in
-    /// canonical order at the window barrier, so the buffer reads exactly
-    /// as a sequential run would have written it.
+    /// Sharded-scheduler order tap: while it holds a window position,
+    /// exfiltrations are staged under that position and appended to
+    /// `exfil` in canonical order at the window barrier, so the buffer
+    /// reads exactly as a sequential run would have written it.
     pub tap: RefCell<Option<wsn_sim::OrderTap>>,
-    pub staged_exfil: RefCell<Vec<(wsn_sim::DispatchTag, Exfiltrated<P>)>>,
+    pub staged_exfil: RefCell<Vec<(u32, Exfiltrated<P>)>>,
 }
 
-impl<P> RtShared<P> {
+impl<P: Clone> RtShared<P> {
     /// Records one exfiltration, staging it when a sharded window is in
     /// progress (see the `tap` field).
     pub fn push_exfil(&self, e: Exfiltrated<P>) {
-        let tag = self
-            .tap
-            .borrow()
-            .as_ref()
-            .map(|t| t.get())
-            .unwrap_or(wsn_sim::DispatchTag::NONE);
-        if tag.is_none() {
-            self.exfil.borrow_mut().push(e);
-        } else {
-            self.staged_exfil.borrow_mut().push((tag, e));
+        match self.tap.borrow().as_ref().and_then(|t| t.get()) {
+            None => self.exfil.borrow_mut().push(e),
+            Some(pos) => self.staged_exfil.borrow_mut().push((pos, e)),
         }
     }
 
     /// Flushes staged exfiltrations into the main buffer in canonical
-    /// window order (`tags` from the scheduler's barrier hook; intra-tag
-    /// order is append order).
-    pub fn assign_exfil_order(&self, tags: &[wsn_sim::DispatchTag]) {
+    /// window order (`order` from the scheduler's barrier hook; each
+    /// dispatch's exfiltrations keep their append order).
+    pub fn assign_exfil_order(&self, order: &[u32], replay: &mut wsn_sim::BarrierReplay) {
         let mut staged = self.staged_exfil.borrow_mut();
         if staged.is_empty() {
             return;
         }
-        let rank: std::collections::BTreeMap<wsn_sim::DispatchTag, usize> =
-            tags.iter().enumerate().map(|(i, &t)| (t, i)).collect();
-        let mut staged: Vec<_> = staged.drain(..).collect();
-        staged.sort_by_key(|&(tag, _)| {
-            rank.get(&tag)
-                .copied()
-                .unwrap_or_else(|| panic!("staged exfiltration under unknown tag {tag:?}"))
-        });
         let mut exfil = self.exfil.borrow_mut();
-        exfil.extend(staged.into_iter().map(|(_, e)| e));
+        replay.replay(order, staged.iter().map(|&(pos, _)| pos), |i| {
+            exfil.push(staged[i].1.clone());
+        });
+        staged.clear();
     }
 }
 

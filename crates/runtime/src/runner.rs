@@ -38,9 +38,9 @@ use wsn_obs::{
     TraceDocument, TraceMeta,
 };
 use wsn_sim::{
-    order_tap, shared_causal_log, ActorId, FlightRecorder, Kernel, RunReport, ShardObs,
-    ShardSchedule, SharedCausalLog, SimTime, Stats, StopReason, Tracer, WindowHist,
-    WINDOW_HIST_UPPERS,
+    order_tap, shared_causal_log, ActorId, BarrierReplay, FlightRecorder, Kernel, OrderTap,
+    RunReport, ShardObs, ShardSchedule, SharedCausalLog, SimTime, Stats, StopReason, Tracer,
+    WindowHist, WINDOW_HIST_UPPERS,
 };
 
 /// Result of one topology-emulation run.
@@ -266,6 +266,15 @@ pub struct PhysicalRuntime<P: Clone + 'static> {
     leader_scratch: Vec<Option<usize>>,
     /// Defect planted in every sharded run; `None` outside mutation checks.
     shard_mutation: Option<ShardMutation>,
+    /// The schedule of the last sharded run and the config it serves, so
+    /// that rounds on a standing deployment do not rebuild it.
+    schedule: Option<(ParallelConfig, Rc<ShardSchedule>)>,
+    /// The order tap every sharded run wires into the medium, the causal
+    /// log and the exfiltration buffer, made by the first one.
+    order_tap: Option<OrderTap>,
+    /// The scratch those three replay their staged entries through at
+    /// every window barrier.
+    replay: BarrierReplay,
 }
 
 impl<P: Clone + 'static> PhysicalRuntime<P> {
@@ -348,6 +357,9 @@ impl<P: Clone + 'static> PhysicalRuntime<P> {
             tx_scratch: Vec::new(),
             leader_scratch: Vec::new(),
             shard_mutation: None,
+            schedule: None,
+            order_tap: None,
+            replay: BarrierReplay::default(),
         }
     }
 
@@ -784,11 +796,16 @@ impl<P: Clone + 'static> PhysicalRuntime<P> {
         Ok(())
     }
 
-    /// Builds the actor→shard assignment from the quad-tree plan: node
-    /// `i` goes to the shard of its deployment cell. Actors installed
-    /// later (e.g. a chaos injector) fall outside the map and run on the
-    /// global pseudo-shard.
-    fn shard_schedule(&self, cfg: &ParallelConfig) -> ShardSchedule {
+    /// The actor→shard assignment from the quad-tree plan: node `i` goes
+    /// to the shard of its deployment cell. Actors installed later (e.g. a
+    /// chaos injector) fall outside the map and run on the global
+    /// pseudo-shard. Built once per config and kept for later runs.
+    fn shard_schedule(&mut self, cfg: &ParallelConfig) -> Rc<ShardSchedule> {
+        if let Some((built_for, schedule)) = &self.schedule {
+            if built_for == cfg {
+                return schedule.clone();
+            }
+        }
         let plan = ShardPlan::new(self.grid.side(), cfg.cut_level as u8);
         let map: Vec<u32> = (0..self.deployment.node_count())
             .map(|i| {
@@ -796,18 +813,20 @@ impl<P: Clone + 'static> PhysicalRuntime<P> {
                 plan.shard_of(GridCoord::new(cell.col, cell.row))
             })
             .collect();
-        let schedule = ShardSchedule::new(map, plan.shard_count()).with_workers(cfg.workers);
+        let mut schedule = ShardSchedule::new(map, plan.shard_count()).with_workers(cfg.workers);
         if self.shard_mutation == Some(ShardMutation::MisorderedMerge) {
-            schedule.with_misordered_merge()
-        } else {
-            schedule
+            schedule = schedule.with_misordered_merge();
         }
+        let schedule = Rc::new(schedule);
+        self.schedule = Some((*cfg, schedule.clone()));
+        schedule
     }
 
     /// Plants `mutation` in every later sharded run of this runtime.
     /// Sequential runs are untouched. Only mutation checks call this.
     pub fn plant_shard_mutation(&mut self, mutation: ShardMutation) {
         self.shard_mutation = Some(mutation);
+        self.schedule = None;
     }
 
     /// Runs the kernel under `schedule`, wiring the window order tap into
@@ -820,7 +839,7 @@ impl<P: Clone + 'static> PhysicalRuntime<P> {
         until: Option<SimTime>,
         max_events: Option<u64>,
     ) -> RunReport {
-        let tap = order_tap();
+        let tap = self.order_tap.get_or_insert_with(order_tap).clone();
         self.medium.borrow_mut().set_order_tap(tap.clone());
         if let Some(log) = &self.causal {
             log.borrow_mut().set_order_tap(tap.clone());
@@ -829,6 +848,7 @@ impl<P: Clone + 'static> PhysicalRuntime<P> {
         let medium = self.medium.clone();
         let causal = self.causal.clone();
         let shared = self.shared.clone();
+        let replay = &mut self.replay;
         // Per-shard accounting rides along whenever telemetry is on. The
         // arrays are write-only bookkeeping outside every kernel
         // observable, so the bit-identical contract with the sequential
@@ -850,12 +870,12 @@ impl<P: Clone + 'static> PhysicalRuntime<P> {
             until,
             max_events,
             Some(&tap),
-            |tags| {
-                medium.borrow_mut().apply_energy_journal(tags);
+            |order| {
+                medium.borrow_mut().apply_energy_journal(order, replay);
                 if let Some(log) = &causal {
-                    log.borrow_mut().assign_order(tags);
+                    log.borrow_mut().assign_order(order, replay);
                 }
-                shared.assign_exfil_order(tags);
+                shared.assign_exfil_order(order, replay);
             },
             obs.as_mut(),
         );

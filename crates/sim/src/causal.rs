@@ -23,10 +23,9 @@
 //! record order, which the kernel's total event order fixes — so two
 //! same-seed runs produce identical logs.
 
-use crate::shard::{DispatchTag, OrderTap};
+use crate::shard::{BarrierReplay, OrderTap};
 use crate::time::SimTime;
 use std::cell::RefCell;
-use std::collections::BTreeMap;
 use std::rc::Rc;
 
 /// Metadata a sender attaches to an in-flight message: the send event's
@@ -87,12 +86,12 @@ pub struct CausalEvent {
 /// into it — but under the sharded scheduler append order is *shard*
 /// order, not the sequential kernel's dispatch order. The log therefore
 /// keeps a parallel canonical permutation: events appended while an
-/// [`OrderTap`] holds a live [`DispatchTag`] are staged, and
+/// [`OrderTap`] holds a window position are staged, and
 /// [`CausalLog::assign_order`] (called from the scheduler's barrier hook
-/// with the window's canonical tag order) slots them into the global
-/// order. [`CausalLog::canonical_events`] then renumbers sequence
-/// numbers, cause edges, and Lamport clocks as if the log had been
-/// written sequentially — the identity transform for a log that *was*.
+/// with the window's canonical order) slots them into the global order.
+/// [`CausalLog::canonical_events`] then renumbers sequence numbers, cause
+/// edges, and Lamport clocks as if the log had been written sequentially
+/// — the identity transform for a log that *was*.
 #[derive(Debug, Default)]
 pub struct CausalLog {
     events: Vec<CausalEvent>,
@@ -101,9 +100,9 @@ pub struct CausalLog {
     order_keys: Vec<u64>,
     /// Next canonical position to hand out.
     cursor: u64,
-    /// Append indices awaiting a canonical position, with the dispatch
-    /// tag they were recorded under (intra-tag order = append order).
-    staged: Vec<(usize, DispatchTag)>,
+    /// Append indices awaiting a canonical position, with the window
+    /// position of the dispatch they were recorded under.
+    staged: Vec<(usize, u32)>,
     tap: Option<OrderTap>,
 }
 
@@ -142,50 +141,39 @@ impl CausalLog {
             label: label.to_string(),
             units,
         });
-        let tag = self
-            .tap
-            .as_ref()
-            .map(|t| t.get())
-            .unwrap_or(DispatchTag::NONE);
-        if tag.is_none() {
-            self.order_keys.push(self.cursor);
-            self.cursor += 1;
-        } else {
-            self.order_keys.push(u64::MAX);
-            self.staged.push((self.events.len() - 1, tag));
+        match self.tap.as_ref().and_then(|t| t.get()) {
+            None => {
+                self.order_keys.push(self.cursor);
+                self.cursor += 1;
+            }
+            Some(pos) => {
+                self.order_keys.push(u64::MAX);
+                self.staged.push((self.events.len() - 1, pos));
+            }
         }
         seq
     }
 
     /// Connects the log to the sharded scheduler's order tap: events
-    /// recorded while the tap holds a live [`DispatchTag`] are staged for
+    /// recorded while the tap holds a window position are staged for
     /// barrier-time ordering instead of taking the next canonical slot.
     pub fn set_order_tap(&mut self, tap: OrderTap) {
         self.tap = Some(tap);
     }
 
-    /// Assigns canonical positions to all staged events, in the order of
-    /// their tags within `tags` (the window's canonical dispatch order
-    /// from the scheduler's barrier hook), ties broken by append order.
-    pub fn assign_order(&mut self, tags: &[DispatchTag]) {
+    /// Assigns canonical positions to all staged events, dispatch by
+    /// dispatch in `order` (the window's canonical order from the
+    /// scheduler's barrier hook), each dispatch's events in append order.
+    pub fn assign_order(&mut self, order: &[u32], replay: &mut BarrierReplay) {
         if self.staged.is_empty() {
             return;
         }
-        let rank: BTreeMap<DispatchTag, usize> =
-            tags.iter().enumerate().map(|(i, &t)| (t, i)).collect();
-        let mut staged = std::mem::take(&mut self.staged);
-        staged.sort_by_key(|&(idx, tag)| {
-            (
-                rank.get(&tag).copied().unwrap_or_else(|| {
-                    panic!("staged causal event under unknown dispatch tag {tag:?}")
-                }),
-                idx,
-            )
+        let (staged, keys, cursor) = (&self.staged, &mut self.order_keys, &mut self.cursor);
+        replay.replay(order, staged.iter().map(|&(_, pos)| pos), |i| {
+            keys[staged[i].0] = *cursor;
+            *cursor += 1;
         });
-        for (idx, _) in staged {
-            self.order_keys[idx] = self.cursor;
-            self.cursor += 1;
-        }
+        self.staged.clear();
     }
 
     /// Records a send event on `node` and returns the stamp to attach to
@@ -422,26 +410,21 @@ mod tests {
     fn staged_events_reorder_into_canonical_positions() {
         use crate::shard::order_tap;
 
-        let tag = |slot: u32, idx: u32| DispatchTag {
-            window: 0,
-            slot,
-            idx,
-        };
-        // Shard order appends slot 0's events before slot 1's, but the
-        // canonical dispatch order interleaves them the other way.
+        // Shard order appends dispatch 0's events before dispatch 1's,
+        // but the canonical dispatch order runs them the other way.
         let tap = order_tap();
         let mut log = CausalLog::new();
         log.set_order_tap(tap.clone());
 
-        tap.set(tag(0, 0));
+        tap.set(Some(0));
         let s0 = log.record_send(0, t(5), 0, "hop", 1); // append 1
-        tap.set(tag(1, 0));
+        tap.set(Some(1));
         let s1 = log.record_send(2, t(5), 0, "hop", 1); // append 2
         let d1 = log.record_deliver(3, t(6), s1, "hop", 1); // append 3
-        tap.set(DispatchTag::NONE);
+        tap.set(None);
 
-        // Canonical order says shard 1's dispatch came first.
-        log.assign_order(&[tag(1, 0), tag(0, 0)]);
+        // Canonical order says dispatch 1 came first.
+        log.assign_order(&[1, 0], &mut BarrierReplay::default());
         let canon = log.canonical_events();
         assert_eq!(canon.len(), 3);
         // s1 and d1 now lead; s0 trails with renumbered seq.
@@ -466,11 +449,7 @@ mod tests {
         let tap = crate::shard::order_tap();
         let mut log = CausalLog::new();
         log.set_order_tap(tap.clone());
-        tap.set(DispatchTag {
-            window: 0,
-            slot: 0,
-            idx: 0,
-        });
+        tap.set(Some(0));
         log.record_local(0, t(1), 0, "staged");
         log.canonical_events();
     }

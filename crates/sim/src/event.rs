@@ -128,19 +128,15 @@ impl<M> EventQueue<M> {
         self.heap.push(HeapEntry(ev));
     }
 
-    /// Drains every pending event (heap order is unspecified; callers
-    /// sort by `(time, seq)` as needed).
-    pub(crate) fn drain_all(&mut self) -> Vec<ScheduledEvent<M>> {
-        std::mem::take(&mut self.heap)
-            .into_iter()
-            .map(|e| e.0)
-            .collect()
-    }
-
-    /// Drains every pending event like [`EventQueue::drain_all`], but
-    /// keeps the queue's capacity for its next use.
+    /// Drains every pending event (heap order is unspecified) and keeps
+    /// the queue's capacity for its next use.
     pub(crate) fn drain(&mut self) -> impl Iterator<Item = ScheduledEvent<M>> + '_ {
         self.heap.drain().map(|e| e.0)
+    }
+
+    /// Gives back capacity beyond `capacity` events.
+    pub(crate) fn shrink_to(&mut self, capacity: usize) {
+        self.heap.shrink_to(capacity);
     }
 
     /// The next sequence number this queue will assign.

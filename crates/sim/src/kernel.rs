@@ -4,7 +4,7 @@ use crate::event::{EventKind, EventQueue};
 use crate::flight::FlightRecorder;
 use crate::rng::DetRng;
 use crate::shard::ShardBuffers;
-use crate::stats::Stats;
+use crate::stats::{StagedStats, Stats, StatsSink};
 use crate::time::SimTime;
 use crate::trace::{TraceEntry, TraceKind, Tracer};
 use std::any::Any;
@@ -93,6 +93,9 @@ pub struct Context<'a, M: Payload> {
     pub(crate) outbox: &'a mut Vec<(SimTime, ActorId, EventKind<M>)>,
     pub(crate) rng: &'a mut DetRng,
     pub(crate) stats: &'a mut Stats,
+    /// Where order-sensitive statistics wait for the barrier inside a
+    /// sharded window; `None` on the sequential path.
+    pub(crate) staged_stats: Option<&'a mut StagedStats>,
     pub(crate) stop_requested: &'a mut bool,
     pub(crate) actor_count: usize,
 }
@@ -151,8 +154,11 @@ impl<'a, M: Payload> Context<'a, M> {
     }
 
     /// The shared statistics sink.
-    pub fn stats(&mut self) -> &mut Stats {
-        self.stats
+    pub fn stats(&mut self) -> StatsSink<'_> {
+        StatsSink {
+            stats: self.stats,
+            staged: self.staged_stats.as_deref_mut(),
+        }
     }
 }
 
@@ -175,7 +181,7 @@ pub struct Kernel<M: Payload> {
     /// Dispatch staging buffer, held on the struct so repeated runs on a
     /// warm kernel reuse its capacity instead of allocating a fresh
     /// outbox per run (the no-alloc gate measures exactly this path).
-    outbox_scratch: Vec<(SimTime, ActorId, EventKind<M>)>,
+    pub(crate) outbox_scratch: Vec<(SimTime, ActorId, EventKind<M>)>,
     /// Per-run self-metrics staging (dispatch latencies, queue depths):
     /// the hot loop pushes raw observations here and
     /// [`Kernel::flush_metrics_scratch`] folds them into the named
@@ -375,6 +381,7 @@ impl<M: Payload> Kernel<M> {
                 outbox: &mut outbox,
                 rng: &mut self.rngs[id],
                 stats: &mut self.stats,
+                staged_stats: None,
                 stop_requested: &mut stop,
                 actor_count: self.actors.len(),
             };
@@ -484,6 +491,7 @@ impl<M: Payload> Kernel<M> {
                     outbox: &mut outbox,
                     rng: &mut self.rngs[ev.target],
                     stats: &mut self.stats,
+                    staged_stats: None,
                     stop_requested: &mut stop,
                     actor_count: self.actors.len(),
                 };

@@ -66,7 +66,7 @@ pub use kernel::{
     METRIC_QUEUE_DEPTH,
 };
 pub use rng::DetRng;
-pub use shard::{order_tap, DispatchTag, OrderTap, ShardSchedule, GLOBAL_SHARD};
-pub use stats::{Histogram, Stats, TimeSeries};
+pub use shard::{order_tap, BarrierReplay, OrderTap, ShardSchedule, GLOBAL_SHARD};
+pub use stats::{Histogram, Stats, StatsSink, TimeSeries};
 pub use time::SimTime;
 pub use trace::{TraceEntry, TraceKind, TraceSink, Tracer};

@@ -28,18 +28,29 @@
 //! next global seqs in replay pop order) reconstructs the exact global
 //! dispatch order the sequential kernel would have used — including the
 //! exact numeric `seq` values, since the replay hands out the counter in
-//! the same order the sequential loop would have. Traces, kernel metrics,
-//! and actor statistics are staged per dispatch and emitted in that
-//! canonical order; cross-shard messages sit in a mailbox until the
-//! barrier and enter the destination shard's queue with their final seqs
-//! (by shard id, then sender dispatch order, then per-shard push sequence
-//! — all encoded in the replayed `seq`).
+//! the same order the sequential loop would have. Cross-shard messages
+//! sit in a mailbox until the barrier and enter the destination shard's
+//! queue with their final seqs.
+//!
+//! ## What is staged, and what is not
+//!
+//! A window records each dispatch's observables in flat window buffers,
+//! one range per dispatch, and emits them at the barrier in the canonical
+//! order: the trace entry, the kernel's self-metrics, and the handler's
+//! histogram observations, gauge writes and series samples. Those are
+//! order-sensitive (a histogram keeps its samples in order, a gauge keeps
+//! the last write). Handler **counters are not staged**: they are `u64`
+//! sums, which commute, so handlers add them straight to the kernel's
+//! [`Stats`](crate::Stats) in shard order and the totals come out the
+//! same.
 //!
 //! External state shared across shards (a medium's energy ledger, a causal
 //! log, an exfiltration buffer) is handled through the [`OrderTap`]: the
-//! scheduler publishes a [`DispatchTag`] before each dispatch; components
-//! stage tag-keyed side effects and re-key them into canonical order when
-//! the `barrier_hook` hands them the window's tag order.
+//! scheduler publishes each dispatch's window-local position (its index in
+//! processing order) before dispatching it. A component stages its side
+//! effects under that position, and the `barrier_hook` hands it the
+//! window's canonical order, a list of positions, to replay them through a
+//! [`BarrierReplay`].
 //!
 //! ## Contract and caveats
 //!
@@ -57,55 +68,72 @@
 use crate::event::{EventKind, EventQueue, ScheduledEvent};
 use crate::flight::ShardObs;
 use crate::kernel::{Context, Kernel, Payload, RunReport, StopReason};
-use crate::stats::Stats;
+use crate::stats::StagedStats;
 use crate::time::SimTime;
 use crate::trace::{TraceEntry, TraceKind};
 use std::cell::Cell;
 use std::cmp::Reverse;
-use std::collections::{BTreeMap, BinaryHeap, VecDeque};
+use std::collections::{BinaryHeap, VecDeque};
+use std::ops::Range;
 use std::rc::Rc;
 
 /// Shard id of actors pinned to the global pseudo-shard (processed first
 /// in every window; see the module docs for when this is sound).
 pub const GLOBAL_SHARD: u32 = u32::MAX;
 
-/// Identifies one dispatch inside a sharded window: `(window, slot, idx)`
-/// where `slot` is the processing slot (shard, or the global slot) and
-/// `idx` the dispatch index within that slot's window. Published through
-/// the [`OrderTap`] so shared components can stage side effects for
-/// barrier-time reordering.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
-pub struct DispatchTag {
-    /// Window number within the current sharded run.
-    pub window: u64,
-    /// Processing slot (shard index, or the global slot).
-    pub slot: u32,
-    /// Dispatch index within the slot's window.
-    pub idx: u32,
-}
+/// Shared cell the sharded scheduler writes the current dispatch's
+/// window-local position into before each dispatch, and resets to `None`
+/// outside windows.
+pub type OrderTap = Rc<Cell<Option<u32>>>;
 
-impl DispatchTag {
-    /// The tag outside any sharded window (sequential execution).
-    pub const NONE: DispatchTag = DispatchTag {
-        window: u64::MAX,
-        slot: u32::MAX,
-        idx: u32::MAX,
-    };
-
-    /// Whether this is the out-of-window sentinel.
-    pub fn is_none(&self) -> bool {
-        *self == DispatchTag::NONE
-    }
-}
-
-/// Shared cell the sharded scheduler writes the current [`DispatchTag`]
-/// into before each dispatch (and resets to [`DispatchTag::NONE`] outside
-/// windows).
-pub type OrderTap = Rc<Cell<DispatchTag>>;
-
-/// A fresh order tap, initialized to the sequential sentinel.
+/// A fresh order tap, outside any window.
 pub fn order_tap() -> OrderTap {
-    Rc::new(Cell::new(DispatchTag::NONE))
+    Rc::new(Cell::new(None))
+}
+
+/// Replays side effects staged during one sharded window in the window's
+/// canonical dispatch order.
+///
+/// A component stages each entry under the window position its
+/// [`OrderTap`] held. A window dispatches one event at a time, so the
+/// positions of the staged entries never decrease. At the barrier,
+/// [`BarrierReplay::replay`] counts the entries per position into a flat
+/// offset array, then walks the hook's canonical order and visits each
+/// dispatch's entries in staging order. That is linear in the window and
+/// its entries, and a warm replay allocates nothing. One replay serves any
+/// number of components in turn.
+#[derive(Debug, Default)]
+pub struct BarrierReplay {
+    starts: Vec<usize>,
+}
+
+impl BarrierReplay {
+    /// Calls `visit` with the index of every staged entry, in canonical
+    /// order: the entries of `order[0]`'s dispatch first, each dispatch's
+    /// in staging order. `positions` are the entries' window positions in
+    /// staging order; `order` is the barrier hook's canonical order.
+    pub fn replay(
+        &mut self,
+        order: &[u32],
+        positions: impl IntoIterator<Item = u32>,
+        mut visit: impl FnMut(usize),
+    ) {
+        let starts = &mut self.starts;
+        starts.clear();
+        starts.resize(order.len() + 1, 0);
+        let mut last = 0;
+        for pos in positions {
+            debug_assert!(pos >= last, "entries staged out of window order");
+            last = pos;
+            starts[pos as usize + 1] += 1;
+        }
+        for i in 1..starts.len() {
+            starts[i] += starts[i - 1];
+        }
+        for &pos in order {
+            (starts[pos as usize]..starts[pos as usize + 1]).for_each(&mut visit);
+        }
+    }
 }
 
 /// The static shard assignment of a kernel's actors.
@@ -114,6 +142,9 @@ pub struct ShardSchedule {
     shard_of_actor: Vec<u32>,
     shard_count: u32,
     workers: usize,
+    /// Slot processing order for one window: the global slot first, then
+    /// shards striped round-robin across the worker lanes.
+    slot_order: Vec<usize>,
     misorder_merge: bool,
 }
 
@@ -133,8 +164,10 @@ impl ShardSchedule {
             shard_of_actor,
             shard_count,
             workers: 1,
+            slot_order: Vec::new(),
             misorder_merge: false,
         }
+        .with_workers(1)
     }
 
     /// Sets the logical worker count: shards are striped round-robin over
@@ -144,6 +177,13 @@ impl ShardSchedule {
     /// that.
     pub fn with_workers(mut self, workers: usize) -> Self {
         self.workers = workers.max(1);
+        let n = self.shard_count as usize;
+        self.slot_order.clear();
+        self.slot_order.push(n); // global slot first
+        for lane in 0..self.workers.min(n) {
+            self.slot_order
+                .extend((0..n).filter(|s| s % self.workers == lane));
+        }
         self
     }
 
@@ -184,70 +224,50 @@ impl ShardSchedule {
     fn slot_count(&self) -> usize {
         self.shard_count as usize + 1
     }
-
-    /// Slot processing order for one window: the global slot first, then
-    /// shards striped round-robin across the worker lanes.
-    fn slot_order(&self) -> Vec<usize> {
-        let n = self.shard_count as usize;
-        let mut order = Vec::with_capacity(n + 1);
-        order.push(n); // global slot first
-        for lane in 0..self.workers.min(n.max(1)) {
-            order.extend((0..n).filter(|s| s % self.workers == lane));
-        }
-        order
-    }
 }
 
-/// What one dispatch pushed, in push order.
-enum PushRec<M> {
-    /// A same-tick, same-shard child: dispatched later in this window;
-    /// identified by its provisional id until the replay assigns its seq.
-    InWindow { prov: u64 },
-    /// Anything else: enters a shard queue at the barrier with its final
-    /// seq (this includes every cross-shard message — the mailbox).
-    Future {
-        time: SimTime,
-        target: usize,
-        kind: EventKind<M>,
-    },
+/// One push of a dispatch, recorded in the window's push buffer.
+#[derive(Clone, Copy)]
+enum PushRec {
+    /// A same-tick, same-shard child, dispatched later in this window:
+    /// the window's `n`-th child, since children dispatch in push order.
+    InWindow(usize),
+    /// Anything else: `staged[i]`, which enters a shard queue at the
+    /// barrier with its final seq (this includes every cross-shard
+    /// message — the mailbox).
+    Future(usize),
 }
 
-/// One dispatch staged during a window, awaiting barrier emission.
-struct WindowRec<M> {
-    tag: DispatchTag,
-    /// Final global seq (roots know it at dispatch; children get it from
-    /// the replay).
-    seq: u64,
-    time: SimTime,
+/// One dispatch of a window, awaiting barrier emission.
+struct WindowRec {
+    slot: u32,
     enqueued_at: SimTime,
     trace: Option<TraceEntry>,
-    stats: Stats,
-    pushes: Vec<PushRec<M>>,
-    /// `pushes.len()` at creation (the replay consumes `pushes`, but the
-    /// queue-depth reconstruction still needs the count).
-    push_count: usize,
-    is_root: bool,
-}
-
-/// An in-window child waiting in a shard's FIFO.
-struct ReadyChild<M> {
-    prov: u64,
-    target: usize,
-    kind: EventKind<M>,
+    /// Its pushes, in push order, in [`ShardBuffers::pushes`].
+    pushes: Range<usize>,
+    /// Its order-sensitive statistics in [`ShardBuffers::stats`].
+    stats: Range<usize>,
 }
 
 /// The buffers of a sharded run, kept on the [`Kernel`] and cleared
 /// between uses, so that rounds on a standing kernel reuse their
-/// capacity: the per-slot queues, and each window's records, child FIFO,
-/// replay heap, canonical order, tags and staged events.
+/// capacity: the per-slot queues, and each window's records, pushes,
+/// child FIFO, replay heap, canonical order, staged events and staged
+/// statistics.
 pub(crate) struct ShardBuffers<M> {
     queues: Vec<EventQueue<M>>,
-    recs: Vec<WindowRec<M>>,
-    ready: VecDeque<ReadyChild<M>>,
+    recs: Vec<WindowRec>,
+    pushes: Vec<PushRec>,
+    /// In-window children awaiting dispatch, in push order.
+    ready: VecDeque<(usize, EventKind<M>)>,
+    /// Record index of the window's `n`-th child.
+    child_rec: Vec<usize>,
     heap: BinaryHeap<Reverse<(u64, usize)>>,
-    order: Vec<usize>,
-    tags: Vec<DispatchTag>,
+    order: Vec<u32>,
+    /// The window's future events, in push order; the replay sets their
+    /// seqs.
     staged: Vec<ScheduledEvent<M>>,
+    stats: StagedStats,
 }
 
 impl<M> Default for ShardBuffers<M> {
@@ -255,11 +275,13 @@ impl<M> Default for ShardBuffers<M> {
         ShardBuffers {
             queues: Vec::new(),
             recs: Vec::new(),
+            pushes: Vec::new(),
             ready: VecDeque::new(),
+            child_rec: Vec::new(),
             heap: BinaryHeap::new(),
             order: Vec::new(),
-            tags: Vec::new(),
             staged: Vec::new(),
+            stats: StagedStats::default(),
         }
     }
 }
@@ -271,17 +293,18 @@ impl<M: Payload> Kernel<M> {
     /// module docs for the argument and the window-granularity caveats on
     /// stop/budget).
     ///
-    /// `tap`, when provided, receives the current [`DispatchTag`] before
-    /// every dispatch; `barrier_hook` is called at each window barrier
-    /// with the window's tags in canonical (sequential) dispatch order so
-    /// externally staged side effects can be re-keyed.
+    /// `tap`, when provided, receives the window position of every
+    /// dispatch before it runs; `barrier_hook` is called at each window
+    /// barrier with the window's positions in canonical (sequential)
+    /// dispatch order, so externally staged side effects can be replayed
+    /// ([`BarrierReplay`]).
     pub fn run_sharded(
         &mut self,
         schedule: &ShardSchedule,
         until: Option<SimTime>,
         max_events: Option<u64>,
         tap: Option<&OrderTap>,
-        barrier_hook: impl FnMut(&[DispatchTag]),
+        barrier_hook: impl FnMut(&[u32]),
     ) -> RunReport {
         self.run_sharded_observed(schedule, until, max_events, tap, barrier_hook, None)
     }
@@ -298,51 +321,37 @@ impl<M: Payload> Kernel<M> {
         until: Option<SimTime>,
         max_events: Option<u64>,
         tap: Option<&OrderTap>,
-        mut barrier_hook: impl FnMut(&[DispatchTag]),
+        mut barrier_hook: impl FnMut(&[u32]),
         mut obs: Option<&mut ShardObs>,
     ) -> RunReport {
         self.start_actors();
         let mut bufs = std::mem::take(&mut self.shard_buffers);
-        let queues = &mut bufs.queues;
-        queues.resize_with(schedule.slot_count(), EventQueue::new);
+        let mut outbox = std::mem::take(&mut self.outbox_scratch);
+        outbox.clear();
+        bufs.queues
+            .resize_with(schedule.slot_count(), EventQueue::new);
         // Distribute the global queue into per-shard queues, preserving
-        // every event's (time, seq, enqueued_at) verbatim.
-        for ev in self.queue.drain_all() {
+        // every event's (time, seq, enqueued_at) verbatim. The global
+        // queue keeps room for as many events as it handed over, which a
+        // round's kick-off needs again, and gives back the rest.
+        for ev in self.queue.drain() {
             let slot = schedule.slot_of_actor(ev.target);
-            queues[slot].push_scheduled(ev);
+            bufs.queues[slot].push_scheduled(ev);
         }
+        let mut pending: usize = bufs.queues.iter().map(|q| q.len()).sum();
+        self.queue.shrink_to(pending);
         let mut next_seq = self.queue.next_seq();
-        let mut pending: usize = queues.iter().map(|q| q.len()).sum();
-        let slot_order = schedule.slot_order();
-        let set_tap = |t: DispatchTag| {
+        let set_tap = |pos: Option<u32>| {
             if let Some(tap) = tap {
-                tap.set(t);
+                tap.set(pos);
             }
         };
 
         let mut processed = 0u64;
-        let mut window: u64 = 0;
-        let mut outbox: Vec<(SimTime, usize, EventKind<M>)> = Vec::new();
-        let finish = |kernel: &mut Kernel<M>, mut bufs: ShardBuffers<M>, next_seq: u64| {
-            // Re-merge leftovers into the global queue with their exact
-            // (time, seq) identities so a sequential continuation picks
-            // up precisely where a sequential run would have been.
-            for q in &mut bufs.queues {
-                for ev in q.drain() {
-                    kernel.queue.push_scheduled(ev);
-                }
-            }
-            kernel.queue.set_next_seq(next_seq);
-            kernel.flush_metrics_scratch();
-            kernel.shard_buffers = bufs;
-        };
-
-        loop {
+        let report = loop {
             if let Some(budget) = max_events {
                 if processed >= budget {
-                    set_tap(DispatchTag::NONE);
-                    finish(self, bufs, next_seq);
-                    return RunReport {
+                    break RunReport {
                         events_processed: processed,
                         end_time: self.now,
                         stop: StopReason::EventLimit,
@@ -350,9 +359,7 @@ impl<M: Payload> Kernel<M> {
                 }
             }
             let Some(tick) = bufs.queues.iter().filter_map(|q| q.peek_time()).min() else {
-                set_tap(DispatchTag::NONE);
-                finish(self, bufs, next_seq);
-                return RunReport {
+                break RunReport {
                     events_processed: processed,
                     end_time: self.now,
                     stop: StopReason::QueueEmpty,
@@ -361,9 +368,7 @@ impl<M: Payload> Kernel<M> {
             if let Some(horizon) = until {
                 if tick > horizon {
                     self.now = horizon;
-                    set_tap(DispatchTag::NONE);
-                    finish(self, bufs, next_seq);
-                    return RunReport {
+                    break RunReport {
                         events_processed: processed,
                         end_time: self.now,
                         stop: StopReason::TimeLimit,
@@ -377,37 +382,38 @@ impl<M: Payload> Kernel<M> {
             let ShardBuffers {
                 queues,
                 recs,
+                pushes,
                 ready,
+                child_rec,
                 heap,
                 order,
-                tags,
                 staged,
+                stats,
             } = &mut bufs;
             recs.clear();
-            let mut prov_rec: BTreeMap<u64, usize> = BTreeMap::new();
-            let mut next_prov: u64 = 0;
+            pushes.clear();
+            child_rec.clear();
+            heap.clear();
+            staged.clear();
+            stats.clear();
+            let mut children = 0;
             let mut stop = false;
-            for &slot in &slot_order {
-                let mut idx_in_slot: u32 = 0;
+            for &slot in &schedule.slot_order {
                 loop {
                     // Roots first (they pop in seq order and all carry
-                    // smaller seqs than any child), then the FIFO.
-                    let (seq, enqueued_at, target, kind, prov, is_root) =
-                        if queues[slot].peek_time() == Some(tick) {
-                            let ev = queues[slot].pop().expect("peeked event vanished");
-                            (ev.seq, ev.enqueued_at, ev.target, ev.kind, 0, true)
-                        } else if let Some(child) = ready.pop_front() {
-                            (u64::MAX, tick, child.target, child.kind, child.prov, false)
-                        } else {
-                            break;
-                        };
-                    let tag = DispatchTag {
-                        window,
-                        slot: slot as u32,
-                        idx: idx_in_slot,
+                    // smaller seqs than any child), then the FIFO. Roots
+                    // enter the replay heap with their real seqs.
+                    let (enqueued_at, target, kind) = if queues[slot].peek_time() == Some(tick) {
+                        let ev = queues[slot].pop().expect("peeked event vanished");
+                        heap.push(Reverse((ev.seq, recs.len())));
+                        (ev.enqueued_at, ev.target, ev.kind)
+                    } else if let Some((target, kind)) = ready.pop_front() {
+                        child_rec.push(recs.len());
+                        (tick, target, kind)
+                    } else {
+                        break;
                     };
-                    idx_in_slot += 1;
-                    set_tap(tag);
+                    set_tap(Some(recs.len() as u32));
                     let trace = if self.tracer.is_enabled() || self.flight.is_some() {
                         let (tk, a, b) = match &kind {
                             EventKind::Message { from, msg } => {
@@ -425,7 +431,7 @@ impl<M: Payload> Kernel<M> {
                     } else {
                         None
                     };
-                    let mut scratch = Stats::new();
+                    let (pushes_start, stats_start) = (pushes.len(), stats.len());
                     let mut actor = self.actors[target]
                         .take()
                         .unwrap_or_else(|| panic!("actor {target} re-entered"));
@@ -435,7 +441,8 @@ impl<M: Payload> Kernel<M> {
                             self_id: target,
                             outbox: &mut outbox,
                             rng: &mut self.rngs[target],
-                            stats: &mut scratch,
+                            stats: &mut self.stats,
+                            staged_stats: Some(&mut *stats),
                             stop_requested: &mut stop,
                             actor_count: self.actors.len(),
                         };
@@ -447,18 +454,12 @@ impl<M: Payload> Kernel<M> {
                         }
                     }
                     self.actors[target] = Some(actor);
-                    let mut pushes = Vec::with_capacity(outbox.len());
                     for (time, push_target, push_kind) in outbox.drain(..) {
                         let target_slot = schedule.slot_of_actor(push_target);
                         if time == tick && target_slot == slot {
-                            let prov = next_prov;
-                            next_prov += 1;
-                            ready.push_back(ReadyChild {
-                                prov,
-                                target: push_target,
-                                kind: push_kind,
-                            });
-                            pushes.push(PushRec::InWindow { prov });
+                            pushes.push(PushRec::InWindow(children));
+                            children += 1;
+                            ready.push_back((push_target, push_kind));
                         } else {
                             assert!(
                                 time > tick || target_slot == slot,
@@ -473,74 +474,47 @@ impl<M: Payload> Kernel<M> {
                                     o.note_cross(slot, target_slot);
                                 }
                             }
-                            pushes.push(PushRec::Future {
+                            pushes.push(PushRec::Future(staged.len()));
+                            staged.push(ScheduledEvent {
                                 time,
+                                seq: u64::MAX,
+                                enqueued_at: tick,
                                 target: push_target,
                                 kind: push_kind,
                             });
                         }
                     }
-                    let rec_idx = recs.len();
-                    if !is_root {
-                        prov_rec.insert(prov, rec_idx);
-                    }
-                    let push_count = pushes.len();
                     recs.push(WindowRec {
-                        tag,
-                        seq,
-                        time: tick,
+                        slot: slot as u32,
                         enqueued_at,
                         trace,
-                        stats: scratch,
-                        pushes,
-                        push_count,
-                        is_root,
+                        pushes: pushes_start..pushes.len(),
+                        stats: stats_start..stats.len(),
                     });
                 }
             }
-            set_tap(DispatchTag::NONE);
+            set_tap(None);
             processed += recs.len() as u64;
 
             // ---- Symbolic replay: reconstruct sequential dispatch order ----
-            // Roots enter the heap with their real seqs; popping a record
-            // assigns the global counter to its pushes in push order —
-            // exactly when the sequential loop would have.
-            heap.clear();
-            heap.extend(
-                recs.iter()
-                    .enumerate()
-                    .filter(|(_, r)| r.is_root)
-                    .map(|(i, r)| Reverse((r.seq, i))),
-            );
+            // Popping a record assigns the global counter to its pushes in
+            // push order — exactly when the sequential loop would have.
             order.clear();
-            staged.clear();
             while let Some(Reverse((_, ri))) = heap.pop() {
-                order.push(ri);
-                let pushes = std::mem::take(&mut recs[ri].pushes);
-                for push in pushes {
+                order.push(ri as u32);
+                for &push in &pushes[recs[ri].pushes.clone()] {
                     let seq = next_seq;
                     next_seq += 1;
                     match push {
-                        PushRec::InWindow { prov } => {
-                            let ci = prov_rec[&prov];
-                            recs[ci].seq = seq;
-                            heap.push(Reverse((seq, ci)));
-                        }
-                        PushRec::Future { time, target, kind } => {
-                            staged.push(ScheduledEvent {
-                                time,
-                                seq,
-                                enqueued_at: tick,
-                                target,
-                                kind,
-                            });
-                        }
+                        PushRec::InWindow(child) => heap.push(Reverse((seq, child_rec[child]))),
+                        PushRec::Future(i) => staged[i].seq = seq,
                     }
                 }
             }
             debug_assert_eq!(order.len(), recs.len(), "replay lost a dispatch");
             if schedule.misorder_merge {
                 order.reverse();
+                staged.sort_unstable_by_key(|ev| ev.seq);
                 let seqs: Vec<u64> = staged.iter().map(|e| e.seq).collect();
                 for (ev, seq) in staged.iter_mut().zip(seqs.into_iter().rev()) {
                     ev.seq = seq;
@@ -548,17 +522,17 @@ impl<M: Payload> Kernel<M> {
             }
 
             // ---- Barrier emission: canonical-order observables ----
-            tags.clear();
             for &ri in order.iter() {
-                let rec = &recs[ri];
-                let n_pushes = rec.push_count;
-                pending -= 1;
+                let rec = &recs[ri as usize];
+                // Saturating: a misordered merge emits children before
+                // their parents.
+                pending = pending.saturating_sub(1);
                 if self.metrics {
-                    let latency = rec.time.ticks().saturating_sub(rec.enqueued_at.ticks());
+                    let latency = tick.ticks().saturating_sub(rec.enqueued_at.ticks());
                     self.metrics_scratch.0.push(latency as f64);
                     self.metrics_scratch.1.push(pending as f64);
                 }
-                pending += n_pushes;
+                pending += rec.pushes.len();
                 if let Some(entry) = &rec.trace {
                     if let Some(flight) = self.flight.as_mut() {
                         flight.record(entry);
@@ -566,12 +540,11 @@ impl<M: Payload> Kernel<M> {
                     self.tracer.record(entry.clone());
                 }
                 if let Some(o) = obs.as_deref_mut() {
-                    o.note_dispatch(rec.tag.slot as usize);
+                    o.note_dispatch(rec.slot as usize);
                 }
-                self.stats.absorb(&rec.stats);
-                tags.push(rec.tag);
+                stats.replay(rec.stats.clone(), &mut self.stats);
             }
-            barrier_hook(tags);
+            barrier_hook(order);
 
             // ---- Mailbox exchange: futures enter their shard queues ----
             for ev in staged.drain(..) {
@@ -585,16 +558,27 @@ impl<M: Payload> Kernel<M> {
                 o.end_window();
             }
 
-            window += 1;
             if stop {
-                finish(self, bufs, next_seq);
-                return RunReport {
+                break RunReport {
                     events_processed: processed,
                     end_time: self.now,
                     stop: StopReason::Stopped,
                 };
             }
+        };
+        // Re-merge leftovers into the global queue with their exact
+        // (time, seq) identities so a sequential continuation picks up
+        // precisely where a sequential run would have been.
+        for q in &mut bufs.queues {
+            for ev in q.drain() {
+                self.queue.push_scheduled(ev);
+            }
         }
+        self.queue.set_next_seq(next_seq);
+        self.flush_metrics_scratch();
+        self.shard_buffers = bufs;
+        self.outbox_scratch = outbox;
+        report
     }
 }
 
@@ -714,6 +698,72 @@ mod tests {
         assert_eq!(observables(&seq), observables(&par));
     }
 
+    /// A same-tick cascade like [`Cascade`] whose handlers write every
+    /// order-sensitive kind of statistic.
+    struct Tally {
+        downstream: Vec<usize>,
+    }
+
+    impl Actor<u32> for Tally {
+        fn on_start(&mut self, ctx: &mut Context<'_, u32>) {
+            ctx.set_timer(2, 0);
+        }
+        fn on_message(&mut self, ctx: &mut Context<'_, u32>, _from: ActorId, msg: u32) {
+            let (id, now) = (ctx.id() as f64, ctx.now().ticks());
+            ctx.stats().incr("tally.rx");
+            ctx.stats().observe("tally.msg", id + f64::from(msg) / 10.0);
+            ctx.stats().set_gauge("tally.last", id);
+            ctx.stats().sample("tally.series", now, id);
+            if msg < 2 {
+                for &d in &self.downstream {
+                    ctx.send(d, SimTime::ZERO, msg + 1);
+                }
+            }
+        }
+        fn on_timer(&mut self, ctx: &mut Context<'_, u32>, _tag: u64) {
+            for &d in &self.downstream {
+                ctx.send(d, SimTime::ZERO, 0);
+            }
+        }
+    }
+
+    #[test]
+    fn staged_statistics_replay_in_canonical_order() {
+        // Shard 0: actors 0..3 cascading at delay 0; shard 1: 3..6. The
+        // sequential order interleaves the shards; processing does not.
+        let run = |schedule: Option<ShardSchedule>| {
+            let mut k: Kernel<u32> = Kernel::new(7);
+            for base in [0usize, 3] {
+                for i in 0..3 {
+                    k.add_actor(Box::new(Tally {
+                        downstream: vec![base + (i + 1) % 3, base + (i + 2) % 3],
+                    }));
+                }
+            }
+            match schedule {
+                None => k.run(),
+                Some(s) => k.run_sharded(&s, None, None, None, |_| {}),
+            };
+            k.stats().clone()
+        };
+        let schedule = ShardSchedule::new(vec![0, 0, 0, 1, 1, 1], 2);
+        let seq = run(None);
+        let par = run(Some(schedule.clone()));
+        assert_eq!(format!("{seq:?}"), format!("{par:?}"));
+        // Each staged kind must notice a misordered replay.
+        let bad = run(Some(schedule.with_misordered_merge()));
+        assert_eq!(seq.counter("tally.rx"), bad.counter("tally.rx"));
+        assert_ne!(
+            seq.histogram("tally.msg").unwrap().values(),
+            bad.histogram("tally.msg").unwrap().values()
+        );
+        assert_ne!(seq.gauge("tally.last"), bad.gauge("tally.last"));
+        assert_ne!(
+            seq.time_series("tally.series").unwrap().points(),
+            bad.time_series("tally.series").unwrap().points()
+        );
+    }
+
     #[test]
     fn worker_count_never_changes_observables() {
         let schedule = ShardSchedule::new((0..8).map(|i| (i % 4) as u32).collect(), 4);
@@ -761,16 +811,12 @@ mod tests {
         let mut par = build_relay_ring(8, 20);
         let schedule = parity_schedule(8);
         let mut seen = 0u64;
-        let mut last_window = None;
-        let report = par.run_sharded(&schedule, None, None, None, |tags| {
-            seen += tags.len() as u64;
-            for t in tags {
-                assert!(!t.is_none());
-                if let Some(w) = last_window {
-                    assert!(t.window >= w);
-                }
-                last_window = Some(t.window);
-            }
+        let report = par.run_sharded(&schedule, None, None, None, |order: &[u32]| {
+            seen += order.len() as u64;
+            // Every window position appears exactly once.
+            let mut positions = order.to_vec();
+            positions.sort_unstable();
+            assert!(positions.into_iter().eq(0..order.len() as u32));
         });
         assert_eq!(seen, report.events_processed);
     }

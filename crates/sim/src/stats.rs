@@ -8,6 +8,7 @@
 
 use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
+use std::ops::Range;
 
 /// A set of named counters, gauges, histograms and time series.
 #[derive(Debug, Default, Clone, Serialize, Deserialize)]
@@ -135,28 +136,109 @@ impl Stats {
     pub fn histograms(&self) -> impl Iterator<Item = (&str, &Histogram)> {
         self.histograms.iter().map(|(k, h)| (k.as_str(), h))
     }
+}
 
-    /// Merges another sink into this one (counters add, gauges overwrite,
-    /// histograms and series concatenate). Used by parallel sweeps.
-    pub fn absorb(&mut self, other: &Stats) {
-        for (k, v) in &other.counters {
-            *self.counters.entry(k.clone()).or_insert(0) += v;
+/// What a handler writes statistics through ([`crate::Context::stats`]).
+///
+/// Counters are `u64` sums, so the order they are added in cannot show:
+/// they always go straight into the kernel's [`Stats`]. Histogram
+/// observations, gauges and series samples are order-sensitive. Inside a
+/// sharded window they are staged, and the barrier replays them into the
+/// [`Stats`] in canonical dispatch order (see [`crate::shard`]).
+pub struct StatsSink<'a> {
+    pub(crate) stats: &'a mut Stats,
+    pub(crate) staged: Option<&'a mut StagedStats>,
+}
+
+impl StatsSink<'_> {
+    /// Adds `delta` to the counter `key` ([`Stats::add`]).
+    #[inline]
+    pub fn add(&mut self, key: &str, delta: u64) {
+        self.stats.add(key, delta);
+    }
+
+    /// Increments the counter `key` by one.
+    #[inline]
+    pub fn incr(&mut self, key: &str) {
+        self.stats.add(key, 1);
+    }
+
+    /// Records `value` into the histogram `key` ([`Stats::observe`]).
+    #[inline]
+    pub fn observe(&mut self, key: &str, value: f64) {
+        self.ordered(key, StatOp::Observe(value));
+    }
+
+    /// Sets the gauge `key` to `value` ([`Stats::set_gauge`]).
+    #[inline]
+    pub fn set_gauge(&mut self, key: &str, value: f64) {
+        self.ordered(key, StatOp::Gauge(value));
+    }
+
+    /// Appends `(tick, value)` to the time series `key` ([`Stats::sample`]).
+    #[inline]
+    pub fn sample(&mut self, key: &str, tick: u64, value: f64) {
+        self.ordered(key, StatOp::Sample(tick, value));
+    }
+
+    fn ordered(&mut self, key: &str, op: StatOp) {
+        match self.staged.as_deref_mut() {
+            Some(staged) => staged.push(key, op),
+            None => op.apply(key, self.stats),
         }
-        for (k, v) in &other.gauges {
-            self.gauges.insert(k.clone(), *v);
+    }
+}
+
+/// An order-sensitive statistics operation.
+#[derive(Debug, Clone, Copy)]
+enum StatOp {
+    Observe(f64),
+    Gauge(f64),
+    Sample(u64, f64),
+}
+
+impl StatOp {
+    fn apply(self, key: &str, stats: &mut Stats) {
+        match self {
+            StatOp::Observe(v) => stats.observe(key, v),
+            StatOp::Gauge(v) => stats.set_gauge(key, v),
+            StatOp::Sample(tick, v) => stats.sample(key, tick, v),
         }
-        for (k, h) in &other.histograms {
-            let dst = self.histograms.entry(k.clone()).or_default();
-            for &v in &h.values {
-                dst.record(v);
-            }
+    }
+}
+
+/// The order-sensitive statistics of one sharded window, in staging order.
+/// Every key is copied into one shared arena, so once the buffers have
+/// grown to a window's size, staging allocates nothing.
+#[derive(Debug, Default)]
+pub(crate) struct StagedStats {
+    ops: Vec<(Range<usize>, StatOp)>,
+    keys: String,
+}
+
+impl StagedStats {
+    /// Number of staged operations.
+    pub(crate) fn len(&self) -> usize {
+        self.ops.len()
+    }
+
+    fn push(&mut self, key: &str, op: StatOp) {
+        let start = self.keys.len();
+        self.keys.push_str(key);
+        self.ops.push((start..self.keys.len(), op));
+    }
+
+    /// Applies the staged operations `range` to `stats`, in staging order.
+    pub(crate) fn replay(&self, range: Range<usize>, stats: &mut Stats) {
+        for (key, op) in &self.ops[range] {
+            op.apply(&self.keys[key.clone()], stats);
         }
-        for (k, s) in &other.series {
-            let dst = self.series.entry(k.clone()).or_default();
-            for &(t, v) in &s.points {
-                dst.push(t, v);
-            }
-        }
+    }
+
+    /// Drops every staged operation and keeps the capacity.
+    pub(crate) fn clear(&mut self) {
+        self.ops.clear();
+        self.keys.clear();
     }
 }
 
@@ -331,25 +413,6 @@ mod tests {
         let ts = s.time_series("energy").unwrap();
         assert_eq!(ts.points(), &[(1, 10.0), (5, 8.0)]);
         assert_eq!(ts.last(), Some((5, 8.0)));
-    }
-
-    #[test]
-    fn absorb_merges_everything() {
-        let mut a = Stats::new();
-        a.add("tx", 2);
-        a.observe("lat", 1.0);
-        let mut b = Stats::new();
-        b.add("tx", 3);
-        b.add("rx", 1);
-        b.observe("lat", 3.0);
-        b.sample("e", 1, 1.0);
-        b.set_gauge("g", 7.0);
-        a.absorb(&b);
-        assert_eq!(a.counter("tx"), 5);
-        assert_eq!(a.counter("rx"), 1);
-        assert_eq!(a.histogram("lat").unwrap().count(), 2);
-        assert_eq!(a.time_series("e").unwrap().points().len(), 1);
-        assert_eq!(a.gauge("g"), Some(7.0));
     }
 
     #[test]
