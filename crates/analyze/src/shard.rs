@@ -699,7 +699,7 @@ pub fn check_shard_accounting(cert: &ShardCertificate, doc: &TraceDocument) -> D
             )
             .with_suggestion(
                 "record the trace from a sharded run with telemetry enabled and the shard \
-                 registry absorbed",
+                 telemetry absorbed",
             ),
         );
         diags.sort();

@@ -2,7 +2,7 @@
 //!
 //! Reads a trace produced by [`wsn_runtime::PhysicalRuntime::record_trace`]
 //! (or any conforming JSONL document) and prints the phase breakdown, span
-//! tree, registry counters, histogram summaries, the hottest nodes by
+//! tree, counters, histogram summaries, the hottest nodes by
 //! energy, and — when the trace carries kernel events — an activity
 //! timeline.
 //!

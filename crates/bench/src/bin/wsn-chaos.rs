@@ -16,11 +16,10 @@
 //! a wrong answer is a bug, is minimized by greedy delta-debugging, and
 //! fails the process (exit 1). A sample of seeds is re-run to prove the
 //! sweep replays bit-identically, and one telemetry-enabled mission
-//! verifies the recovery counters surface in the exported registry.
+//! verifies the recovery counters surface in the exported telemetry.
 
 use std::process::ExitCode;
 use wsn_net::{ChaosPlan, DeploymentSpec, LinkModel, RadioModel};
-use wsn_obs::Registry;
 use wsn_runtime::{PhysicalRuntime, SelfHealConfig};
 use wsn_sim::SimTime;
 use wsn_topoquery::{
@@ -173,7 +172,7 @@ fn determinism_recheck(base: u64, sweep: u64) -> bool {
 }
 
 /// One telemetry-enabled mission with a mid-application leader-killing
-/// crash: the recovery counters must surface in the exported registry.
+/// crash: the recovery counters must surface in the exported telemetry.
 fn registry_check() -> bool {
     let deployment = DeploymentSpec::per_cell(2, 4).generate(21);
     let range = deployment.grid().range_for_adjacent_cell_reachability();
@@ -204,7 +203,7 @@ fn registry_check() -> bool {
         },
         1,
     );
-    let reg: &Registry = rt.telemetry();
+    let reg = rt.telemetry();
     let exported = [
         ("heal.epochs", u64::from(report.epochs)),
         ("heal.reemulations", u64::from(report.heals)),

@@ -906,7 +906,7 @@ fn seeded_mission<P: Clone + 'static>(
 
 /// Runs the full mission (topology emulation → binding → D&C application)
 /// on an emulated deployment with telemetry enabled, and exports the run
-/// as a [`wsn_obs::TraceDocument`]: phase spans, registry counters, kernel
+/// as a [`wsn_obs::TraceDocument`]: phase spans, phase counters, kernel
 /// histograms, per-node energy snapshots, and (when `trace_events` is set)
 /// the complete dispatch log. This is what `netscope --demo` records and
 /// what the determinism suite replays.
@@ -1029,10 +1029,10 @@ pub fn record_model_fidelity_trace_with(
 }
 
 /// Records the seeded model-fidelity run on the sharded engine at
-/// `cut`, with the per-shard telemetry (`shard=`-labeled counters,
-/// gauges, and window histograms from [`PhysicalRuntime::shard_telemetry`])
-/// merged into the exported trace — the document the TC010 shard
-/// accounting check reconciles against the shard certificate.
+/// `cut`, with the per-shard telemetry (`shard=`-labeled counters and
+/// gauges from [`PhysicalRuntime::shard_telemetry`]) merged into the
+/// exported trace — the document the TC010 shard accounting check
+/// reconciles against the shard certificate.
 ///
 /// `skew` plants the runtime's undercounting tap
 /// ([`ShardMutation::UndercountTap`]), the mutation TC010 must catch.
@@ -1047,7 +1047,7 @@ pub fn record_shard_metrics_trace(
     let (engine, field) = (one_lane(cut), uniform_field(side));
     let (rt, _) = seeded_mission(side, per_cell, seed, field, TRACED, engine, mutation, dandc);
     let mut doc = rt.record_trace();
-    doc.absorb_registry(rt.shard_telemetry());
+    doc.absorb_stats(rt.shard_telemetry());
     doc
 }
 

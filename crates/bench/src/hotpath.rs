@@ -134,11 +134,11 @@ pub fn steady_state_hotpath(side: u32, volleys: u64, warmup_rounds: u32) -> Hotp
     steady_state_hotpath_with(side, volleys, warmup_rounds, false)
 }
 
-/// [`steady_state_hotpath`] with the telemetry registry switchable: the
+/// [`steady_state_hotpath`] with the runtime's telemetry switchable: the
 /// `telemetry` variant runs the same mission with every counter, gauge,
 /// and kernel metric live, so the bare-vs-instrumented throughput ratio
 /// is the `telemetry_overhead_pct` column the `obs` gate row bounds. (The
-/// instrumented round is *allowed* to allocate — registry series are
+/// instrumented round is *allowed* to allocate — telemetry series are
 /// heap-keyed; only the bare configuration carries the no-alloc claim.)
 pub fn steady_state_hotpath_with(
     side: u32,

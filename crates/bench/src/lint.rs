@@ -261,9 +261,9 @@ pub fn shard_metrics_figure4(
 /// Best-of-`rounds` steady-state hot-path run (lowest wall clock wins —
 /// the standard way to cut scheduler noise out of a same-machine ratio).
 /// Measured telemetry overhead: percent slowdown of the steady-state
-/// per-event wall cost with the full registry live versus the bare
-/// disabled-registry configuration (whose instrument calls reduce to one
-/// `Option` check — the provably-cheap disabled path). Median of
+/// per-event wall cost with the full telemetry live versus the bare
+/// configuration (whose telemetry writes reduce to one flag check — the
+/// provably-cheap disabled path). Median of
 /// `rounds` sandwich samples (bare → instrumented → bare, the bare cost
 /// centered on the instrumented round so linear machine drift divides
 /// out); negative noise clamps to `0.0`.

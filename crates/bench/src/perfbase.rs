@@ -51,8 +51,8 @@ pub struct RunSnapshot {
     /// only compares the column when both sides measured it.
     pub allocs_per_event: f64,
     /// Telemetry overhead on the steady-state hot path: percent slowdown
-    /// of the per-event wall cost with the full registry live versus the
-    /// bare (disabled-registry) configuration, best-of-run on the same
+    /// of the per-event wall cost with the full telemetry live versus the
+    /// bare (telemetry-off) configuration, best-of-run on the same
     /// machine (see [`crate::lint::telemetry_overhead_pct`]). Machine-
     /// dependent and noisy, so recorded but never drift-gated here; the
     /// absolute ≤10% bound is the `obs` gate row's job. `-1.0` means

@@ -1,9 +1,10 @@
 //! Golden-output tests for the `netscope shards` and `netscope flight`
-//! subcommands: the demo renders are fully seeded (deployment seed,
-//! barrier schedule, and recorder stamps are all deterministic), so the
-//! exact bytes are pinned against committed fixtures. A drift here means
-//! the telemetry or flight-recorder pipeline changed what it records —
-//! regenerate the fixture only when that change is intentional.
+//! subcommands and for the end-to-end trace `netscope --demo` records:
+//! the runs are fully seeded (deployment seed, barrier schedule, and
+//! recorder stamps are all deterministic), so the exact bytes are pinned
+//! against committed fixtures. A drift here means the telemetry or
+//! flight-recorder pipeline changed what it records — regenerate the
+//! fixture only when that change is intentional.
 
 use std::process::Command;
 
@@ -46,6 +47,20 @@ fn flight_waterfall_demo_matches_the_golden_fixture() {
         "netscope flight --demo drifted from the golden fixture; if the \
          change is intentional, regenerate tests/fixtures/flight_waterfall_demo.txt \
          with netscope flight --demo --side 4"
+    );
+}
+
+#[test]
+fn end_to_end_trace_matches_the_golden_fixture() {
+    // Spans, phase and kernel counters, gauges, re-binned histograms,
+    // node snapshots and causal events of one seeded side-4 mission.
+    let doc = wsn_bench::experiments::record_end_to_end_trace(4, 3, 5, false);
+    assert_eq!(
+        doc.to_jsonl(),
+        fixture("end_to_end_trace_side4_seed5.jsonl"),
+        "the exported trace drifted from the golden fixture; if the change \
+         is intentional, regenerate tests/fixtures/end_to_end_trace_side4_seed5.jsonl \
+         from wsn_bench::experiments::record_end_to_end_trace(4, 3, 5, false).to_jsonl()"
     );
 }
 

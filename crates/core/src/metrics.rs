@@ -8,11 +8,8 @@
 
 use serde::{Deserialize, Serialize};
 use wsn_net::EnergyLedger;
-use wsn_obs::Registry;
 
-/// Canonical telemetry counter for application messages sent; platforms
-/// that publish to a [`Registry`] record under this name so
-/// [`RunMetrics::from_registry`] can read it back.
+/// Canonical telemetry counter for application messages sent.
 pub const CTR_MESSAGES: &str = "net.messages";
 /// Canonical telemetry counter for application data units moved.
 pub const CTR_DATA_UNITS: &str = "net.data_units";
@@ -56,19 +53,6 @@ impl RunMetrics {
             data_units,
         }
     }
-
-    /// Builds the bundle by reading the canonical traffic counters
-    /// ([`CTR_MESSAGES`], [`CTR_DATA_UNITS`]) from a telemetry registry.
-    /// A disabled registry reads as zero traffic, so callers can pass the
-    /// same registry handle whether or not telemetry is on.
-    pub fn from_registry(registry: &Registry, ledger: &EnergyLedger, latency_ticks: u64) -> Self {
-        Self::from_ledger(
-            ledger,
-            latency_ticks,
-            registry.counter(CTR_MESSAGES),
-            registry.counter(CTR_DATA_UNITS),
-        )
-    }
 }
 
 #[cfg(test)]
@@ -89,23 +73,6 @@ mod tests {
         assert_eq!(m.messages, 3);
         assert_eq!(m.data_units, 12);
         assert!(m.energy_balance < 1.0);
-    }
-
-    #[test]
-    fn from_registry_reads_canonical_counters() {
-        let mut l = EnergyLedger::unlimited(2);
-        l.charge(0, EnergyKind::Tx, 2.0);
-        let reg = Registry::enabled();
-        reg.incr_by(CTR_MESSAGES, 7);
-        reg.incr_by(CTR_DATA_UNITS, 21);
-        let m = RunMetrics::from_registry(&reg, &l, 5);
-        assert_eq!(m.messages, 7);
-        assert_eq!(m.data_units, 21);
-        assert_eq!(m.latency_ticks, 5);
-        assert_eq!(m.total_energy, 2.0);
-        // A disabled registry degrades to zero traffic, not a panic.
-        let off = RunMetrics::from_registry(&Registry::disabled(), &l, 5);
-        assert_eq!(off.messages, 0);
     }
 
     #[test]

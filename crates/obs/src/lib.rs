@@ -1,12 +1,11 @@
 //! # wsn-obs — telemetry for the WSN reproduction stack
 //!
-//! Observability primitives shared by every layer of the reproduction:
+//! Observability primitives shared by every layer of the reproduction.
+//! Metrics themselves live in [`wsn_sim::Stats`] stores, the one metric
+//! store of the stack: the kernel's run statistics, and the runtime's phase
+//! telemetry and per-shard accounting, which it writes at phase
+//! boundaries. This crate turns them into records and renders them:
 //!
-//! * [`Registry`] — named monotonic counters, gauges, and fixed-bucket
-//!   histograms behind a cheaply cloneable handle. The disabled registry
-//!   reduces every instrument call to a single `Option` check, so hot
-//!   paths (per-message counters in the routing layer, per-event kernel
-//!   metrics) can call it unconditionally.
 //! * [`SpanRecorder`] / [`SpanNode`] — phase-scoped spans over simulated
 //!   time. The runtime driver opens a span per mission phase
 //!   (topology-emulation, binding, application) and per quadtree merge
@@ -14,15 +13,14 @@
 //!   total run, which is exactly what the paper's phase-latency analysis
 //!   needs.
 //! * [`TraceDocument`] — a JSONL serialization of a whole run: meta line,
-//!   span trees, registry contents, per-node resource snapshots, and the
-//!   kernel event stream. Round-trips losslessly through
+//!   span trees, counters, gauges and histograms absorbed from [`wsn_sim::Stats`]
+//!   stores ([`TraceDocument::absorb_stats`], which re-bins each exact
+//!   histogram into a [`FixedHistogram`]), per-node resource snapshots,
+//!   and the kernel event stream. Round-trips losslessly through
 //!   [`TraceDocument::to_jsonl`] / [`TraceDocument::from_jsonl`] with a
 //!   built-in parser (no external JSON dependency).
-//! * [`JsonlEventSink`] — a [`wsn_sim::TraceSink`] that streams kernel
-//!   events into a JSONL buffer as they dispatch, keeping kernel memory
-//!   bounded on long runs.
 //! * [`render_span_forest`] / [`render_timeline`] /
-//!   [`Registry::render_prometheus`] — human-readable sinks: an ASCII
+//!   [`TraceDocument::render_prometheus`] — human-readable sinks: an ASCII
 //!   span tree with durations and shares, a per-node activity timeline,
 //!   and a Prometheus-style text dump.
 //! * [`HbDag`] / [`extract_critical_path`] — the causal layer: a
@@ -53,10 +51,8 @@ pub use critpath::{extract_critical_path, CriticalPath, PathSegment, SegmentKind
 pub use diff::render_trace_diff;
 pub use flight::{FlightDump, FlightDumpRec, FlightParseError, FlightShard, FLIGHT_SCHEMA_VERSION};
 pub use json::{Json, JsonError};
-pub use registry::{labeled, split_labels, FixedHistogram, Registry, TICK_BUCKETS};
+pub use registry::{labeled, split_labels, FixedHistogram, TICK_BUCKETS};
 pub use shardview::{shard_table, ShardRow, ShardTable};
 pub use span::{render_span_forest, SpanNode, SpanRecorder};
 pub use timeline::{render_timeline, TimelineConfig};
-pub use trace::{
-    JsonlEventSink, NodeSnapshot, TraceDocument, TraceMeta, TraceParseError, TRACE_SCHEMA_VERSION,
-};
+pub use trace::{NodeSnapshot, TraceDocument, TraceMeta, TraceParseError, TRACE_SCHEMA_VERSION};

@@ -1,31 +1,26 @@
-//! Named counters, gauges, and fixed-bucket histograms.
+//! Metric keys, fixed-bucket histograms, and Prometheus text.
 //!
-//! A [`Registry`] is a cheaply cloneable handle to a shared metric store
-//! (nodes, the runtime driver, and the exporter all hold clones). The
-//! disabled registry holds no store at all, so every instrument call is a
-//! single `Option` discriminant check — hot paths can call it
-//! unconditionally.
-//!
-//! Counters are monotonic `u64`s, gauges are last-write-wins `f64`s, and
-//! histograms count observations into a fixed set of upper-bound buckets
-//! (Prometheus-style `le` semantics: bucket `i` counts values `<=
-//! uppers[i]`, with an implicit `+Inf` bucket at the end).
+//! The stack keeps its metrics in [`wsn_sim::Stats`] stores; a
+//! [`TraceDocument`] absorbs them ([`TraceDocument::absorb_stats`]), with
+//! each exact histogram re-binned into a [`FixedHistogram`] over
+//! [`TICK_BUCKETS`]. Fixed histograms count observations into a fixed set
+//! of upper-bound buckets (Prometheus-style `le` semantics: bucket `i`
+//! counts values `<= uppers[i]`, with an implicit `+Inf` bucket at the
+//! end).
 //!
 //! ## Label dimensions
 //!
 //! Metric keys may carry label pairs after `|` separators:
 //! `shard.events|shard=3` is the metric `shard.events` with label
 //! `shard="3"` (build keys with [`labeled`]). Storage and JSONL traces
-//! keep the raw key; [`Registry::render_prometheus`] splits it and emits
-//! proper exposition-format series — metric and label names sanitized to
-//! the Prometheus charset, label values escaped per the text format
-//! (`\` → `\\`, `"` → `\"`, newline → `\n`).
+//! keep the raw key; [`TraceDocument::render_prometheus`] splits it and
+//! emits proper exposition-format series — metric and label names
+//! sanitized to the Prometheus charset, label values escaped per the text
+//! format (`\` → `\\`, `"` → `\"`, newline → `\n`).
 
-use std::cell::RefCell;
-use std::collections::BTreeMap;
-use std::rc::Rc;
+use crate::trace::TraceDocument;
 
-/// Builds a registry key carrying label dimensions: `name|k=v|k2=v2`.
+/// Builds a metric key carrying label dimensions: `name|k=v|k2=v2`.
 /// Keys compare textually, so series of one metric sort together.
 pub fn labeled(name: &str, labels: &[(&str, &str)]) -> String {
     let mut key = String::from(name);
@@ -38,7 +33,7 @@ pub fn labeled(name: &str, labels: &[(&str, &str)]) -> String {
     key
 }
 
-/// Splits a registry key into its metric name and label pairs.
+/// Splits a metric key into its metric name and label pairs.
 pub fn split_labels(key: &str) -> (&str, Vec<(&str, &str)>) {
     let mut parts = key.split('|');
     let base = parts.next().unwrap_or(key);
@@ -195,188 +190,12 @@ impl FixedHistogram {
     }
 }
 
-#[derive(Debug, Default)]
-struct Inner {
-    counters: BTreeMap<String, u64>,
-    gauges: BTreeMap<String, f64>,
-    histograms: BTreeMap<String, FixedHistogram>,
-}
-
-/// Shared handle to a metric store; see the module docs.
-#[derive(Debug, Clone, Default)]
-pub struct Registry {
-    inner: Option<Rc<RefCell<Inner>>>,
-}
-
-impl Registry {
-    /// A registry that records nothing; every call is a no-op.
-    pub fn disabled() -> Self {
-        Registry { inner: None }
-    }
-
-    /// A live registry; clones share the same store.
-    pub fn enabled() -> Self {
-        Registry {
-            inner: Some(Rc::new(RefCell::new(Inner::default()))),
-        }
-    }
-
-    /// Whether instrument calls record anything.
-    #[inline]
-    pub fn is_enabled(&self) -> bool {
-        self.inner.is_some()
-    }
-
-    /// Increments the named monotonic counter by 1.
-    #[inline]
-    pub fn incr(&self, name: &str) {
-        self.incr_by(name, 1);
-    }
-
-    /// Increments the named monotonic counter by `by`.
-    #[inline]
-    pub fn incr_by(&self, name: &str, by: u64) {
-        if let Some(inner) = &self.inner {
-            let mut inner = inner.borrow_mut();
-            if let Some(v) = inner.counters.get_mut(name) {
-                *v += by;
-            } else {
-                inner.counters.insert(name.to_string(), by);
-            }
-        }
-    }
-
-    /// Sets the named gauge.
-    #[inline]
-    pub fn gauge_set(&self, name: &str, value: f64) {
-        if let Some(inner) = &self.inner {
-            let mut inner = inner.borrow_mut();
-            if let Some(v) = inner.gauges.get_mut(name) {
-                *v = value;
-            } else {
-                inner.gauges.insert(name.to_string(), value);
-            }
-        }
-    }
-
-    /// Adds to the named gauge (starting from 0).
-    #[inline]
-    pub fn gauge_add(&self, name: &str, delta: f64) {
-        if let Some(inner) = &self.inner {
-            let mut inner = inner.borrow_mut();
-            if let Some(v) = inner.gauges.get_mut(name) {
-                *v += delta;
-            } else {
-                inner.gauges.insert(name.to_string(), delta);
-            }
-        }
-    }
-
-    /// Records an observation into the named histogram, creating it with
-    /// [`TICK_BUCKETS`] on first use.
-    #[inline]
-    pub fn observe(&self, name: &str, value: f64) {
-        self.observe_with(name, value, &TICK_BUCKETS);
-    }
-
-    /// Records an observation, creating the histogram with the given
-    /// bucket bounds on first use (later calls ignore `buckets`).
-    #[inline]
-    pub fn observe_with(&self, name: &str, value: f64, buckets: &[f64]) {
-        if let Some(inner) = &self.inner {
-            let mut inner = inner.borrow_mut();
-            if let Some(h) = inner.histograms.get_mut(name) {
-                h.record(value);
-            } else {
-                let mut h = FixedHistogram::new(buckets);
-                h.record(value);
-                inner.histograms.insert(name.to_string(), h);
-            }
-        }
-    }
-
-    /// Current value of a counter (0 if never incremented or disabled).
-    pub fn counter(&self, name: &str) -> u64 {
-        self.inner
-            .as_ref()
-            .and_then(|i| i.borrow().counters.get(name).copied())
-            .unwrap_or(0)
-    }
-
-    /// Current value of a gauge.
-    pub fn gauge(&self, name: &str) -> Option<f64> {
-        self.inner
-            .as_ref()
-            .and_then(|i| i.borrow().gauges.get(name).copied())
-    }
-
-    /// Installs a prebuilt histogram under `name` (merging by replace).
-    /// Used by recorders that aggregate outside the registry — e.g. the
-    /// per-shard window histograms the sharded kernel fills in plain
-    /// arrays — and publish the finished snapshot afterwards.
-    pub fn install_histogram(&self, name: &str, histogram: FixedHistogram) {
-        if let Some(inner) = &self.inner {
-            inner
-                .borrow_mut()
-                .histograms
-                .insert(name.to_string(), histogram);
-        }
-    }
-
-    /// Snapshot of a histogram.
-    pub fn histogram(&self, name: &str) -> Option<FixedHistogram> {
-        self.inner
-            .as_ref()
-            .and_then(|i| i.borrow().histograms.get(name).cloned())
-    }
-
-    /// All counters, sorted by name.
-    pub fn counters(&self) -> Vec<(String, u64)> {
-        self.inner
-            .as_ref()
-            .map(|i| {
-                i.borrow()
-                    .counters
-                    .iter()
-                    .map(|(k, &v)| (k.clone(), v))
-                    .collect()
-            })
-            .unwrap_or_default()
-    }
-
-    /// All gauges, sorted by name.
-    pub fn gauges(&self) -> Vec<(String, f64)> {
-        self.inner
-            .as_ref()
-            .map(|i| {
-                i.borrow()
-                    .gauges
-                    .iter()
-                    .map(|(k, &v)| (k.clone(), v))
-                    .collect()
-            })
-            .unwrap_or_default()
-    }
-
-    /// All histograms, sorted by name.
-    pub fn histograms(&self) -> Vec<(String, FixedHistogram)> {
-        self.inner
-            .as_ref()
-            .map(|i| {
-                i.borrow()
-                    .histograms
-                    .iter()
-                    .map(|(k, v)| (k.clone(), v.clone()))
-                    .collect()
-            })
-            .unwrap_or_default()
-    }
-
-    /// Renders every metric in the Prometheus text exposition format.
-    /// Metric names are sanitized to the exposition charset, label-keyed
-    /// series (see [`labeled`]) get proper `{k="v"}` label sets with
-    /// escaped values, and a `# TYPE` line is emitted once per metric
-    /// name even when many label series share it.
+impl TraceDocument {
+    /// Renders every counter, gauge and histogram in the Prometheus text
+    /// exposition format, in document order. Metric names are sanitized to
+    /// the exposition charset, label-keyed series (see [`labeled`]) get
+    /// proper `{k="v"}` label sets with escaped values, and a `# TYPE`
+    /// line is emitted once per run of series that share a metric name.
     pub fn render_prometheus(&self) -> String {
         fn type_line(out: &mut String, typed: &mut Option<String>, name: &str, kind: &str) {
             if typed.as_deref() != Some(name) {
@@ -386,20 +205,20 @@ impl Registry {
         }
         let mut out = String::new();
         let mut typed: Option<String> = None;
-        for (key, value) in self.counters() {
-            let (name, labels) = split_series(&key);
+        for (key, value) in &self.counters {
+            let (name, labels) = split_series(key);
             type_line(&mut out, &mut typed, &name, "counter");
             out.push_str(&format!("{name}{labels} {value}\n"));
         }
         typed = None;
-        for (key, value) in self.gauges() {
-            let (name, labels) = split_series(&key);
+        for (key, value) in &self.gauges {
+            let (name, labels) = split_series(key);
             type_line(&mut out, &mut typed, &name, "gauge");
             out.push_str(&format!("{name}{labels} {value}\n"));
         }
         typed = None;
-        for (key, h) in self.histograms() {
-            let (name, labels) = split_series(&key);
+        for (key, h) in &self.histograms {
+            let (name, labels) = split_series(key);
             type_line(&mut out, &mut typed, &name, "histogram");
             let mut cumulative = 0u64;
             for (i, &c) in h.bucket_counts().iter().enumerate() {
@@ -419,7 +238,7 @@ impl Registry {
     }
 }
 
-/// Splits a raw registry key into a sanitized metric name and a rendered
+/// Splits a raw metric key into a sanitized metric name and a rendered
 /// label block (`{k="v",...}`, or empty when the key carries no labels).
 fn split_series(key: &str) -> (String, String) {
     let (base, labels) = split_labels(key);
@@ -477,40 +296,13 @@ fn sanitize(name: &str) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use wsn_sim::Stats;
 
-    #[test]
-    fn disabled_registry_records_nothing() {
-        let r = Registry::disabled();
-        r.incr("a");
-        r.gauge_set("g", 1.0);
-        r.observe("h", 2.0);
-        assert!(!r.is_enabled());
-        assert_eq!(r.counter("a"), 0);
-        assert_eq!(r.gauge("g"), None);
-        assert!(r.histogram("h").is_none());
-        assert!(r.counters().is_empty());
-        assert!(r.render_prometheus().is_empty());
-    }
-
-    #[test]
-    fn counters_are_monotonic_and_shared_across_clones() {
-        let r = Registry::enabled();
-        let clone = r.clone();
-        r.incr("msgs");
-        clone.incr_by("msgs", 4);
-        assert_eq!(r.counter("msgs"), 5);
-        assert_eq!(clone.counter("msgs"), 5);
-        assert_eq!(r.counters(), vec![("msgs".to_string(), 5)]);
-    }
-
-    #[test]
-    fn gauges_set_and_add() {
-        let r = Registry::enabled();
-        r.gauge_set("energy", 2.5);
-        r.gauge_add("energy", 1.5);
-        r.gauge_add("fresh", 1.0);
-        assert_eq!(r.gauge("energy"), Some(4.0));
-        assert_eq!(r.gauge("fresh"), Some(1.0));
+    /// A document holding everything `stats` holds.
+    fn document(stats: &Stats) -> TraceDocument {
+        let mut doc = TraceDocument::new();
+        doc.absorb_stats(stats);
+        doc
     }
 
     #[test]
@@ -567,25 +359,26 @@ mod tests {
 
     #[test]
     fn empty_registry_reads_report_zeros_not_panics() {
-        let r = Registry::enabled();
-        assert_eq!(r.counter("never.touched"), 0);
-        assert_eq!(r.gauge("never.touched"), None);
-        assert!(r.histogram("never.touched").is_none());
-        assert!(r.counters().is_empty());
-        assert!(r.render_prometheus().is_empty());
+        let doc = document(&Stats::new());
+        assert_eq!(doc.counter("never.touched"), 0);
+        assert!(doc.counters.is_empty());
+        assert!(doc.gauges.is_empty());
+        assert!(doc.histograms.is_empty());
+        assert!(doc.render_prometheus().is_empty());
     }
 
     #[test]
     fn prometheus_dump_contains_all_kinds() {
-        let r = Registry::enabled();
-        r.incr("app.messages");
-        r.gauge_set("energy.total", 1.25);
-        r.observe_with("latency", 3.0, &[1.0, 4.0]);
-        let text = r.render_prometheus();
+        let mut s = Stats::new();
+        s.incr("app.messages");
+        s.set_gauge("energy.total", 1.25);
+        s.observe("latency", 3.0);
+        let text = document(&s).render_prometheus();
         assert!(text.contains("# TYPE app_messages counter"));
         assert!(text.contains("app_messages 1"));
         assert!(text.contains("# TYPE energy_total gauge"));
         assert!(text.contains("energy_total 1.25"));
+        assert!(text.contains("latency_bucket{le=\"2\"} 0"));
         assert!(text.contains("latency_bucket{le=\"4\"} 1"));
         assert!(text.contains("latency_bucket{le=\"+Inf\"} 1"));
         assert!(text.contains("latency_count 1"));
@@ -605,11 +398,11 @@ mod tests {
 
     #[test]
     fn prometheus_renders_label_series_under_one_type_line() {
-        let r = Registry::enabled();
-        r.incr_by(&labeled("shard.events", &[("shard", "0")]), 7);
-        r.incr_by(&labeled("shard.events", &[("shard", "1")]), 9);
-        r.incr_by(&labeled("shard.events", &[("shard", "global")]), 2);
-        let text = r.render_prometheus();
+        let mut s = Stats::new();
+        s.add(&labeled("shard.events", &[("shard", "0")]), 7);
+        s.add(&labeled("shard.events", &[("shard", "1")]), 9);
+        s.add(&labeled("shard.events", &[("shard", "global")]), 2);
+        let text = document(&s).render_prometheus();
         assert_eq!(text.matches("# TYPE shard_events counter").count(), 1);
         assert!(text.contains("shard_events{shard=\"0\"} 7\n"));
         assert!(text.contains("shard_events{shard=\"1\"} 9\n"));
@@ -618,9 +411,9 @@ mod tests {
 
     #[test]
     fn prometheus_escapes_label_values() {
-        let r = Registry::enabled();
-        r.incr(&labeled("paths", &[("dir", "a\\b\"c\nd")]));
-        let text = r.render_prometheus();
+        let mut s = Stats::new();
+        s.incr(&labeled("paths", &[("dir", "a\\b\"c\nd")]));
+        let text = document(&s).render_prometheus();
         // Exposition format: \ -> \\, " -> \", newline -> the two
         // characters `\n`. Locked byte-for-byte.
         assert!(
@@ -640,10 +433,10 @@ mod tests {
 
     #[test]
     fn prometheus_sanitizes_metric_and_label_names() {
-        let r = Registry::enabled();
-        r.gauge_set(&labeled("queue-depth.max", &[("shard-id", "2")]), 5.0);
-        r.incr("0weird");
-        let text = r.render_prometheus();
+        let mut s = Stats::new();
+        s.set_gauge(&labeled("queue-depth.max", &[("shard-id", "2")]), 5.0);
+        s.incr("0weird");
+        let text = document(&s).render_prometheus();
         assert!(text.contains("queue_depth_max{shard_id=\"2\"} 5\n"));
         // A leading digit is not a valid metric-name start.
         assert!(text.contains("_0weird 1\n"));
@@ -651,25 +444,16 @@ mod tests {
 
     #[test]
     fn prometheus_merges_le_into_histogram_label_sets() {
-        let r = Registry::enabled();
-        let key = labeled("shard.window", &[("shard", "1")]);
-        r.observe_with(&key, 3.0, &[1.0, 4.0]);
-        r.observe_with(&key, 9.0, &[1.0, 4.0]);
-        let text = r.render_prometheus();
+        let mut doc = TraceDocument::new();
+        let mut h = FixedHistogram::new(&[1.0, 4.0]);
+        h.record(3.0);
+        h.record(9.0);
+        doc.histograms
+            .push((labeled("shard.window", &[("shard", "1")]), h));
+        let text = doc.render_prometheus();
         assert!(text.contains("shard_window_bucket{shard=\"1\",le=\"4\"} 1\n"));
         assert!(text.contains("shard_window_bucket{shard=\"1\",le=\"+Inf\"} 2\n"));
         assert!(text.contains("shard_window_sum{shard=\"1\"} 12\n"));
         assert!(text.contains("shard_window_count{shard=\"1\"} 2\n"));
-    }
-
-    #[test]
-    fn install_histogram_publishes_prebuilt_snapshot() {
-        let r = Registry::enabled();
-        let h = FixedHistogram::from_parts(vec![1.0, 2.0], vec![3, 4, 5], 12, 30.0, 0.5, 9.0);
-        r.install_histogram(&labeled("shard.win", &[("shard", "0")]), h.clone());
-        assert_eq!(r.histogram("shard.win|shard=0"), Some(h));
-        let text = r.render_prometheus();
-        assert!(text.contains("shard_win_bucket{shard=\"0\",le=\"2\"} 7\n"));
-        assert!(text.contains("shard_win_count{shard=\"0\"} 12\n"));
     }
 }

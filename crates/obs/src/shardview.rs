@@ -2,7 +2,7 @@
 //!
 //! A shard-metrics trace (recorded by `wsn_bench::experiments::record_shard_metrics_trace`
 //! or `netscope shards --demo`) carries the engine's per-shard accounting as
-//! `shard=`-labeled registry series. [`shard_table`] folds those series back
+//! `shard=`-labeled series. [`shard_table`] folds those series back
 //! into one row per shard — events dispatched, cross-shard traffic staged and
 //! applied at the epoch barrier, the barrier-stall proxy, and the lane queue
 //! depths — plus the reconciliation verdict the TC010 conformance check

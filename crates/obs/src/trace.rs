@@ -16,17 +16,14 @@
 //!
 //! [`TraceDocument`] is the in-memory form; [`TraceDocument::to_jsonl`] and
 //! [`TraceDocument::from_jsonl`] convert losslessly in both directions.
-//! [`JsonlEventSink`] implements the kernel's [`TraceSink`] so per-event
-//! records stream straight into a JSONL buffer instead of accumulating in
-//! kernel memory.
+//! [`TraceDocument::absorb_stats`] is the one path from a metric store into
+//! a trace.
 
 use crate::json::Json;
-use crate::registry::{FixedHistogram, Registry};
+use crate::registry::FixedHistogram;
 use crate::span::SpanNode;
-use std::cell::RefCell;
 use std::fmt;
-use std::rc::Rc;
-use wsn_sim::{CausalEvent, CausalKind, SimTime, TraceEntry, TraceKind, TraceSink};
+use wsn_sim::{CausalEvent, CausalKind, SimTime, Stats, TraceEntry, TraceKind};
 
 /// The JSONL trace schema this writer emits and this reader understands.
 /// Bumped on any incompatible record-shape change; see
@@ -132,11 +129,20 @@ impl TraceDocument {
         TraceDocument::default()
     }
 
-    /// Copies every counter, gauge, and histogram out of `registry`.
-    pub fn absorb_registry(&mut self, registry: &Registry) {
-        self.counters.extend(registry.counters());
-        self.gauges.extend(registry.gauges());
-        self.histograms.extend(registry.histograms());
+    /// Appends every counter and gauge of `stats`, and every histogram
+    /// re-binned into [`crate::TICK_BUCKETS`], each kind in key order.
+    pub fn absorb_stats(&mut self, stats: &Stats) {
+        self.counters
+            .extend(stats.counters().map(|(key, v)| (key.to_string(), v)));
+        self.gauges
+            .extend(stats.gauges().map(|(key, v)| (key.to_string(), v)));
+        for (key, h) in stats.histograms() {
+            let mut fixed = FixedHistogram::ticks();
+            for &v in h.values() {
+                fixed.record(v);
+            }
+            self.histograms.push((key.to_string(), fixed));
+        }
     }
 
     /// Counter value by name (0 when absent).
@@ -542,43 +548,9 @@ fn causal_from_json(v: &Json) -> Result<CausalEvent, &'static str> {
     })
 }
 
-/// A [`TraceSink`] that renders each kernel event as an `ev` JSONL line
-/// into a shared string buffer.
-///
-/// The buffer is shared via `Rc<RefCell<…>>`: the sink moves into the
-/// tracer (the kernel owns it), while the creator keeps the returned
-/// handle to read the lines back out afterwards.
-#[derive(Debug, Clone, Default)]
-pub struct JsonlEventSink {
-    buf: Rc<RefCell<String>>,
-}
-
-impl JsonlEventSink {
-    /// Creates a sink and a second handle to its buffer.
-    pub fn new() -> (Self, Rc<RefCell<String>>) {
-        let sink = JsonlEventSink::default();
-        let handle = Rc::clone(&sink.buf);
-        (sink, handle)
-    }
-
-    /// Lines written so far.
-    pub fn contents(&self) -> String {
-        self.buf.borrow().clone()
-    }
-}
-
-impl TraceSink for JsonlEventSink {
-    fn record(&mut self, entry: &TraceEntry) {
-        let mut buf = self.buf.borrow_mut();
-        buf.push_str(&event_to_json(entry).render());
-        buf.push('\n');
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use wsn_sim::Tracer;
 
     fn t(ticks: u64) -> SimTime {
         SimTime::from_ticks(ticks)
@@ -777,37 +749,27 @@ mod tests {
 
     #[test]
     fn registry_absorbed_into_document() {
-        let reg = Registry::enabled();
-        reg.incr_by("app.msgs", 9);
-        reg.gauge_set("energy", 3.5);
-        reg.observe("lat", 2.0);
+        let mut stats = Stats::new();
+        stats.add("app.msgs", 9);
+        stats.set_gauge("energy", 3.5);
+        stats.observe("lat", 2.0);
+        stats.observe("lat", 5000.0);
         let mut doc = TraceDocument::new();
-        doc.absorb_registry(&reg);
+        doc.absorb_stats(&stats);
         assert_eq!(doc.counter("app.msgs"), 9);
         assert_eq!(doc.gauges, vec![("energy".to_string(), 3.5)]);
-        assert_eq!(doc.histograms.len(), 1);
+        // The exact histogram is re-binned into the tick buckets.
+        let (name, h) = &doc.histograms[0];
+        assert_eq!(name, "lat");
+        assert_eq!(h.uppers(), &crate::TICK_BUCKETS);
+        assert_eq!(
+            (h.count(), h.sum(), h.min(), h.max()),
+            (2, 5002.0, 2.0, 5000.0)
+        );
+        assert_eq!(h.bucket_counts()[1], 1);
+        assert_eq!(h.bucket_counts()[crate::TICK_BUCKETS.len()], 1);
         let text = doc.to_jsonl();
         let parsed = TraceDocument::from_jsonl(&text).unwrap();
-        assert_eq!(parsed.histograms[0].1.count(), 1);
-    }
-
-    #[test]
-    fn jsonl_sink_streams_kernel_events() {
-        let (sink, handle) = JsonlEventSink::new();
-        let mut tracer = Tracer::streaming(Box::new(sink));
-        for i in 0..3u64 {
-            tracer.record(TraceEntry {
-                time: t(i),
-                target: 0,
-                kind: TraceKind::Timer,
-                a: 0,
-                b: i,
-            });
-        }
-        let text = handle.borrow().clone();
-        assert_eq!(text.lines().count(), 3);
-        let doc = TraceDocument::from_jsonl(&text).unwrap();
-        assert_eq!(doc.events.len(), 3);
-        assert_eq!(doc.events[2].b, 2);
+        assert_eq!(parsed.histograms, doc.histograms);
     }
 }

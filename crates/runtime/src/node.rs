@@ -2,7 +2,7 @@
 //! forwarding.
 
 use crate::messages::{AppEnvelope, RtMsg};
-use std::cell::RefCell;
+use std::cell::{Cell, RefCell};
 use std::collections::{HashMap, HashSet};
 use std::rc::Rc;
 use wsn_core::{Direction, Exfiltrated, GridCoord, NodeApi, NodeProgram, VirtualGrid};
@@ -93,20 +93,27 @@ pub(crate) struct RtShared<P> {
     /// `exfil` in canonical order at the window barrier, so the buffer
     /// reads exactly as a sequential run would have written it.
     pub tap: RefCell<Option<wsn_sim::OrderTap>>,
-    pub staged_exfil: RefCell<Vec<(u32, Exfiltrated<P>)>>,
+    pub staged_exfil: RefCell<Vec<StagedExfil<P>>>,
 }
 
-impl<P: Clone> RtShared<P> {
+/// An exfiltration staged under its window position. The `Cell` lets the
+/// barrier move the entry out while the replay reads the positions.
+type StagedExfil<P> = (u32, Cell<Option<Exfiltrated<P>>>);
+
+impl<P> RtShared<P> {
     /// Records one exfiltration, staging it when a sharded window is in
     /// progress (see the `tap` field).
     pub fn push_exfil(&self, e: Exfiltrated<P>) {
         match self.tap.borrow().as_ref().and_then(|t| t.get()) {
             None => self.exfil.borrow_mut().push(e),
-            Some(pos) => self.staged_exfil.borrow_mut().push((pos, e)),
+            Some(pos) => self
+                .staged_exfil
+                .borrow_mut()
+                .push((pos, Cell::new(Some(e)))),
         }
     }
 
-    /// Flushes staged exfiltrations into the main buffer in canonical
+    /// Moves staged exfiltrations into the main buffer in canonical
     /// window order (`order` from the scheduler's barrier hook; each
     /// dispatch's exfiltrations keep their append order).
     pub fn assign_exfil_order(&self, order: &[u32], replay: &mut wsn_sim::BarrierReplay) {
@@ -115,8 +122,8 @@ impl<P: Clone> RtShared<P> {
             return;
         }
         let mut exfil = self.exfil.borrow_mut();
-        replay.replay(order, staged.iter().map(|&(pos, _)| pos), |i| {
-            exfil.push(staged[i].1.clone());
+        replay.replay(order, staged.iter().map(|(pos, _)| *pos), |i| {
+            exfil.extend(staged[i].1.take());
         });
         staged.clear();
     }

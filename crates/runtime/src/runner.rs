@@ -34,13 +34,11 @@ use wsn_net::{
     SharedMedium, UnitDiskGraph,
 };
 use wsn_obs::{
-    labeled, FixedHistogram, FlightDump, NodeSnapshot, Registry, SpanNode, SpanRecorder,
-    TraceDocument, TraceMeta,
+    labeled, FlightDump, NodeSnapshot, SpanNode, SpanRecorder, TraceDocument, TraceMeta,
 };
 use wsn_sim::{
     order_tap, shared_causal_log, ActorId, BarrierReplay, FlightRecorder, Kernel, OrderTap,
-    RunReport, ShardObs, ShardSchedule, SharedCausalLog, SimTime, Stats, StopReason, Tracer,
-    WindowHist, WINDOW_HIST_UPPERS,
+    RunReport, ShardObs, ShardSchedule, SharedCausalLog, SimTime, Stats, StopReason,
 };
 
 /// Result of one topology-emulation run.
@@ -243,15 +241,15 @@ pub struct PhysicalRuntime<P: Clone + 'static> {
     seed: u64,
     /// Kernel events dispatched across every phase so far.
     events_total: u64,
-    /// Phase-scoped counters/histograms; disabled unless
+    /// Phase counters and gauges mirroring the phase reports; empty unless
     /// [`PhysicalRuntime::enable_telemetry`] was called.
-    telemetry: Registry,
+    telemetry: Stats,
     /// Per-shard accounting from sharded runs (`shard=`-labeled keys),
     /// kept apart from `telemetry` because it exists only on the sharded
-    /// engine: folding it into the main registry would make
+    /// engine: folding it into the main store would make
     /// [`PhysicalRuntime::record_trace`] documents differ between
     /// engines, which the bit-identical differential suite forbids.
-    shard_telemetry: Registry,
+    shard_telemetry: Stats,
     /// Phase span tree, populated only while telemetry is enabled.
     spans: SpanRecorder,
     /// Causal event log shared with the medium and every node; `None`
@@ -350,8 +348,8 @@ impl<P: Clone + 'static> PhysicalRuntime<P> {
             exfil_seen: 0,
             seed,
             events_total: 0,
-            telemetry: Registry::disabled(),
-            shard_telemetry: Registry::disabled(),
+            telemetry: Stats::new(),
+            shard_telemetry: Stats::new(),
             spans: SpanRecorder::new(),
             causal: None,
             tx_scratch: Vec::new(),
@@ -363,32 +361,44 @@ impl<P: Clone + 'static> PhysicalRuntime<P> {
         }
     }
 
-    /// Turns the telemetry layer on: phase spans, a live counter registry
-    /// mirroring the phase reports, and kernel dispatch-latency /
-    /// queue-depth histograms. With `trace_events`, the kernel also
-    /// records every dispatched event (memory grows with the run — meant
-    /// for inspection traces, not parameter sweeps).
+    /// Turns the telemetry layer on: phase spans, phase counters and
+    /// gauges mirroring the phase reports, per-shard accounting of sharded
+    /// runs, and kernel dispatch-latency / queue-depth histograms. With
+    /// `trace_events`, the kernel also records every dispatched event
+    /// (memory grows with the run — meant for inspection traces, not
+    /// parameter sweeps).
     pub fn enable_telemetry(&mut self, trace_events: bool) {
-        self.telemetry = Registry::enabled();
-        self.shard_telemetry = Registry::enabled();
         self.kernel.enable_metrics();
         if trace_events {
-            self.kernel.set_tracer(Tracer::enabled());
+            self.kernel.enable_tracing();
         }
     }
 
-    /// The telemetry registry (disabled and empty unless
+    /// Whether [`PhysicalRuntime::enable_telemetry`] was called: it is the
+    /// only switch for the kernel's metrics.
+    fn telemetry_on(&self) -> bool {
+        self.kernel.metrics_enabled()
+    }
+
+    /// Adds `delta` to the phase counter `key` while telemetry is on.
+    fn tally(&mut self, key: &str, delta: u64) {
+        if self.telemetry_on() {
+            self.telemetry.add(key, delta);
+        }
+    }
+
+    /// The phase counters and gauges (empty unless
     /// [`PhysicalRuntime::enable_telemetry`] was called).
-    pub fn telemetry(&self) -> &Registry {
+    pub fn telemetry(&self) -> &Stats {
         &self.telemetry
     }
 
-    /// Per-shard accounting registry filled by sharded runs (empty and
-    /// disabled unless telemetry is on — and untouched by sequential
-    /// runs, which have no shards). Keys carry a `shard=` label built
-    /// with [`wsn_obs::labeled`]; merge it into a trace document with
-    /// [`TraceDocument::absorb_registry`] when exporting shard metrics.
-    pub fn shard_telemetry(&self) -> &Registry {
+    /// Per-shard accounting filled by sharded runs (empty unless
+    /// telemetry is on — and untouched by sequential runs, which have no
+    /// shards). Keys carry a `shard=` label built with
+    /// [`wsn_obs::labeled`]; merge it into a trace document with
+    /// [`TraceDocument::absorb_stats`] when exporting shard metrics.
+    pub fn shard_telemetry(&self) -> &Stats {
         &self.shard_telemetry
     }
 
@@ -460,13 +470,13 @@ impl<P: Clone + 'static> PhysicalRuntime<P> {
     }
 
     fn span_open(&mut self, name: &str) {
-        if self.telemetry.is_enabled() {
+        if self.telemetry_on() {
             self.spans.open(name, self.kernel.now());
         }
     }
 
     fn span_close(&mut self, events: u64) {
-        if self.telemetry.is_enabled() {
+        if self.telemetry_on() {
             self.spans.close(self.kernel.now(), events);
         }
     }
@@ -528,7 +538,7 @@ impl<P: Clone + 'static> PhysicalRuntime<P> {
         self.events_total += run.events_processed;
         self.span_close(run.events_processed);
         let delivered = self.kernel.stats().counter("sample.delivered") - d0;
-        self.telemetry.incr_by("phase.sample.delivered", delivered);
+        self.tally("phase.sample.delivered", delivered);
         (run.end_time - start, delivered)
     }
 
@@ -593,12 +603,10 @@ impl<P: Clone + 'static> PhysicalRuntime<P> {
             suppressed: self.kernel.stats().counter("topo.suppressed") - s0,
             complete: self.tables_complete(),
         };
-        // Mirror the report into the registry so trace consumers see the
+        // Mirror the report into the telemetry so trace consumers see the
         // same numbers the harness does.
-        self.telemetry
-            .incr_by("phase.topo.broadcasts", report.broadcasts);
-        self.telemetry
-            .incr_by("phase.topo.suppressed", report.suppressed);
+        self.tally("phase.topo.broadcasts", report.broadcasts);
+        self.tally("phase.topo.suppressed", report.suppressed);
         report
     }
 
@@ -703,10 +711,8 @@ impl<P: Clone + 'static> PhysicalRuntime<P> {
             tree_complete,
             delta_broadcasts: self.kernel.stats().counter("bind.broadcast") - d0,
         };
-        self.telemetry
-            .incr_by("phase.bind.delta_broadcasts", report.delta_broadcasts);
-        self.telemetry
-            .incr_by("phase.bind.leaders", report.leaders.len() as u64);
+        self.tally("phase.bind.delta_broadcasts", report.delta_broadcasts);
+        self.tally("phase.bind.leaders", report.leaders.len() as u64);
         report
     }
 
@@ -848,12 +854,11 @@ impl<P: Clone + 'static> PhysicalRuntime<P> {
         let medium = self.medium.clone();
         let causal = self.causal.clone();
         let shared = self.shared.clone();
-        let replay = &mut self.replay;
         // Per-shard accounting rides along whenever telemetry is on. The
         // arrays are write-only bookkeeping outside every kernel
         // observable, so the bit-identical contract with the sequential
         // engine is untouched.
-        let mut obs = if self.shard_telemetry.is_enabled() {
+        let mut obs = if self.telemetry_on() {
             let obs = ShardObs::new(schedule.shard_count());
             Some(
                 if self.shard_mutation == Some(ShardMutation::UndercountTap) {
@@ -865,6 +870,7 @@ impl<P: Clone + 'static> PhysicalRuntime<P> {
         } else {
             None
         };
+        let replay = &mut self.replay;
         let run = self.kernel.run_sharded_observed(
             schedule,
             until,
@@ -885,17 +891,16 @@ impl<P: Clone + 'static> PhysicalRuntime<P> {
         run
     }
 
-    /// Publishes one sharded run's accounting into the telemetry
-    /// registry under `shard=`-labeled keys. `dispatched` is the
-    /// kernel's own event total for the run — an independent count the
-    /// TC010 conformance check reconciles the per-shard counters
-    /// against. Counters accumulate across runs; the per-shard window
-    /// histograms are replaced with the latest run's snapshot.
-    fn publish_shard_obs(&self, obs: &ShardObs, dispatched: u64) {
-        let t = &self.shard_telemetry;
-        t.gauge_set("shard.count", f64::from(obs.shard_count()));
-        t.incr_by("shard.windows", obs.windows());
-        t.incr_by("shard.events.total", dispatched);
+    /// Publishes one sharded run's accounting into the shard telemetry
+    /// under `shard=`-labeled keys. `dispatched` is the kernel's own
+    /// event total for the run — an independent count the TC010
+    /// conformance check reconciles the per-shard counters against.
+    /// Counters accumulate across runs; gauges hold the latest run's.
+    fn publish_shard_obs(&mut self, obs: &ShardObs, dispatched: u64) {
+        let t = &mut self.shard_telemetry;
+        t.set_gauge("shard.count", f64::from(obs.shard_count()));
+        t.add("shard.windows", obs.windows());
+        t.add("shard.events.total", dispatched);
         let shards = obs.shard_count() as usize;
         for slot in 0..obs.slot_count() {
             let label = if slot == shards {
@@ -904,8 +909,8 @@ impl<P: Clone + 'static> PhysicalRuntime<P> {
                 slot.to_string()
             };
             let l = [("shard", label.as_str())];
-            t.incr_by(&labeled("shard.events", &l), obs.events(slot));
-            t.gauge_set(
+            t.add(&labeled("shard.events", &l), obs.events(slot));
+            t.set_gauge(
                 &labeled("shard.queue.depth.max", &l),
                 obs.depth_max(slot) as f64,
             );
@@ -914,15 +919,11 @@ impl<P: Clone + 'static> PhysicalRuntime<P> {
             } else {
                 obs.depth_sum(slot) as f64 / obs.windows() as f64
             };
-            t.gauge_set(&labeled("shard.queue.depth.mean", &l), mean);
-            t.install_histogram(
-                &labeled("shard.window.events", &l),
-                window_hist_to_fixed(obs.window_hist(slot)),
-            );
+            t.set_gauge(&labeled("shard.queue.depth.mean", &l), mean);
             if slot < shards {
-                t.incr_by(&labeled("shard.cross.staged", &l), obs.cross_staged(slot));
-                t.incr_by(&labeled("shard.cross.applied", &l), obs.cross_applied(slot));
-                t.incr_by(&labeled("shard.barrier.stall", &l), obs.barrier_stall(slot));
+                t.add(&labeled("shard.cross.staged", &l), obs.cross_staged(slot));
+                t.add(&labeled("shard.cross.applied", &l), obs.cross_applied(slot));
+                t.add(&labeled("shard.barrier.stall", &l), obs.barrier_stall(slot));
             }
         }
     }
@@ -961,7 +962,7 @@ impl<P: Clone + 'static> PhysicalRuntime<P> {
         // must not materialize an `EnergySnapshot` vector per run.
         let mut tx_before = std::mem::take(&mut self.tx_scratch);
         tx_before.clear();
-        if self.telemetry.is_enabled() {
+        if self.telemetry_on() {
             let medium = self.medium.borrow();
             let ledger = medium.ledger();
             tx_before
@@ -976,7 +977,7 @@ impl<P: Clone + 'static> PhysicalRuntime<P> {
             Some(schedule) => self.run_kernel_sharded(schedule, None, Some(1_000_000_000)),
         };
         self.events_total += run.events_processed;
-        if self.telemetry.is_enabled() {
+        if self.telemetry_on() {
             self.attach_merge_level_spans();
         }
         self.span_close(run.events_processed);
@@ -993,17 +994,12 @@ impl<P: Clone + 'static> PhysicalRuntime<P> {
         let total = exfil.len();
         drop(exfil);
         self.exfil_seen = total;
-        self.telemetry.incr_by(CTR_MESSAGES, report.messages);
-        self.telemetry.incr_by(
-            CTR_DATA_UNITS,
-            self.kernel.stats().counter("rt.data_units") - u0,
-        );
-        self.telemetry
-            .incr_by("phase.app.physical_hops", report.physical_hops);
-        self.telemetry
-            .incr_by("phase.app.retransmissions", report.retransmissions);
-        self.telemetry
-            .incr_by("phase.app.exfiltrations", report.exfil_count as u64);
+        self.tally(CTR_MESSAGES, report.messages);
+        let units = self.kernel.stats().counter("rt.data_units") - u0;
+        self.tally(CTR_DATA_UNITS, units);
+        self.tally("phase.app.physical_hops", report.physical_hops);
+        self.tally("phase.app.retransmissions", report.retransmissions);
+        self.tally("phase.app.exfiltrations", report.exfil_count as u64);
         self.record_app_tx_by_class(&tx_before);
         self.tx_scratch = tx_before;
         report
@@ -1017,7 +1013,7 @@ impl<P: Clone + 'static> PhysicalRuntime<P> {
     /// transmission, unlike receive energy, which overhearing inflates),
     /// so it is the per-node-class quantity the §4 analysis can predict.
     fn record_app_tx_by_class(&mut self, tx_before: &[f64]) {
-        if !self.telemetry.is_enabled() || !self.grid.side().is_power_of_two() {
+        if !self.telemetry_on() || !self.grid.side().is_power_of_two() {
             return;
         }
         let hierarchy = wsn_core::Hierarchy::new(self.grid.side());
@@ -1034,7 +1030,7 @@ impl<P: Clone + 'static> PhysicalRuntime<P> {
         drop(medium);
         for (class, energy) in by_class.iter().enumerate() {
             self.telemetry
-                .gauge_set(&format!("phase.app.tx_energy.class{class}"), *energy);
+                .set_gauge(&format!("phase.app.tx_energy.class{class}"), *energy);
         }
     }
 
@@ -1074,7 +1070,7 @@ impl<P: Clone + 'static> PhysicalRuntime<P> {
     }
 
     /// Exports the whole run as a [`TraceDocument`]: meta, the phase span
-    /// forest, the telemetry registry, every kernel statistic (counters and
+    /// forest, the phase telemetry, every kernel statistic (counters and
     /// histograms), per-node energy snapshots, and — when event tracing
     /// was enabled — the kernel event stream. Callable at any point; it
     /// reflects everything recorded so far.
@@ -1089,20 +1085,8 @@ impl<P: Clone + 'static> PhysicalRuntime<P> {
             events: self.events_total,
         });
         doc.spans = self.spans.roots().to_vec();
-        doc.absorb_registry(&self.telemetry);
-        for (key, value) in self.kernel.stats().counters() {
-            doc.counters.push((key.to_string(), value));
-        }
-        for (key, value) in self.kernel.stats().gauges() {
-            doc.gauges.push((key.to_string(), value));
-        }
-        for (key, h) in self.kernel.stats().histograms() {
-            let mut fixed = FixedHistogram::ticks();
-            for &v in h.values() {
-                fixed.record(v);
-            }
-            doc.histograms.push((key.to_string(), fixed));
-        }
+        doc.absorb_stats(&self.telemetry);
+        doc.absorb_stats(self.kernel.stats());
         let medium = self.medium.borrow();
         let ledger = medium.ledger();
         doc.gauges
@@ -1122,7 +1106,7 @@ impl<P: Clone + 'static> PhysicalRuntime<P> {
             })
             .collect();
         drop(medium);
-        doc.events = self.kernel.trace_snapshot();
+        doc.events = self.kernel.trace().to_vec();
         if let Some(log) = &self.causal {
             // Canonical (sequential-equivalent) order: identity for plain
             // sequential runs, and the re-keyed merge order after sharded
@@ -1349,7 +1333,7 @@ impl<P: Clone + 'static> PhysicalRuntime<P> {
     /// The mission ends when `expected_exfils` results have been
     /// exfiltrated, the event budget trips (reported as a stall), or
     /// `max_epochs` pass. Recovery counters (`heal.*`) are mirrored into
-    /// the telemetry registry when enabled.
+    /// the telemetry when it is on.
     ///
     /// Requires [`PhysicalRuntime::install_programs`]; any
     /// [`ChaosPlan`] should be installed via
@@ -1435,7 +1419,7 @@ impl<P: Clone + 'static> PhysicalRuntime<P> {
             };
             self.events_total += run.events_processed;
             report.epochs = epoch + 1;
-            self.telemetry.incr("heal.epochs");
+            self.tally("heal.epochs", 1);
             if run.stop == StopReason::EventLimit {
                 report.stalled = true;
                 break;
@@ -1449,12 +1433,12 @@ impl<P: Clone + 'static> PhysicalRuntime<P> {
                 cfg.refresh_every_epochs > 0 && (epoch + 1) % cfg.refresh_every_epochs == 0;
             if expired > 0 || periodic {
                 report.leases_expired += expired;
-                self.telemetry.incr_by("heal.leases_expired", expired);
+                self.tally("heal.leases_expired", expired);
                 let reelected = self.heal(&cfg);
                 report.heals += 1;
                 report.reelections += reelected;
-                self.telemetry.incr("heal.reemulations");
-                self.telemetry.incr_by("heal.reelections", reelected);
+                self.tally("heal.reemulations", 1);
+                self.tally("heal.reelections", reelected);
             }
         }
         report.exfil_count = self.shared.exfil.borrow().len() - exfil0;
@@ -1486,19 +1470,6 @@ impl<P: Clone + 'static> PhysicalRuntime<P> {
     }
 }
 
-/// Converts the kernel's fixed-array per-window histogram into the
-/// registry's [`FixedHistogram`] for publication.
-fn window_hist_to_fixed(h: &WindowHist) -> FixedHistogram {
-    FixedHistogram::from_parts(
-        WINDOW_HIST_UPPERS.iter().map(|&u| u as f64).collect(),
-        h.counts.to_vec(),
-        h.count,
-        h.sum as f64,
-        h.min as f64,
-        h.max as f64,
-    )
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -1506,6 +1477,10 @@ mod tests {
     use wsn_net::{DeliveryChaos, DeploymentSpec};
 
     fn runtime(side: u32, per_cell: usize, seed: u64) -> PhysicalRuntime<f64> {
+        runtime_of(side, per_cell, seed)
+    }
+
+    fn runtime_of<P: Clone + 'static>(side: u32, per_cell: usize, seed: u64) -> PhysicalRuntime<P> {
         let spec = DeploymentSpec::per_cell(side, per_cell);
         let deployment = spec.generate(seed);
         let range = deployment.grid().range_for_adjacent_cell_reachability();
@@ -1598,23 +1573,96 @@ mod tests {
         seen: usize,
         sum: f64,
     }
-    impl NodeProgram<f64> for Gather {
-        fn on_init(&mut self, api: &mut dyn NodeApi<f64>) {
+
+    /// A payload that carries one reading.
+    trait Reading: Clone + 'static {
+        fn of(value: f64) -> Self;
+        fn value(&self) -> f64;
+    }
+
+    impl Reading for f64 {
+        fn of(value: f64) -> Self {
+            value
+        }
+        fn value(&self) -> f64 {
+            *self
+        }
+    }
+
+    impl<P: Reading> NodeProgram<P> for Gather {
+        fn on_init(&mut self, api: &mut dyn NodeApi<P>) {
             let v = api.read_sensor();
             api.compute(1);
             if api.coord() != GridCoord::new(0, 0) {
-                api.send(GridCoord::new(0, 0), 1, v);
+                api.send(GridCoord::new(0, 0), 1, P::of(v));
             } else {
                 self.sum += v;
                 self.seen += 1;
             }
         }
-        fn on_receive(&mut self, api: &mut dyn NodeApi<f64>, _from: GridCoord, payload: f64) {
-            self.sum += payload;
+        fn on_receive(&mut self, api: &mut dyn NodeApi<P>, _from: GridCoord, payload: P) {
+            self.sum += payload.value();
             self.seen += 1;
             if self.seen == self.expected {
-                api.exfiltrate(self.sum);
+                api.exfiltrate(P::of(self.sum));
             }
+        }
+    }
+
+    thread_local! {
+        /// Clones of [`Counted`] payloads made on this test's thread.
+        static CLONES: std::cell::Cell<u64> = const { std::cell::Cell::new(0) };
+    }
+
+    /// A reading that counts how often it is cloned.
+    struct Counted(f64);
+
+    impl Clone for Counted {
+        fn clone(&self) -> Self {
+            CLONES.with(|c| c.set(c.get() + 1));
+            Counted(self.0)
+        }
+    }
+
+    impl Reading for Counted {
+        fn of(value: f64) -> Self {
+            Counted(value)
+        }
+        fn value(&self) -> f64 {
+            self.0
+        }
+    }
+
+    #[test]
+    fn sharded_runs_clone_payloads_as_often_as_sequential_ones() {
+        // The barrier moves staged exfiltrations into the buffer, so the
+        // sharded engine makes no payload copy of its own.
+        let clones = |parallel: Option<ParallelConfig>| {
+            let mut rt = runtime_of::<Counted>(4, 3, 7);
+            assert!(rt.run_topology_emulation().complete);
+            assert!(rt.run_binding().unique);
+            rt.install_programs(|_| {
+                Box::new(Gather {
+                    expected: 16,
+                    seen: 0,
+                    sum: 0.0,
+                })
+            });
+            CLONES.with(|c| c.set(0));
+            let app = match parallel {
+                None => rt.run_application(),
+                Some(cfg) => rt.run_application_parallel(&cfg),
+            };
+            assert_eq!(app.exfil_count, 1);
+            CLONES.with(|c| c.get())
+        };
+        let sequential = clones(None);
+        for cut_level in [1, 2] {
+            assert_eq!(
+                clones(Some(ParallelConfig::at_cut(cut_level))),
+                sequential,
+                "cut level {cut_level}"
+            );
         }
     }
 
@@ -2062,7 +2110,7 @@ mod tests {
         let sub: Vec<&str> = roots[1].children.iter().map(|s| s.name.as_str()).collect();
         assert_eq!(sub, vec!["election", "announce"]);
 
-        // Registry counters agree with the phase reports by construction.
+        // Telemetry counters agree with the phase reports by construction.
         let reg = rt.telemetry();
         assert_eq!(reg.counter("phase.topo.broadcasts"), topo.broadcasts);
         assert_eq!(
@@ -2102,12 +2150,13 @@ mod tests {
     #[test]
     fn telemetry_disabled_records_no_spans_or_counters() {
         let (rt, _app) = run_gather(2, 3, 4);
-        assert!(!rt.telemetry().is_enabled());
+        assert!(rt.telemetry().counters().next().is_none());
+        assert!(rt.telemetry().gauges().next().is_none());
         assert!(rt.spans().roots().is_empty());
         let doc = rt.record_trace();
         assert!(doc.spans.is_empty());
         assert!(doc.events.is_empty(), "no tracer was installed");
-        assert_eq!(doc.counter(CTR_MESSAGES), 0, "registry stayed empty");
+        assert_eq!(doc.counter(CTR_MESSAGES), 0, "telemetry stayed empty");
         // The raw kernel statistics and node snapshots are still exported.
         assert!(doc.counter("rt.messages") > 0);
         assert_eq!(doc.nodes.len(), rt.deployment().node_count());
@@ -2203,7 +2252,7 @@ mod tests {
         let new_leader = rt.leader_of(GridCoord::new(0, 0)).unwrap();
         assert_ne!(new_leader, victim, "a live node took over the cell");
 
-        // Recovery counters are mirrored into the telemetry registry.
+        // Recovery counters are mirrored into the telemetry.
         let reg = rt.telemetry();
         assert_eq!(reg.counter("heal.reemulations"), u64::from(report.heals));
         assert_eq!(reg.counter("heal.reelections"), report.reelections);
@@ -2372,13 +2421,13 @@ mod tests {
             .sum();
         assert_eq!(staged, applied);
         assert!(staged > 0, "the gather app must cross quadrant boundaries");
-        // The window histograms were published for every slot.
+        // Queue depths were published for every slot.
         for label in ["0", "1", "2", "3", "global"] {
             assert!(t
-                .histogram(&labeled("shard.window.events", &[("shard", label)]))
+                .gauge(&labeled("shard.queue.depth.max", &[("shard", label)]))
                 .is_some());
         }
-        // Shard accounting never leaks into the main registry — that
+        // Shard accounting never leaks into the main telemetry — that
         // would break bit-identical traces across engines.
         assert_eq!(rt.telemetry().counter("shard.events.total"), 0);
     }

@@ -33,56 +33,6 @@
 use crate::time::SimTime;
 use crate::trace::{TraceEntry, TraceKind};
 
-/// Bucket upper bounds for the per-shard window-size histograms
-/// (events dispatched by one slot in one window).
-pub const WINDOW_HIST_UPPERS: [u64; 9] = [1, 2, 4, 8, 16, 32, 64, 128, 256];
-
-/// A fixed-bucket histogram of per-window dispatch counts; plain arrays
-/// so recording never allocates.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct WindowHist {
-    /// Bucket counts: one per upper bound plus the overflow bucket.
-    pub counts: [u64; WINDOW_HIST_UPPERS.len() + 1],
-    /// Total observations.
-    pub count: u64,
-    /// Sum of observed values.
-    pub sum: u64,
-    /// Smallest observation (0 when empty).
-    pub min: u64,
-    /// Largest observation (0 when empty).
-    pub max: u64,
-}
-
-impl Default for WindowHist {
-    fn default() -> Self {
-        WindowHist {
-            counts: [0; WINDOW_HIST_UPPERS.len() + 1],
-            count: 0,
-            sum: 0,
-            min: 0,
-            max: 0,
-        }
-    }
-}
-
-impl WindowHist {
-    fn record(&mut self, v: u64) {
-        let idx = WINDOW_HIST_UPPERS
-            .iter()
-            .position(|&u| v <= u)
-            .unwrap_or(WINDOW_HIST_UPPERS.len());
-        self.counts[idx] += 1;
-        if self.count == 0 || v < self.min {
-            self.min = v;
-        }
-        if v > self.max {
-            self.max = v;
-        }
-        self.count += 1;
-        self.sum += v;
-    }
-}
-
 /// Per-slot dispatch accounting filled by
 /// [`Kernel::run_sharded_observed`](crate::kernel::Kernel); slots are the
 /// shards `0..shard_count` plus the global pseudo-shard at index
@@ -96,7 +46,6 @@ pub struct ShardObs {
     barrier_stall: Vec<u64>,
     depth_max: Vec<u64>,
     depth_sum: Vec<u64>,
-    window_hist: Vec<WindowHist>,
     /// Scratch: this window's per-slot dispatch counts.
     window_events: Vec<u64>,
     windows: u64,
@@ -116,7 +65,6 @@ impl ShardObs {
             barrier_stall: vec![0; slots],
             depth_max: vec![0; slots],
             depth_sum: vec![0; slots],
-            window_hist: vec![WindowHist::default(); slots],
             window_events: vec![0; slots],
             windows: 0,
             undercount: false,
@@ -191,11 +139,6 @@ impl ShardObs {
         self.depth_sum[slot]
     }
 
-    /// Histogram of `slot`'s per-window dispatch counts.
-    pub fn window_hist(&self, slot: usize) -> &WindowHist {
-        &self.window_hist[slot]
-    }
-
     /// Records one dispatch on `slot` (in canonical barrier order).
     pub(crate) fn note_dispatch(&mut self, slot: usize) {
         if !(self.undercount && slot == 0 && self.window_events[0] == 0) {
@@ -223,9 +166,8 @@ impl ShardObs {
         self.depth_sum[slot] += depth;
     }
 
-    /// Closes one window: charges barrier stall against the straggler,
-    /// folds the per-window counts into the histograms, and resets the
-    /// scratch counters.
+    /// Closes one window: charges barrier stall against the straggler and
+    /// resets the scratch counters.
     pub(crate) fn end_window(&mut self) {
         let shards = self.shard_count as usize;
         let straggler = self.window_events[..shards]
@@ -238,7 +180,6 @@ impl ShardObs {
             if slot < shards {
                 self.barrier_stall[slot] += straggler - own;
             }
-            self.window_hist[slot].record(own);
             self.window_events[slot] = 0;
         }
         self.windows += 1;
@@ -486,8 +427,6 @@ mod tests {
         assert_eq!(obs.cross_applied(1), 1);
         assert_eq!(obs.cross_total(), 1);
         assert_eq!(obs.depth_max(0), 5);
-        assert_eq!(obs.window_hist(0).max, 3);
-        assert_eq!(obs.window_hist(0).count, 1);
     }
 
     #[test]
@@ -512,23 +451,8 @@ mod tests {
         obs.end_window();
         // 4 + 1 dispatches, two windows with shard-0 activity: 2 leaked.
         assert_eq!(obs.total_events(), 3);
-        // The window histograms still see the true counts.
-        assert_eq!(obs.window_hist(0).sum, 4);
-    }
-
-    #[test]
-    fn window_hist_buckets_and_bounds() {
-        let mut h = WindowHist::default();
-        h.record(0);
-        h.record(1);
-        h.record(3);
-        h.record(1000);
-        assert_eq!(h.count, 4);
-        assert_eq!(h.sum, 1004);
-        assert_eq!(h.min, 0);
-        assert_eq!(h.max, 1000);
-        assert_eq!(h.counts[0], 2); // 0 and 1 both <= 1
-        assert_eq!(h.counts[2], 1); // 3 <= 4
-        assert_eq!(h.counts[WINDOW_HIST_UPPERS.len()], 1); // overflow
+        // The stall still sees the true counts: shard 1 idled for 2 of
+        // shard 0's 3 dispatches, then for its 1.
+        assert_eq!(obs.barrier_stall(1), 3);
     }
 }

@@ -214,25 +214,10 @@ impl<M: Payload> Kernel<M> {
         }
     }
 
-    /// Enables trace recording (unbounded).
+    /// Enables trace recording: every later dispatch is kept (see
+    /// [`Kernel::trace`]).
     pub fn enable_tracing(&mut self) {
         self.tracer = Tracer::enabled();
-    }
-
-    /// Installs a specific tracer (ring, bounded, or streaming mode).
-    pub fn set_tracer(&mut self, tracer: Tracer) {
-        self.tracer = tracer;
-    }
-
-    /// Removes the tracer (e.g. to recover a streaming sink), leaving a
-    /// disabled one in its place.
-    pub fn take_tracer(&mut self) -> Tracer {
-        std::mem::replace(&mut self.tracer, Tracer::disabled())
-    }
-
-    /// The installed tracer.
-    pub fn tracer(&self) -> &Tracer {
-        &self.tracer
     }
 
     /// Enables kernel self-metrics: each dispatched event records
@@ -280,15 +265,10 @@ impl<M: Payload> Kernel<M> {
         self.flight.take()
     }
 
-    /// The trace recorded so far (storage order; see [`Tracer::entries`]).
+    /// The trace recorded so far, in dispatch order (empty unless
+    /// [`Kernel::enable_tracing`] was called).
     pub fn trace(&self) -> &[TraceEntry] {
         self.tracer.entries()
-    }
-
-    /// The trace recorded so far in chronological order (un-rotates a
-    /// ring-mode buffer).
-    pub fn trace_snapshot(&self) -> Vec<TraceEntry> {
-        self.tracer.snapshot()
     }
 
     /// Registers an actor and returns its id. May be called mid-run:
@@ -319,11 +299,6 @@ impl<M: Payload> Kernel<M> {
     /// Shared statistics sink (read side; actors write through `Context`).
     pub fn stats(&self) -> &Stats {
         &self.stats
-    }
-
-    /// Mutable statistics access for harness-level bookkeeping.
-    pub fn stats_mut(&mut self) -> &mut Stats {
-        &mut self.stats
     }
 
     /// Pending events.
@@ -755,39 +730,8 @@ mod tests {
 
     #[test]
     fn ring_tracer_keeps_newest_events() {
-        let run = |tracer: Tracer| {
-            let mut k: Kernel<u32> = Kernel::new(7);
-            let a = k.add_actor(Box::new(Echo {
-                reply_to: Some(1),
-                ..Default::default()
-            }));
-            let _b = k.add_actor(Box::new(Echo {
-                reply_to: Some(0),
-                ..Default::default()
-            }));
-            k.set_tracer(tracer);
-            k.schedule_message(SimTime::ZERO, 1, a, 10);
-            k.run();
-            k
-        };
-        let full = run(Tracer::enabled());
-        let ring = run(Tracer::ring(4));
-        let full_trace = full.trace_snapshot();
-        let ring_trace = ring.trace_snapshot();
-        assert_eq!(ring_trace.len(), 4);
-        // The ring holds exactly the last four entries of the full trace.
-        assert_eq!(ring_trace, full_trace[full_trace.len() - 4..].to_vec());
-        assert_eq!(ring.tracer().dropped() as usize, full_trace.len() - 4);
-    }
-
-    #[test]
-    fn streaming_tracer_forwards_every_event() {
-        struct CountSink(u64);
-        impl crate::trace::TraceSink for CountSink {
-            fn record(&mut self, _entry: &TraceEntry) {
-                self.0 += 1;
-            }
-        }
+        // The flight recorder is the bounded ring: it holds exactly the
+        // newest entries of the complete trace.
         let mut k: Kernel<u32> = Kernel::new(7);
         let a = k.add_actor(Box::new(Echo {
             reply_to: Some(1),
@@ -797,11 +741,20 @@ mod tests {
             reply_to: Some(0),
             ..Default::default()
         }));
-        k.set_tracer(Tracer::streaming(Box::new(CountSink(0))));
+        k.enable_tracing();
+        k.set_flight_recorder(FlightRecorder::new(vec![0, 0], 1, 4));
         k.schedule_message(SimTime::ZERO, 1, a, 10);
-        let report = k.run();
-        assert!(k.trace().is_empty(), "streaming mode must not buffer");
-        assert_eq!(k.tracer().streamed(), report.events_processed);
+        k.run();
+        let full = k.trace();
+        let recorder = k.flight_recorder().unwrap();
+        let kept: Vec<_> = (recorder.snapshot(0).iter())
+            .map(|r| (r.time, r.target, r.kind, r.a, r.b))
+            .collect();
+        let newest: Vec<_> = (full[full.len() - 4..].iter())
+            .map(|e| (e.time, e.target, e.kind, e.a, e.b))
+            .collect();
+        assert_eq!(kept, newest);
+        assert_eq!(recorder.dropped(0) as usize, full.len() - 4);
     }
 
     #[test]

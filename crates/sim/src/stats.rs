@@ -1,22 +1,25 @@
-//! Run statistics: named counters, histograms, and time series.
+//! Run statistics: named counters, gauges and histograms.
 //!
 //! Protocols under test report what they did (messages sent, boundary
 //! crossings suppressed, merge operations performed, …) through the
 //! [`Stats`] sink carried by the kernel; the experiment harness reads the
 //! totals back after the run. Keys are plain strings so that each crate can
 //! define its own vocabulary without a central registry.
+//!
+//! [`Stats`] is the one metric store of the stack: the kernel's run
+//! statistics, the runtime's phase telemetry and its per-shard accounting
+//! are each a [`Stats`], and a trace document absorbs any of them.
 
 use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
 use std::ops::Range;
 
-/// A set of named counters, gauges, histograms and time series.
+/// A set of named counters, gauges and histograms.
 #[derive(Debug, Default, Clone, Serialize, Deserialize)]
 pub struct Stats {
     counters: BTreeMap<String, u64>,
     gauges: BTreeMap<String, f64>,
     histograms: BTreeMap<String, Histogram>,
-    series: BTreeMap<String, TimeSeries>,
 }
 
 impl Stats {
@@ -104,24 +107,6 @@ impl Stats {
         self.histograms.get(key)
     }
 
-    /// Appends `(tick, value)` to the time series `key`. The key lookup
-    /// is allocation-free once the series exists.
-    pub fn sample(&mut self, key: &str, tick: u64, value: f64) {
-        match self.series.get_mut(key) {
-            Some(s) => s.push(tick, value),
-            None => {
-                let mut s = TimeSeries::default();
-                s.push(tick, value);
-                self.series.insert(key.to_owned(), s);
-            }
-        }
-    }
-
-    /// The time series `key`, if any sample was recorded.
-    pub fn time_series(&self, key: &str) -> Option<&TimeSeries> {
-        self.series.get(key)
-    }
-
     /// Iterates over all counters in key order.
     pub fn counters(&self) -> impl Iterator<Item = (&str, u64)> {
         self.counters.iter().map(|(k, &v)| (k.as_str(), v))
@@ -142,9 +127,9 @@ impl Stats {
 ///
 /// Counters are `u64` sums, so the order they are added in cannot show:
 /// they always go straight into the kernel's [`Stats`]. Histogram
-/// observations, gauges and series samples are order-sensitive. Inside a
-/// sharded window they are staged, and the barrier replays them into the
-/// [`Stats`] in canonical dispatch order (see [`crate::shard`]).
+/// observations keep their order. Inside a sharded window they are staged,
+/// and the barrier replays them into the [`Stats`] in canonical dispatch
+/// order (see [`crate::shard`]).
 pub struct StatsSink<'a> {
     pub(crate) stats: &'a mut Stats,
     pub(crate) staged: Option<&'a mut StagedStats>,
@@ -166,78 +151,45 @@ impl StatsSink<'_> {
     /// Records `value` into the histogram `key` ([`Stats::observe`]).
     #[inline]
     pub fn observe(&mut self, key: &str, value: f64) {
-        self.ordered(key, StatOp::Observe(value));
-    }
-
-    /// Sets the gauge `key` to `value` ([`Stats::set_gauge`]).
-    #[inline]
-    pub fn set_gauge(&mut self, key: &str, value: f64) {
-        self.ordered(key, StatOp::Gauge(value));
-    }
-
-    /// Appends `(tick, value)` to the time series `key` ([`Stats::sample`]).
-    #[inline]
-    pub fn sample(&mut self, key: &str, tick: u64, value: f64) {
-        self.ordered(key, StatOp::Sample(tick, value));
-    }
-
-    fn ordered(&mut self, key: &str, op: StatOp) {
         match self.staged.as_deref_mut() {
-            Some(staged) => staged.push(key, op),
-            None => op.apply(key, self.stats),
+            Some(staged) => staged.push(key, value),
+            None => self.stats.observe(key, value),
         }
     }
 }
 
-/// An order-sensitive statistics operation.
-#[derive(Debug, Clone, Copy)]
-enum StatOp {
-    Observe(f64),
-    Gauge(f64),
-    Sample(u64, f64),
-}
-
-impl StatOp {
-    fn apply(self, key: &str, stats: &mut Stats) {
-        match self {
-            StatOp::Observe(v) => stats.observe(key, v),
-            StatOp::Gauge(v) => stats.set_gauge(key, v),
-            StatOp::Sample(tick, v) => stats.sample(key, tick, v),
-        }
-    }
-}
-
-/// The order-sensitive statistics of one sharded window, in staging order.
+/// The histogram observations of one sharded window, in staging order.
 /// Every key is copied into one shared arena, so once the buffers have
 /// grown to a window's size, staging allocates nothing.
 #[derive(Debug, Default)]
 pub(crate) struct StagedStats {
-    ops: Vec<(Range<usize>, StatOp)>,
+    observations: Vec<(Range<usize>, f64)>,
     keys: String,
 }
 
 impl StagedStats {
-    /// Number of staged operations.
+    /// Number of staged observations.
     pub(crate) fn len(&self) -> usize {
-        self.ops.len()
+        self.observations.len()
     }
 
-    fn push(&mut self, key: &str, op: StatOp) {
+    fn push(&mut self, key: &str, value: f64) {
         let start = self.keys.len();
         self.keys.push_str(key);
-        self.ops.push((start..self.keys.len(), op));
+        self.observations.push((start..self.keys.len(), value));
     }
 
-    /// Applies the staged operations `range` to `stats`, in staging order.
+    /// Records the staged observations `range` into `stats`, in staging
+    /// order.
     pub(crate) fn replay(&self, range: Range<usize>, stats: &mut Stats) {
-        for (key, op) in &self.ops[range] {
-            op.apply(&self.keys[key.clone()], stats);
+        for (key, value) in &self.observations[range] {
+            stats.observe(&self.keys[key.clone()], *value);
         }
     }
 
-    /// Drops every staged operation and keeps the capacity.
+    /// Drops every staged observation and keeps the capacity.
     pub(crate) fn clear(&mut self) {
-        self.ops.clear();
+        self.observations.clear();
         self.keys.clear();
     }
 }
@@ -327,29 +279,6 @@ impl Histogram {
     }
 }
 
-/// An append-only `(tick, value)` series.
-#[derive(Debug, Default, Clone, Serialize, Deserialize)]
-pub struct TimeSeries {
-    points: Vec<(u64, f64)>,
-}
-
-impl TimeSeries {
-    /// Appends one sample.
-    pub fn push(&mut self, tick: u64, value: f64) {
-        self.points.push((tick, value));
-    }
-
-    /// All samples in insertion order.
-    pub fn points(&self) -> &[(u64, f64)] {
-        &self.points
-    }
-
-    /// Last sample, if any.
-    pub fn last(&self) -> Option<(u64, f64)> {
-        self.points.last().copied()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -403,16 +332,6 @@ mod tests {
         assert_eq!(h.mean(), None);
         assert_eq!(h.quantile(0.5), None);
         assert_eq!(h.std_dev(), None);
-    }
-
-    #[test]
-    fn time_series_preserves_order() {
-        let mut s = Stats::new();
-        s.sample("energy", 1, 10.0);
-        s.sample("energy", 5, 8.0);
-        let ts = s.time_series("energy").unwrap();
-        assert_eq!(ts.points(), &[(1, 10.0), (5, 8.0)]);
-        assert_eq!(ts.last(), Some((5, 8.0)));
     }
 
     #[test]

@@ -1,21 +1,11 @@
 //! Optional event tracing.
 //!
-//! When enabled, the kernel appends one [`TraceEntry`] per dispatched event.
-//! Tests use traces to assert determinism (two runs with the same seed must
-//! produce identical traces) and to debug protocol interleavings.
-//!
-//! A [`Tracer`] runs in one of four modes:
-//!
-//! * **disabled** — records nothing (the default);
-//! * **unbounded** — keeps every entry in memory ([`Tracer::enabled`]);
-//! * **bounded** — keeps the *first* `cap` entries and counts the rest as
-//!   dropped ([`Tracer::with_capacity`]);
-//! * **ring** — keeps the *most recent* `cap` entries, overwriting the
-//!   oldest ([`Tracer::ring`]); use [`Tracer::snapshot`] to read the
-//!   retained entries in chronological order;
-//! * **streaming** — forwards every entry to a [`TraceSink`] without
-//!   buffering anything in the kernel ([`Tracer::streaming`]), so long
-//!   runs no longer accumulate unbounded memory.
+//! When enabled ([`crate::Kernel::enable_tracing`]), the kernel appends one
+//! [`TraceEntry`] per dispatched event and keeps every entry: a trace is
+//! either off or complete. Tests use traces to assert determinism (two runs
+//! with the same seed must produce identical traces) and to debug protocol
+//! interleavings. The bounded recorder of recent dispatches is the
+//! [`crate::FlightRecorder`].
 
 use crate::time::SimTime;
 use serde::{Deserialize, Serialize};
@@ -44,163 +34,43 @@ pub struct TraceEntry {
     pub b: u64,
 }
 
-/// Receives trace entries as the kernel dispatches them.
-///
-/// Implementations typically serialize each entry to an external store
-/// (e.g. a JSONL buffer) so the kernel itself stays memory-bounded.
-pub trait TraceSink {
-    /// Called once per dispatched event, in dispatch order.
-    fn record(&mut self, entry: &TraceEntry);
-}
-
-/// An event trace buffer; see the module docs for the available modes.
-#[derive(Default)]
-pub struct Tracer {
+/// The kernel's event trace buffer: disabled (the default) or keeping
+/// every entry.
+#[derive(Debug, Default)]
+pub(crate) struct Tracer {
     enabled: bool,
     entries: Vec<TraceEntry>,
-    capacity: Option<usize>,
-    ring: bool,
-    head: usize,
-    dropped: u64,
-    streamed: u64,
-    sink: Option<Box<dyn TraceSink>>,
-}
-
-impl std::fmt::Debug for Tracer {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("Tracer")
-            .field("enabled", &self.enabled)
-            .field("entries", &self.entries.len())
-            .field("capacity", &self.capacity)
-            .field("ring", &self.ring)
-            .field("dropped", &self.dropped)
-            .field("streamed", &self.streamed)
-            .field("sink", &self.sink.is_some())
-            .finish()
-    }
 }
 
 impl Tracer {
     /// A disabled tracer (records nothing).
-    pub fn disabled() -> Self {
+    pub(crate) fn disabled() -> Self {
         Tracer::default()
     }
 
-    /// An enabled tracer with unbounded capacity.
-    pub fn enabled() -> Self {
+    /// An enabled tracer that keeps every entry.
+    pub(crate) fn enabled() -> Self {
         Tracer {
             enabled: true,
-            ..Tracer::default()
-        }
-    }
-
-    /// An enabled tracer that keeps the **first** `cap` entries and counts
-    /// the overflow in [`Tracer::dropped`].
-    pub fn with_capacity(cap: usize) -> Self {
-        Tracer {
-            enabled: true,
-            capacity: Some(cap),
-            ..Tracer::default()
-        }
-    }
-
-    /// An enabled tracer that keeps the **most recent** `cap` entries,
-    /// overwriting the oldest once full. Each overwritten entry counts in
-    /// [`Tracer::dropped`]. Read with [`Tracer::snapshot`]: after
-    /// overflow, [`Tracer::entries`] exposes the raw circular buffer,
-    /// whose storage order differs from chronological order.
-    pub fn ring(cap: usize) -> Self {
-        Tracer {
-            enabled: true,
-            capacity: Some(cap),
-            ring: true,
-            ..Tracer::default()
-        }
-    }
-
-    /// An enabled tracer that buffers nothing and forwards every entry to
-    /// `sink` instead.
-    pub fn streaming(sink: Box<dyn TraceSink>) -> Self {
-        Tracer {
-            enabled: true,
-            sink: Some(sink),
-            ..Tracer::default()
+            entries: Vec::new(),
         }
     }
 
     /// Whether recording is on.
-    pub fn is_enabled(&self) -> bool {
+    pub(crate) fn is_enabled(&self) -> bool {
         self.enabled
     }
 
-    /// Whether this tracer keeps the newest entries (ring mode).
-    pub fn is_ring(&self) -> bool {
-        self.ring
-    }
-
-    /// Whether this tracer forwards entries to a sink instead of buffering.
-    pub fn is_streaming(&self) -> bool {
-        self.sink.is_some()
-    }
-
-    /// Records one entry (no-op when disabled; see module docs for the
-    /// overflow behavior of each mode).
-    pub fn record(&mut self, entry: TraceEntry) {
-        if !self.enabled {
-            return;
-        }
-        if let Some(sink) = self.sink.as_mut() {
-            sink.record(&entry);
-            self.streamed += 1;
-            return;
-        }
-        match self.capacity {
-            Some(cap) if self.entries.len() >= cap => {
-                if self.ring && cap > 0 {
-                    self.entries[self.head] = entry;
-                    self.head = (self.head + 1) % cap;
-                }
-                self.dropped += 1;
-            }
-            _ => self.entries.push(entry),
+    /// Records one entry (a no-op when disabled).
+    pub(crate) fn record(&mut self, entry: TraceEntry) {
+        if self.enabled {
+            self.entries.push(entry);
         }
     }
 
-    /// Buffered entries in storage order. In ring mode after overflow the
-    /// storage order is rotated; prefer [`Tracer::snapshot`] there. Always
-    /// empty in streaming mode.
-    pub fn entries(&self) -> &[TraceEntry] {
+    /// Every recorded entry, in dispatch order.
+    pub(crate) fn entries(&self) -> &[TraceEntry] {
         &self.entries
-    }
-
-    /// Buffered entries in chronological order, un-rotating the ring
-    /// buffer when needed.
-    pub fn snapshot(&self) -> Vec<TraceEntry> {
-        let wrapped = self.ring && self.capacity.is_some_and(|cap| self.entries.len() == cap);
-        if wrapped && self.head > 0 {
-            let mut out = Vec::with_capacity(self.entries.len());
-            out.extend_from_slice(&self.entries[self.head..]);
-            out.extend_from_slice(&self.entries[..self.head]);
-            out
-        } else {
-            self.entries.clone()
-        }
-    }
-
-    /// How many entries were discarded: overflow past the bound in bounded
-    /// mode, overwritten entries in ring mode.
-    pub fn dropped(&self) -> u64 {
-        self.dropped
-    }
-
-    /// How many entries were forwarded to the sink (streaming mode).
-    pub fn streamed(&self) -> u64 {
-        self.streamed
-    }
-
-    /// Consumes the tracer, returning its sink (if streaming).
-    pub fn into_sink(self) -> Option<Box<dyn TraceSink>> {
-        self.sink
     }
 }
 
@@ -233,83 +103,5 @@ mod tests {
         tr.record(entry(2));
         assert_eq!(tr.entries().len(), 2);
         assert_eq!(tr.entries()[1].b, 2);
-    }
-
-    #[test]
-    fn capacity_bound_keeps_oldest_and_counts_drops() {
-        let mut tr = Tracer::with_capacity(2);
-        for t in 0..5 {
-            tr.record(entry(t));
-        }
-        assert_eq!(tr.entries().len(), 2);
-        assert_eq!(tr.dropped(), 3);
-        // Bounded mode keeps the *first* entries.
-        let kept: Vec<u64> = tr.snapshot().iter().map(|e| e.b).collect();
-        assert_eq!(kept, vec![0, 1]);
-    }
-
-    #[test]
-    fn ring_keeps_newest_in_chronological_order() {
-        let mut tr = Tracer::ring(3);
-        for t in 0..8 {
-            tr.record(entry(t));
-        }
-        assert!(tr.is_ring());
-        assert_eq!(tr.dropped(), 5);
-        let kept: Vec<u64> = tr.snapshot().iter().map(|e| e.b).collect();
-        assert_eq!(kept, vec![5, 6, 7]);
-        // The raw buffer is rotated; snapshot un-rotates it.
-        assert_eq!(tr.entries().len(), 3);
-    }
-
-    #[test]
-    fn ring_below_capacity_matches_unbounded() {
-        let mut tr = Tracer::ring(10);
-        for t in 0..4 {
-            tr.record(entry(t));
-        }
-        assert_eq!(tr.dropped(), 0);
-        let kept: Vec<u64> = tr.snapshot().iter().map(|e| e.b).collect();
-        assert_eq!(kept, vec![0, 1, 2, 3]);
-    }
-
-    #[test]
-    fn ring_wrap_boundary_is_chronological() {
-        // Exactly one full lap: head returns to 0 and the raw buffer is
-        // already chronological.
-        let mut tr = Tracer::ring(4);
-        for t in 0..8 {
-            tr.record(entry(t));
-        }
-        let kept: Vec<u64> = tr.snapshot().iter().map(|e| e.b).collect();
-        assert_eq!(kept, vec![4, 5, 6, 7]);
-    }
-
-    #[test]
-    fn zero_capacity_ring_drops_everything() {
-        let mut tr = Tracer::ring(0);
-        tr.record(entry(1));
-        assert!(tr.entries().is_empty());
-        assert_eq!(tr.dropped(), 1);
-        assert!(tr.snapshot().is_empty());
-    }
-
-    struct CollectSink(Vec<u64>);
-    impl TraceSink for CollectSink {
-        fn record(&mut self, entry: &TraceEntry) {
-            self.0.push(entry.b);
-        }
-    }
-
-    #[test]
-    fn streaming_forwards_without_buffering() {
-        let mut tr = Tracer::streaming(Box::new(CollectSink(Vec::new())));
-        assert!(tr.is_streaming());
-        for t in 0..5 {
-            tr.record(entry(t));
-        }
-        assert!(tr.entries().is_empty());
-        assert_eq!(tr.streamed(), 5);
-        assert_eq!(tr.dropped(), 0);
     }
 }

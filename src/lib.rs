@@ -10,7 +10,7 @@
 //!   middleware, programming primitives, analytical estimation, VM);
 //! * [`runtime`] — topology emulation and virtual-process binding on real
 //!   deployments;
-//! * [`obs`] — telemetry: phase spans, metric registry, JSONL traces;
+//! * [`obs`] — telemetry: phase spans, JSONL traces of metric stores;
 //! * [`synth`] — task graphs, constrained mapping, program synthesis;
 //! * [`analyze`] — static analysis of synthesized artifacts: structured
 //!   diagnostics, reachability, constraint/deadlock/budget lints;
