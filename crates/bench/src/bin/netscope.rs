@@ -13,8 +13,6 @@
 //! netscope critical-path --demo [--side N] [--per-cell K] [--seed S] [--width W]
 //! netscope shards <trace.jsonl>
 //! netscope shards --demo [--side N] [--per-cell K] [--seed S] [--cut-level L]
-//! netscope flight <dump.jsonl> [--width W]
-//! netscope flight --demo [--side N] [--per-cell K] [--seed S] [--cut-level L] [--width W]
 //! netscope diff <a.jsonl> <b.jsonl>
 //! ```
 //!
@@ -22,29 +20,30 @@
 //! divide-and-conquer application, 16×16 virtual grid by default) and
 //! inspects it in place; `--out` additionally writes the JSONL to a file.
 //! On power-of-two demo grids the report also re-runs the mission on the
-//! sharded engine to show the per-shard telemetry table and a sample
-//! flight-recorder dump.
+//! sharded engine to show the per-shard telemetry table. A post-mortem
+//! trace — `wsn-chaos` writes `chaos-trace-<seed>.jsonl` for a wrong
+//! answer by replaying its seed with the dispatch log on — is inspected
+//! like any other trace.
 //!
 //! `critical-path` walks the trace's causal log back from the final
 //! exfiltration, renders the per-hop/per-merge-level waterfall, and
 //! cross-checks the telescoped path length against the measured
-//! application span — exiting non-zero on a mismatch, so CI can assert
-//! the exactness invariant. `diff` prints per-counter/per-span deltas
-//! between two traces.
+//! application span, so CI can assert the exactness invariant. `diff`
+//! prints per-counter/per-span deltas between two traces.
 //!
 //! `shards` decodes a shard-metrics trace
 //! (`wsn_bench::experiments::record_shard_metrics_trace`, or its own
-//! `--demo` run) into the
-//! per-shard utilization/skew/barrier-stall table, exiting 1 when the
-//! per-shard counters fail to reconcile with the kernel's dispatch total.
-//! `flight` renders a flight-recorder dump
-//! (`wsn_bench::experiments::record_flight_dump`, or a crash artifact)
-//! as a per-dispatch waterfall. Both exit 2 on unreadable input.
+//! `--demo` run) into the per-shard utilization/skew/barrier-stall table.
+//!
+//! Every mode exits 0 when clean, 1 on a finding (a critical path that
+//! misses the application span, per-shard counters that fail to
+//! reconcile with the kernel's dispatch total) and 2 on a usage or
+//! decode error.
 
 use std::process::ExitCode;
 use wsn_obs::{
     extract_critical_path, render_span_forest, render_timeline, render_trace_diff, shard_table,
-    FlightDump, TimelineConfig, TraceDocument,
+    TimelineConfig, TraceDocument,
 };
 
 struct Options {
@@ -64,11 +63,13 @@ const USAGE: &str = "usage: netscope <trace.jsonl> [--top K] [--no-timeline]
        netscope critical-path --demo [--side N] [--per-cell K] [--seed S] [--width W]
        netscope shards <trace.jsonl>
        netscope shards --demo [--side N] [--per-cell K] [--seed S] [--cut-level L]
-       netscope flight <dump.jsonl> [--width W]
-       netscope flight --demo [--side N] [--per-cell K] [--seed S] [--cut-level L] [--width W]
        netscope diff <a.jsonl> <b.jsonl>";
 
-fn parse_args() -> Result<Options, String> {
+/// A mode's rendered report and whether it is clean (`false` → exit 1);
+/// `Err` is a usage or decode error (exit 2).
+type Outcome = Result<(String, bool), String>;
+
+fn parse_args(args: &[String]) -> Result<Options, String> {
     let mut opts = Options {
         input: None,
         demo: false,
@@ -79,9 +80,13 @@ fn parse_args() -> Result<Options, String> {
         top: 8,
         timeline: true,
     };
-    let mut args = std::env::args().skip(1);
+    let mut args = args.iter();
     while let Some(arg) = args.next() {
-        let mut value = |flag: &str| args.next().ok_or_else(|| format!("{flag} needs a value"));
+        let mut value = |flag: &str| {
+            args.next()
+                .cloned()
+                .ok_or_else(|| format!("{flag} needs a value"))
+        };
         match arg.as_str() {
             "--demo" => opts.demo = true,
             "--side" => opts.side = parse_num(&value("--side")?)?,
@@ -90,7 +95,6 @@ fn parse_args() -> Result<Options, String> {
             "--out" => opts.out = Some(value("--out")?),
             "--top" => opts.top = parse_num(&value("--top")?)?,
             "--no-timeline" => opts.timeline = false,
-            "--help" | "-h" => return Err(USAGE.to_string()),
             other if !other.starts_with('-') && opts.input.is_none() => {
                 opts.input = Some(other.to_string());
             }
@@ -114,10 +118,52 @@ fn load_trace(path: &str) -> Result<TraceDocument, String> {
     TraceDocument::from_jsonl(&text).map_err(|e| format!("{path}: {e}"))
 }
 
-/// `netscope critical-path …`: waterfall + exactness verdict. Non-zero
-/// exit when the telescoped path length disagrees with the measured
-/// application span (or the trace has no causal log).
-fn cmd_critical_path(args: &[String]) -> Result<String, String> {
+/// `netscope <trace.jsonl>` / `netscope --demo …`: the full inspection
+/// report. A demo on a quad-tree-shardable grid also shows the engine's
+/// per-shard telemetry, so the demo exercises every view netscope has.
+fn cmd_inspect(args: &[String]) -> Outcome {
+    let opts = parse_args(args)?;
+    let doc = if opts.demo {
+        eprintln!(
+            "recording end-to-end demo trace: {}x{} grid, {} nodes/cell, seed {}",
+            opts.side, opts.side, opts.per_cell, opts.seed
+        );
+        let doc =
+            wsn_bench::record_end_to_end_trace(opts.side, opts.per_cell, opts.seed, opts.timeline);
+        if let Some(path) = &opts.out {
+            std::fs::write(path, doc.to_jsonl())
+                .map_err(|e| format!("cannot write {path}: {e}"))?;
+            eprintln!("wrote {path}");
+        }
+        doc
+    } else {
+        load_trace(opts.input.as_deref().expect("parse_args demands an input"))?
+    };
+    let mut out = report(&doc, opts.top, opts.timeline);
+    if opts.demo && opts.side >= 2 && opts.side.is_power_of_two() {
+        let shard_doc = wsn_bench::experiments::record_shard_metrics_trace(
+            opts.side,
+            opts.per_cell,
+            opts.seed,
+            1,
+            false,
+        );
+        match shard_table(&shard_doc) {
+            Ok(table) => {
+                out.push_str("\n== shard telemetry (cut level 1) ==\n");
+                out.push_str(&table.render());
+            }
+            Err(e) => eprintln!("shard telemetry unavailable: {e}"),
+        }
+    }
+    Ok((out, true))
+}
+
+/// `netscope critical-path …`: waterfall + exactness verdict, unclean
+/// when the telescoped path length disagrees with the measured
+/// application span. A trace without a causal log or an application span
+/// cannot be checked: a decode error.
+fn cmd_critical_path(args: &[String]) -> Outcome {
     let mut input = None;
     let mut demo = false;
     let mut side: u32 = 4;
@@ -159,42 +205,29 @@ fn cmd_critical_path(args: &[String]) -> Result<String, String> {
     }
     let path = extract_critical_path(&doc.causal)?;
     let mut out = path.render_waterfall(width);
-    let span = doc.spans.iter().find(|s| s.name == "application");
-    match span {
-        Some(span) => {
-            let measured = span.duration_ticks();
-            let verdict = if path.total_ticks() == measured
-                && path.segment_sum() == measured
-                && path.start == span.start
-                && path.end == span.end
-            {
-                "EXACT"
-            } else {
-                "MISMATCH"
-            };
-            out.push_str(&format!(
-                "application span {}..{} ({measured} ticks) vs critical path {} ticks — {verdict}\n",
-                span.start.ticks(),
-                span.end.ticks(),
-                path.total_ticks(),
-            ));
-            if verdict == "MISMATCH" {
-                return Err(out);
-            }
-        }
-        None => {
-            out.push_str("(no application span in trace; cannot cross-check)\n");
-            return Err(out);
-        }
-    }
-    Ok(out)
+    let Some(span) = doc.spans.iter().find(|s| s.name == "application") else {
+        out.push_str("(no application span in trace; cannot cross-check)\n");
+        return Err(out);
+    };
+    let measured = span.duration_ticks();
+    let exact = path.total_ticks() == measured
+        && path.segment_sum() == measured
+        && path.start == span.start
+        && path.end == span.end;
+    out.push_str(&format!(
+        "application span {}..{} ({measured} ticks) vs critical path {} ticks — {}\n",
+        span.start.ticks(),
+        span.end.ticks(),
+        path.total_ticks(),
+        if exact { "EXACT" } else { "MISMATCH" },
+    ));
+    Ok((out, exact))
 }
 
 /// `netscope shards …`: the per-shard utilization/skew/barrier-stall
-/// table of a shard-metrics trace. Returns the rendered table plus the
-/// reconciliation verdict (`false` → exit 1); `Err` is a usage or decode
-/// problem (exit 2).
-fn cmd_shards(args: &[String]) -> Result<(String, bool), String> {
+/// table of a shard-metrics trace, unclean when the per-shard counters
+/// fail to reconcile with the kernel's dispatch total.
+fn cmd_shards(args: &[String]) -> Outcome {
     let mut input = None;
     let mut demo = false;
     let mut side: u32 = 4;
@@ -236,55 +269,6 @@ fn cmd_shards(args: &[String]) -> Result<(String, bool), String> {
     Ok((table.render(), table.reconciled))
 }
 
-/// `netscope flight …`: renders a flight-recorder dump as a
-/// per-dispatch waterfall. `Err` is a usage or decode problem (exit 2).
-fn cmd_flight(args: &[String]) -> Result<String, String> {
-    let mut input = None;
-    let mut demo = false;
-    let mut side: u32 = 4;
-    let mut per_cell: usize = 3;
-    let mut seed: u64 = 5;
-    let mut cut: u8 = 1;
-    let mut width: usize = 32;
-    let mut it = args.iter();
-    while let Some(arg) = it.next() {
-        let mut value = |flag: &str| {
-            it.next()
-                .cloned()
-                .ok_or_else(|| format!("{flag} needs a value"))
-        };
-        match arg.as_str() {
-            "--demo" => demo = true,
-            "--side" => side = parse_num(&value("--side")?)?,
-            "--per-cell" => per_cell = parse_num(&value("--per-cell")?)?,
-            "--seed" => seed = parse_num(&value("--seed")?)?,
-            "--cut-level" => cut = parse_num(&value("--cut-level")?)?,
-            "--width" => width = parse_num(&value("--width")?)?,
-            other if !other.starts_with('-') && input.is_none() => {
-                input = Some(other.to_string());
-            }
-            other => return Err(format!("unknown argument {other:?}\n{USAGE}")),
-        }
-    }
-    let dump = match (&input, demo) {
-        (Some(path), false) => {
-            let text =
-                std::fs::read_to_string(path).map_err(|e| format!("cannot read {path}: {e}"))?;
-            FlightDump::from_jsonl(&text).map_err(|e| format!("{path}: {e}"))?
-        }
-        (None, true) => {
-            validate_shard_demo(side, cut)?;
-            wsn_bench::experiments::record_flight_dump(side, per_cell, seed, cut, 8, "demo")
-        }
-        _ => {
-            return Err(format!(
-                "pass exactly one of a dump file or --demo\n{USAGE}"
-            ))
-        }
-    };
-    Ok(dump.render_waterfall(width))
-}
-
 /// The sharded demo runs need a quad-tree plan: power-of-two side, cut
 /// within the depth.
 fn validate_shard_demo(side: u32, cut: u8) -> Result<(), String> {
@@ -299,144 +283,42 @@ fn validate_shard_demo(side: u32, cut: u8) -> Result<(), String> {
 }
 
 /// `netscope diff a.jsonl b.jsonl`: per-counter/per-span deltas.
-fn cmd_diff(args: &[String]) -> Result<String, String> {
+fn cmd_diff(args: &[String]) -> Outcome {
     let files: Vec<&String> = args.iter().filter(|a| !a.starts_with('-')).collect();
     if files.len() != 2 || args.len() != 2 {
         return Err(format!("diff takes exactly two trace files\n{USAGE}"));
     }
     let a = load_trace(files[0])?;
     let b = load_trace(files[1])?;
-    Ok(render_trace_diff(&a, &b))
+    Ok((render_trace_diff(&a, &b), true))
 }
 
 fn main() -> ExitCode {
     let argv: Vec<String> = std::env::args().skip(1).collect();
-    match argv.first().map(String::as_str) {
-        Some("critical-path") => {
-            return match cmd_critical_path(&argv[1..]) {
-                Ok(out) => {
-                    print!("{out}");
-                    ExitCode::SUCCESS
-                }
-                Err(msg) => {
-                    eprintln!("{msg}");
-                    ExitCode::FAILURE
-                }
-            }
-        }
-        Some("diff") => {
-            return match cmd_diff(&argv[1..]) {
-                Ok(out) => {
-                    print!("{out}");
-                    ExitCode::SUCCESS
-                }
-                Err(msg) => {
-                    eprintln!("{msg}");
-                    ExitCode::FAILURE
-                }
-            }
-        }
-        Some("shards") => {
-            return match cmd_shards(&argv[1..]) {
-                Ok((out, reconciled)) => {
-                    print!("{out}");
-                    if reconciled {
-                        ExitCode::SUCCESS
-                    } else {
-                        ExitCode::FAILURE
-                    }
-                }
-                Err(msg) => {
-                    eprintln!("{msg}");
-                    ExitCode::from(2)
-                }
-            }
-        }
-        Some("flight") => {
-            return match cmd_flight(&argv[1..]) {
-                Ok(out) => {
-                    print!("{out}");
-                    ExitCode::SUCCESS
-                }
-                Err(msg) => {
-                    eprintln!("{msg}");
-                    ExitCode::from(2)
-                }
-            }
-        }
-        _ => {}
+    if argv.iter().any(|a| a == "--help" || a == "-h") {
+        println!("{USAGE}");
+        return ExitCode::SUCCESS;
     }
-    let opts = match parse_args() {
-        Ok(opts) => opts,
+    let outcome = match argv.first().map(String::as_str) {
+        Some("critical-path") => cmd_critical_path(&argv[1..]),
+        Some("shards") => cmd_shards(&argv[1..]),
+        Some("diff") => cmd_diff(&argv[1..]),
+        _ => cmd_inspect(&argv),
+    };
+    match outcome {
+        Ok((out, clean)) => {
+            print!("{out}");
+            if clean {
+                ExitCode::SUCCESS
+            } else {
+                ExitCode::FAILURE
+            }
+        }
         Err(msg) => {
             eprintln!("{msg}");
-            return ExitCode::FAILURE;
+            ExitCode::from(2)
         }
-    };
-
-    let doc = if opts.demo {
-        eprintln!(
-            "recording end-to-end demo trace: {}x{} grid, {} nodes/cell, seed {}",
-            opts.side, opts.side, opts.per_cell, opts.seed
-        );
-        let doc =
-            wsn_bench::record_end_to_end_trace(opts.side, opts.per_cell, opts.seed, opts.timeline);
-        if let Some(path) = &opts.out {
-            if let Err(e) = std::fs::write(path, doc.to_jsonl()) {
-                eprintln!("cannot write {path}: {e}");
-                return ExitCode::FAILURE;
-            }
-            eprintln!("wrote {path}");
-        }
-        doc
-    } else {
-        let path = opts.input.as_deref().unwrap();
-        let text = match std::fs::read_to_string(path) {
-            Ok(text) => text,
-            Err(e) => {
-                eprintln!("cannot read {path}: {e}");
-                return ExitCode::FAILURE;
-            }
-        };
-        match TraceDocument::from_jsonl(&text) {
-            Ok(doc) => doc,
-            Err(e) => {
-                eprintln!("{path}: {e}");
-                return ExitCode::FAILURE;
-            }
-        }
-    };
-
-    print!("{}", report(&doc, opts.top, opts.timeline));
-    // Demo runs on a quad-tree-shardable grid also show the engine's
-    // per-shard telemetry and a sample flight-recorder dump, so the
-    // demo exercises every view netscope has.
-    if opts.demo && opts.side >= 2 && opts.side.is_power_of_two() {
-        let shard_doc = wsn_bench::experiments::record_shard_metrics_trace(
-            opts.side,
-            opts.per_cell,
-            opts.seed,
-            1,
-            false,
-        );
-        match shard_table(&shard_doc) {
-            Ok(table) => print!("\n== shard telemetry (cut level 1) ==\n{}", table.render()),
-            Err(e) => eprintln!("shard telemetry unavailable: {e}"),
-        }
-        let dump = wsn_bench::experiments::record_flight_dump(
-            opts.side,
-            opts.per_cell,
-            opts.seed,
-            1,
-            8,
-            "demo",
-        );
-        print!(
-            "\n== flight dump (sample, capacity 8/shard) ==\n{}",
-            dump.render_waterfall(32)
-        );
     }
-    ExitCode::SUCCESS
 }
 
 /// Renders the full inspection report for a trace document.

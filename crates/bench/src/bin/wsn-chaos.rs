@@ -13,17 +13,19 @@
 //! distributed quad-tree labeling under the runtime's self-healing chaos
 //! mission and differentially checks every surviving answer against the
 //! centralized `label_regions` oracle. Stalling under fire is acceptable;
-//! a wrong answer is a bug, is minimized by greedy delta-debugging, and
-//! fails the process (exit 1). A sample of seeds is re-run to prove the
-//! sweep replays bit-identically, and one telemetry-enabled mission
-//! verifies the recovery counters surface in the exported telemetry.
+//! a wrong answer is a bug: its schedule is replayed with the dispatch log
+//! on into `chaos-trace-<seed>.jsonl` (render it with `netscope`), it is
+//! minimized by greedy delta-debugging, and it fails the process (exit 1).
+//! A sample of seeds is re-run to prove the sweep replays bit-identically,
+//! and one telemetry-enabled mission verifies the recovery counters
+//! surface in the telemetry store.
 
 use std::process::ExitCode;
 use wsn_net::{ChaosPlan, DeploymentSpec, LinkModel, RadioModel};
 use wsn_runtime::{PhysicalRuntime, SelfHealConfig};
 use wsn_sim::SimTime;
 use wsn_topoquery::{
-    chaos::{run_scenario, shrink_plan, ChaosScenario, ChaosVerdict},
+    chaos::{replay_scenario_traced, run_scenario, shrink_plan, ChaosScenario, ChaosVerdict},
     DandcMsg, DandcProgram,
 };
 
@@ -103,12 +105,11 @@ fn main() -> ExitCode {
                     scenario.per_cell,
                     scenario.plan.len(),
                 );
-                if let Some(jsonl) = &outcome.flight_jsonl {
-                    let path = format!("chaos-flight-{seed}.jsonl");
-                    match std::fs::write(&path, jsonl) {
-                        Ok(()) => eprintln!("  flight dump written to {path} (netscope flight)"),
-                        Err(e) => eprintln!("  cannot write flight dump {path}: {e}"),
-                    }
+                let (_, jsonl) = replay_scenario_traced(&scenario, scenario.plan.clone());
+                let path = format!("chaos-trace-{seed}.jsonl");
+                match std::fs::write(&path, jsonl) {
+                    Ok(()) => eprintln!("  traced replay written to {path} (netscope {path})"),
+                    Err(e) => eprintln!("  cannot write traced replay {path}: {e}"),
                 }
                 if shrink {
                     let minimal = shrink_plan(&scenario, |o| !o.verdict.is_safe());
@@ -137,13 +138,13 @@ fn main() -> ExitCode {
     );
 
     let replayable = determinism_recheck(base, sweep);
-    let registry_ok = registry_check();
+    let telemetry_ok = telemetry_check();
 
     if tally.wrong > 0 {
         eprintln!("FAIL: {} wrong answer(s)", tally.wrong);
         return ExitCode::FAILURE;
     }
-    if !replayable || !registry_ok {
+    if !replayable || !telemetry_ok {
         return ExitCode::FAILURE;
     }
     println!("OK: no wrong answers; sweep replays bit-identically");
@@ -172,8 +173,8 @@ fn determinism_recheck(base: u64, sweep: u64) -> bool {
 }
 
 /// One telemetry-enabled mission with a mid-application leader-killing
-/// crash: the recovery counters must surface in the exported telemetry.
-fn registry_check() -> bool {
+/// crash: the recovery counters must surface in the telemetry store.
+fn telemetry_check() -> bool {
     let deployment = DeploymentSpec::per_cell(2, 4).generate(21);
     let range = deployment.grid().range_for_adjacent_cell_reachability();
     let mut rt: PhysicalRuntime<DandcMsg> = PhysicalRuntime::new(
@@ -203,7 +204,7 @@ fn registry_check() -> bool {
         },
         1,
     );
-    let reg = rt.telemetry();
+    let telemetry = rt.telemetry();
     let exported = [
         ("heal.epochs", u64::from(report.epochs)),
         ("heal.reemulations", u64::from(report.heals)),
@@ -212,21 +213,21 @@ fn registry_check() -> bool {
     ];
     let mut ok = true;
     for (name, expect) in exported {
-        if reg.counter(name) != expect {
+        if telemetry.counter(name) != expect {
             eprintln!(
-                "registry mismatch: {name} = {} but mission reported {expect}",
-                reg.counter(name)
+                "telemetry mismatch: {name} = {} but mission reported {expect}",
+                telemetry.counter(name)
             );
             ok = false;
         }
     }
-    if reg.counter("heal.epochs") == 0 {
-        eprintln!("registry check: heal.epochs never incremented");
+    if telemetry.counter("heal.epochs") == 0 {
+        eprintln!("telemetry check: heal.epochs never incremented");
         ok = false;
     }
     if ok {
         println!(
-            "  registry: heal.* counters exported (epochs {}, heals {}, re-elections {}, leases {})",
+            "  telemetry: heal.* counters recorded (epochs {}, heals {}, re-elections {}, leases {})",
             report.epochs, report.heals, report.reelections, report.leases_expired
         );
     }
@@ -257,6 +258,6 @@ fn print_usage() {
         "usage: wsn-chaos [--smoke] [--sweep N] [--seed B] [--no-shrink]\n\
          seeded differential chaos fuzzing of the self-healing runtime;\n\
          exit 1 on any wrong answer, non-deterministic replay, or missing\n\
-         registry counters"
+         telemetry counters"
     );
 }

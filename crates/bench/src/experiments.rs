@@ -818,20 +818,6 @@ impl std::fmt::Display for RunEngine {
     }
 }
 
-/// How a seeded mission is observed.
-#[derive(Debug, Clone, Copy)]
-enum Observe {
-    /// Telemetry on (with the kernel's dispatch log when `events`), and
-    /// the application traced causally.
-    Traced { events: bool },
-    /// Only the per-shard flight recorder: `capacity` retained
-    /// dispatches per shard of the cut-`cut` quadrant map.
-    Flight { cut: u8, capacity: usize },
-}
-
-/// Telemetry and causal tracing on, no kernel dispatch log.
-const TRACED: Observe = Observe::Traced { events: false };
-
 /// The sharded engine on one lane at quad-tree cut `cut`.
 fn one_lane(cut: u8) -> RunEngine {
     RunEngine::Sharded {
@@ -854,15 +840,17 @@ fn uniform_field(side: u32) -> Field {
 /// The one seeded-mission set-up behind every recorder below: deploy
 /// `per_cell` nodes per cell of a `side` grid from `seed`, sense `field`,
 /// bring up the topology and the leaders, install `program` on every
-/// leader and run the application on `engine`. `mutation` is planted in
-/// the layer it sabotages: the radio model or the sharded runtime.
+/// leader and run the application on `engine`, with telemetry on (and
+/// the kernel's dispatch log when `trace_events`) and the application
+/// traced causally. `mutation` is planted in the layer it sabotages: the
+/// radio model or the sharded runtime.
 #[allow(clippy::too_many_arguments)]
 fn seeded_mission<P: Clone + 'static>(
     side: u32,
     per_cell: usize,
     seed: u64,
     field: Field,
-    observe: Observe,
+    trace_events: bool,
     engine: RunEngine,
     mutation: Option<Mutation>,
     program: impl Fn(u32) -> Box<dyn NodeProgram<P>> + 'static,
@@ -885,10 +873,7 @@ fn seeded_mission<P: Clone + 'static>(
     if let Some(Mutation::Shard(m)) = mutation {
         rt.plant_shard_mutation(m);
     }
-    match observe {
-        Observe::Traced { events } => rt.enable_telemetry(events),
-        Observe::Flight { cut, capacity } => rt.enable_flight_recorder(u32::from(cut), capacity),
-    }
+    rt.enable_telemetry(trace_events);
     let topo = rt.run_topology_emulation();
     assert!(topo.complete, "topology emulation must complete");
     let bind = rt.run_binding();
@@ -897,9 +882,7 @@ fn seeded_mission<P: Clone + 'static>(
     // Causal tracing goes on after the control phases so the exported
     // happens-before DAG covers exactly the application — the shape the
     // critical-path profiler walks.
-    if let Observe::Traced { .. } = observe {
-        rt.enable_causal_tracing();
-    }
+    rt.enable_causal_tracing();
     let app = engine.run_application(&mut rt);
     (rt, app)
 }
@@ -949,9 +932,6 @@ pub fn record_end_to_end_trace_mutated(
         (rt.record_trace(), rt.metrics(&app))
     }
     let field = blob_field(side, seed);
-    let observe = Observe::Traced {
-        events: trace_events,
-    };
     // The certified zero-copy hot path: whenever the frame-layout
     // certificate covers this side (every payload bound fits the fixed
     // frame), summaries travel as encoded `FrameBuf`s instead of
@@ -963,7 +943,7 @@ pub fn record_end_to_end_trace_mutated(
             per_cell,
             seed,
             field,
-            observe,
+            trace_events,
             engine,
             mutation,
             |s| {
@@ -974,7 +954,14 @@ pub fn record_end_to_end_trace_mutated(
         ))
     } else {
         export(seeded_mission(
-            side, per_cell, seed, field, observe, engine, mutation, dandc,
+            side,
+            per_cell,
+            seed,
+            field,
+            trace_events,
+            engine,
+            mutation,
+            dandc,
         ))
     }
 }
@@ -1024,7 +1011,7 @@ pub fn record_model_fidelity_trace_with(
         tx_energy: tx_energy_multiplier,
     });
     let field = uniform_field(side);
-    let (rt, _) = seeded_mission(side, per_cell, seed, field, TRACED, engine, radio, dandc);
+    let (rt, _) = seeded_mission(side, per_cell, seed, field, false, engine, radio, dandc);
     rt.record_trace()
 }
 
@@ -1045,29 +1032,10 @@ pub fn record_shard_metrics_trace(
 ) -> wsn_obs::TraceDocument {
     let mutation = skew.then_some(Mutation::Shard(ShardMutation::UndercountTap));
     let (engine, field) = (one_lane(cut), uniform_field(side));
-    let (rt, _) = seeded_mission(side, per_cell, seed, field, TRACED, engine, mutation, dandc);
+    let (rt, _) = seeded_mission(side, per_cell, seed, field, false, engine, mutation, dandc);
     let mut doc = rt.record_trace();
     doc.absorb_stats(rt.shard_telemetry());
     doc
-}
-
-/// Records the seeded uniform-field topoquery run with the per-shard
-/// flight recorder armed (cut-`cut` quadrant map, `capacity` retained
-/// dispatches per shard) and snapshots the rings into a
-/// [`wsn_obs::FlightDump`] tagged `reason` — the post-mortem artifact
-/// `netscope flight` renders and CI uploads on gate failures.
-pub fn record_flight_dump(
-    side: u32,
-    per_cell: usize,
-    seed: u64,
-    cut: u8,
-    capacity: usize,
-    reason: &str,
-) -> wsn_obs::FlightDump {
-    let observe = Observe::Flight { cut, capacity };
-    let (engine, field) = (one_lane(cut), uniform_field(side));
-    let (rt, _) = seeded_mission(side, per_cell, seed, field, observe, engine, None, dandc);
-    rt.flight_dump(reason).expect("recorder was armed")
 }
 
 /// EXP-20: parallel-kernel scaling. For each side, runs the seeded
@@ -1177,7 +1145,7 @@ pub fn record_shard_leak_trace(side: u32, per_cell: usize, seed: u64) -> wsn_obs
         Box::new(ShardLeakProgram { inner, side })
     };
     let (engine, field) = (RunEngine::Sequential, uniform_field(side));
-    let (rt, _) = seeded_mission(side, per_cell, seed, field, TRACED, engine, None, leaky);
+    let (rt, _) = seeded_mission(side, per_cell, seed, field, false, engine, None, leaky);
     rt.record_trace()
 }
 

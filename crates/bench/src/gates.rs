@@ -14,8 +14,8 @@
 //! the perf baseline, and the exit-code suite takes its gate rows from it.
 
 use crate::experiments::{
-    record_end_to_end_trace_mutated, record_end_to_end_trace_with, record_flight_dump,
-    record_model_fidelity_trace, record_shard_leak_trace, RunEngine,
+    record_end_to_end_trace_mutated, record_end_to_end_trace_with, record_model_fidelity_trace,
+    record_shard_leak_trace, RunEngine,
 };
 use crate::hotpath::{allocprobe, sharded_hotpath, steady_state_hotpath};
 use crate::{lint, perfbase};
@@ -399,19 +399,9 @@ fn alloc_row(_: Option<Mutation>) -> Verdict {
 }
 
 /// The instrumented steady-state hot path costs at most 10% more per
-/// event than the bare one. A trip leaves `obs-gate-flight.jsonl`: the
-/// last dispatches of a fresh seeded sharded run, for `netscope flight`.
+/// event than the bare one; the report prints both ns/event figures.
 fn obs_row(_: Option<Mutation>) -> Verdict {
-    lint::obs_gate(8, 1000, TOLERANCE_PCT).map_err(|mut report| {
-        let dump = record_flight_dump(8, 1, 5, 1, 64, "obs-gate");
-        report.push_str(
-            &match std::fs::write("obs-gate-flight.jsonl", dump.to_jsonl()) {
-                Ok(()) => "\nflight dump written to obs-gate-flight.jsonl\n".to_string(),
-                Err(e) => format!("\ncannot write obs-gate-flight.jsonl: {e}\n"),
-            },
-        );
-        report
-    })
+    lint::obs_gate(8, 1000, TOLERANCE_PCT)
 }
 
 /// The side-512 sharded smoke (cut 2, 8 lanes), recorded twice after an

@@ -123,11 +123,6 @@ impl HotpathReport {
 /// ping-pong rounds to bring every buffer, table, and queue to its
 /// steady-state capacity, then measures one more round.
 ///
-/// The per-shard flight recorder rides along armed (cut level 1,
-/// preallocated rings): the no-alloc contract explicitly covers
-/// recording, so the alloc gate measures the hot path *with* its
-/// post-mortem instrumentation, not a stripped build.
-///
 /// Requires [`wsn_core::framed_payload_fits`]`(side)` — the harness
 /// refuses to drive the framed codec outside its certified envelope.
 pub fn steady_state_hotpath(side: u32, volleys: u64, warmup_rounds: u32) -> HotpathReport {
@@ -182,9 +177,6 @@ fn hotpath(
     );
     if telemetry {
         rt.enable_telemetry(false);
-    }
-    if side.is_power_of_two() && side >= 2 {
-        rt.enable_flight_recorder(1, 256);
     }
     let topo = rt.run_topology_emulation();
     assert!(topo.complete, "topology emulation must complete");

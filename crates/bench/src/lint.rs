@@ -258,15 +258,13 @@ pub fn shard_metrics_figure4(
     Ok((cert, diags))
 }
 
-/// Best-of-`rounds` steady-state hot-path run (lowest wall clock wins —
-/// the standard way to cut scheduler noise out of a same-machine ratio).
-/// Measured telemetry overhead: percent slowdown of the steady-state
-/// per-event wall cost with the full telemetry live versus the bare
-/// configuration (whose telemetry writes reduce to one flag check — the
-/// provably-cheap disabled path). Median of
-/// `rounds` sandwich samples (bare → instrumented → bare, the bare cost
-/// centered on the instrumented round so linear machine drift divides
-/// out); negative noise clamps to `0.0`.
+/// Median-of-`rounds` sandwich samples of the steady-state hot path
+/// (bare → instrumented → bare, the bare cost centered on the
+/// instrumented round so linear machine drift divides out). Measured
+/// telemetry overhead: percent slowdown of the steady-state per-event
+/// wall cost with the full telemetry live versus the bare configuration
+/// (whose telemetry writes reduce to one flag check — the provably-cheap
+/// disabled path). Negative noise clamps to `0.0`.
 pub fn telemetry_overhead_pct(side: u32, volleys: u64, rounds: u32) -> f64 {
     let mut ratios: Vec<f64> = Vec::new();
     for _ in 0..rounds.max(1) {

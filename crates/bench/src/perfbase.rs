@@ -52,11 +52,12 @@ pub struct RunSnapshot {
     pub allocs_per_event: f64,
     /// Telemetry overhead on the steady-state hot path: percent slowdown
     /// of the per-event wall cost with the full telemetry live versus the
-    /// bare (telemetry-off) configuration, best-of-run on the same
-    /// machine (see [`crate::lint::telemetry_overhead_pct`]). Machine-
-    /// dependent and noisy, so recorded but never drift-gated here; the
-    /// absolute ≤10% bound is the `obs` gate row's job. `-1.0` means
-    /// unmeasured; small negative measured values are clamped to `0.0`.
+    /// bare (telemetry-off) configuration, the median of sandwich samples
+    /// on the same machine (see [`crate::lint::telemetry_overhead_pct`]).
+    /// Machine-dependent and noisy, so recorded but never drift-gated
+    /// here; the absolute ≤10% bound is the `obs` gate row's job. `-1.0`
+    /// means unmeasured; small negative measured values are clamped to
+    /// `0.0`.
     pub telemetry_overhead_pct: f64,
     /// Scale-experiment row (sharded kernel at a large side): exempt
     /// from the default gate's missing-side check so routine `perf` gate

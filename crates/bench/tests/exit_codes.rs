@@ -1,12 +1,13 @@
-//! Golden exit-code matrix for `wsn-lint`: every check entry point must
-//! exit 0 on a clean run, 1 when it finds error-severity findings, and 2
-//! on usage or decode errors — so CI can trust the process status without
-//! parsing the report. The gate rows come from the gate table itself.
+//! Golden exit-code matrix for `wsn-lint` and `netscope`: every check
+//! entry point must exit 0 on a clean run, 1 when it finds error-severity
+//! findings, and 2 on usage or decode errors — so CI can trust the process
+//! status without parsing the report. The gate rows come from the gate
+//! table itself.
 
 use std::path::{Path, PathBuf};
 use std::process::{Command, Output};
 use wsn_bench::experiments::{
-    record_flight_dump, record_model_fidelity_trace, record_shard_leak_trace,
+    record_end_to_end_trace, record_model_fidelity_trace, record_shard_leak_trace,
     record_shard_metrics_trace,
 };
 use wsn_bench::gates::GATES;
@@ -247,10 +248,6 @@ fn netscope_shard_and_flight_paths() {
         "shard-metrics-skew.jsonl",
         &record_shard_metrics_trace(4, 3, 5, 1, true).to_jsonl(),
     );
-    let dump = temp(
-        "flight-dump.jsonl",
-        &record_flight_dump(4, 3, 5, 1, 64, "recorded").to_jsonl(),
-    );
 
     // netscope shards: 0 reconciled, 1 mismatch, 2 usage/decode.
     assert_eq!(netscope(&["shards", clean.to_str().unwrap()]), 0);
@@ -259,12 +256,47 @@ fn netscope_shard_and_flight_paths() {
     assert_eq!(netscope(&["shards", "/nonexistent/nope.jsonl"]), 2);
     assert_eq!(netscope(&["shards", "--demo", "--side", "3"]), 2);
 
-    // netscope flight: 0 rendered, 2 usage/decode.
-    assert_eq!(netscope(&["flight", dump.to_str().unwrap()]), 0);
-    assert_eq!(netscope(&["flight", "--demo", "--side", "4"]), 0);
-    assert_eq!(netscope(&["flight", "/nonexistent/nope.jsonl"]), 2);
+    // There is no `flight` mode: `flight` reads as a trace path beside
+    // `--demo` or a second input, a usage error either way.
+    assert_eq!(netscope(&["flight", "--demo", "--side", "4"]), 2);
+    assert_eq!(netscope(&["flight", clean.to_str().unwrap()]), 2);
 
-    for p in [clean, skewed, dump] {
+    for p in [clean, skewed] {
+        let _ = std::fs::remove_file(p);
+    }
+}
+
+#[test]
+fn netscope_modes_exit_by_one_convention() {
+    let recorded = record_end_to_end_trace(4, 3, 5, false);
+    let mut edited = recorded.clone();
+    let app = (edited.spans.iter_mut())
+        .find(|s| s.name == "application")
+        .expect("the recorded trace has an application span");
+    app.end += 1;
+    let trace = temp("e2e.jsonl", &recorded.to_jsonl());
+    let mismatch = temp("e2e-edited.jsonl", &edited.to_jsonl());
+    let [trace, mismatch] = [&trace, &mismatch].map(|p| p.to_str().unwrap());
+    let missing = "/nonexistent/nope.jsonl";
+    let matrix: &[(&[&str], i32)] = &[
+        (&[trace, "--no-timeline"], 0),
+        (&[trace, "--bogus"], 2),
+        (&[missing], 2),
+        (&[], 2),
+        (&["critical-path", trace], 0),
+        (&["critical-path", "--demo", "--side", "4"], 0),
+        (&["critical-path", mismatch], 1),
+        (&["critical-path", trace, "--bogus"], 2),
+        (&["critical-path", missing], 2),
+        (&["diff", trace, mismatch], 0),
+        (&["diff", trace], 2),
+        (&["diff", trace, missing], 2),
+        (&["--help"], 0),
+    ];
+    for (args, want) in matrix {
+        assert_eq!(netscope(args), *want, "netscope {}", args.join(" "));
+    }
+    for p in [trace, mismatch] {
         let _ = std::fs::remove_file(p);
     }
 }

@@ -7,11 +7,10 @@
 use crate::cost::CostModel;
 use crate::grid::VirtualGrid;
 use crate::groups::Hierarchy;
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// A virtual architecture instance for a class of deployments.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct VirtualArchitecture {
     /// The network model: an oriented 2-D grid.
     pub grid: VirtualGrid,

@@ -8,10 +8,8 @@
 //! the paper explicitly allows "a different set of cost functions … if the
 //! characteristics of the deployment necessitate it".
 
-use serde::{Deserialize, Serialize};
-
 /// Energy and latency coefficients of the virtual architecture.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct CostModel {
     /// Energy per unit of data transmitted.
     pub tx_energy: f64,
@@ -72,7 +70,7 @@ impl Default for CostModel {
 /// budget captures those requirements as optional ceilings/floors so the
 /// static analyzer can lint a mapping the same way it lints a program.
 /// `None` leaves a dimension unconstrained.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq)]
 pub struct CostBudget {
     /// Ceiling on network-wide energy per round.
     pub max_total_energy: Option<f64>,

@@ -12,10 +12,9 @@
 use crate::cost::CostModel;
 use crate::grid::{GridCoord, VirtualGrid};
 use crate::groups::Hierarchy;
-use serde::{Deserialize, Serialize};
 
 /// A first-order performance estimate.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Estimate {
     /// Critical-path latency in ticks.
     pub latency_ticks: u64,

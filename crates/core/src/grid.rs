@@ -7,8 +7,6 @@
 //! emulation protocol and by dimension-order routing between virtual
 //! nodes.
 
-use serde::{Deserialize, Serialize};
-
 /// Coordinates of a virtual grid node. Re-exported from `wsn-net`'s cell
 /// coordinates: virtual node `(col, row)` *is* the cell `(col, row)` of the
 /// terrain partition — the identification the runtime's topology emulation
@@ -16,7 +14,7 @@ use serde::{Deserialize, Serialize};
 pub type GridCoord = wsn_net::CellCoord;
 
 /// The four directions of the oriented grid (the paper's `DIR` set).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Direction {
     /// Row − 1.
     North,
@@ -60,7 +58,7 @@ impl Direction {
 /// assert_eq!(g.route(a, b).len(), 5); // dimension-order shortest path
 /// assert_eq!(g.index(b), 14);         // row-major
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct VirtualGrid {
     side: u32,
 }

@@ -18,7 +18,6 @@
 //! row-major.
 
 use crate::grid::GridCoord;
-use serde::{Deserialize, Serialize};
 
 /// The hierarchical-group service over a `2^p × 2^p` grid.
 ///
@@ -31,7 +30,7 @@ use serde::{Deserialize, Serialize};
 /// // The paper's Figure-3 location labels are Morton indices:
 /// assert_eq!(h.morton_index(GridCoord::new(2, 0)), 4);
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Hierarchy {
     side: u32,
     max_level: u8,

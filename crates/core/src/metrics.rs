@@ -6,7 +6,6 @@
 //! depend on the algorithm designer's objective." [`RunMetrics`] packages
 //! all of them so each experiment picks its objective.
 
-use serde::{Deserialize, Serialize};
 use wsn_net::EnergyLedger;
 
 /// Canonical telemetry counter for application messages sent.
@@ -15,7 +14,7 @@ pub const CTR_MESSAGES: &str = "net.messages";
 pub const CTR_DATA_UNITS: &str = "net.data_units";
 
 /// The standard metric bundle the harness reports for every run.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct RunMetrics {
     /// End-to-end latency in ticks (e.g. start of sensing to final
     /// exfiltration).

@@ -10,11 +10,10 @@
 
 use crate::geometry::Point;
 use crate::terrain::{CellCoord, CellGrid, Terrain};
-use serde::{Deserialize, Serialize};
 use wsn_sim::DetRng;
 
 /// How nodes are scattered over the terrain.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub enum Placement {
     /// `n` nodes i.i.d. uniform over the terrain.
     UniformRandom {
@@ -43,7 +42,7 @@ pub enum Placement {
 }
 
 /// A complete description of a deployment to generate.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct DeploymentSpec {
     /// Terrain side length `L`.
     pub terrain_side: f64,

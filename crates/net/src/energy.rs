@@ -7,10 +7,8 @@
 //! harness can report total energy, hotspots, Jain fairness, and
 //! first-node-death lifetime.
 
-use serde::{Deserialize, Serialize};
-
 /// Why energy was spent.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum EnergyKind {
     /// Radio transmission.
     Tx,
@@ -31,7 +29,7 @@ fn kind_index(k: EnergyKind) -> usize {
 }
 
 /// Tracks energy consumption for a fixed population of nodes.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct EnergyLedger {
     /// consumed[node][kind]
     consumed: Vec<[f64; KINDS]>,
@@ -171,7 +169,7 @@ impl EnergyLedger {
 }
 
 /// One node's share of an [`EnergyLedger`], broken down by cause.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct EnergySnapshot {
     /// Node index in the ledger.
     pub node: usize,

@@ -6,11 +6,9 @@
 //! leave or fail" (§5.1). Experiments exercise that path by scheduling a
 //! [`ChaosPlan`]; the plan installs itself as an actor that applies each
 //! [`FaultKind`] to the [`crate::medium::Medium`] at the scheduled
-//! instant. The legacy crash-only [`FaultPlan`] remains as a thin
-//! builder over `ChaosPlan`.
+//! instant.
 
 use crate::medium::{DeliveryChaos, SharedMedium};
-use serde::{Deserialize, Serialize};
 use std::fmt;
 use std::marker::PhantomData;
 use wsn_sim::{Actor, ActorId, Context, Kernel, Payload, SimTime};
@@ -18,7 +16,7 @@ use wsn_sim::{Actor, ActorId, Context, Kernel, Payload, SimTime};
 /// One kind of injected fault. Everything acts on the shared
 /// [`crate::medium::Medium`], so a single injector actor can drive any
 /// mix of kinds without touching protocol actors.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub enum FaultKind {
     /// Kill `node` (stops sending and receiving immediately).
     Crash { node: usize },
@@ -71,7 +69,7 @@ impl fmt::Display for FaultKind {
 }
 
 /// A [`FaultKind`] scheduled at an absolute simulation time.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ChaosEvent {
     pub at: SimTime,
     pub kind: FaultKind,
@@ -153,7 +151,7 @@ fn valid_prob(p: f64) -> bool {
 }
 
 /// A validated, installable schedule of [`ChaosEvent`]s.
-#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct ChaosPlan {
     events: Vec<ChaosEvent>,
 }
@@ -336,49 +334,6 @@ impl ChaosPlan {
     }
 }
 
-/// A list of `(time, node)` crash-only failures: the legacy builder,
-/// now a veneer over [`ChaosPlan`].
-#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
-pub struct FaultPlan {
-    events: Vec<(SimTime, usize)>,
-}
-
-impl FaultPlan {
-    /// An empty plan.
-    pub fn none() -> Self {
-        FaultPlan::default()
-    }
-
-    /// Adds a failure of `node` at `time`.
-    pub fn kill_at(mut self, time: SimTime, node: usize) -> Self {
-        self.events.push((time, node));
-        self
-    }
-
-    /// Scheduled failures.
-    pub fn events(&self) -> &[(SimTime, usize)] {
-        &self.events
-    }
-
-    /// The equivalent crash-only [`ChaosPlan`].
-    pub fn into_chaos(self) -> ChaosPlan {
-        self.events
-            .into_iter()
-            .fold(ChaosPlan::none(), |p, (t, n)| p.crash_at(t, n))
-    }
-
-    /// Installs the plan into `kernel` as a fault-injector actor bound to
-    /// `medium`. Returns the injector's actor id (harmless to ignore) or
-    /// a typed error for out-of-range nodes / past-scheduled events.
-    pub fn install<M: Payload>(
-        self,
-        kernel: &mut Kernel<M>,
-        medium: SharedMedium,
-    ) -> Result<ActorId, ChaosError> {
-        self.into_chaos().install(kernel, medium)
-    }
-}
-
 struct ChaosInjector<M> {
     plan: ChaosPlan,
     medium: SharedMedium,
@@ -468,24 +423,12 @@ mod tests {
     }
 
     #[test]
-    fn plan_builder_accumulates() {
-        let p = FaultPlan::none()
-            .kill_at(SimTime::from_ticks(5), 1)
-            .kill_at(SimTime::from_ticks(9), 0);
-        assert_eq!(p.events().len(), 2);
-        assert_eq!(p.events()[1], (SimTime::from_ticks(9), 0));
-        let chaos = p.into_chaos();
-        assert_eq!(chaos.len(), 2);
-        assert_eq!(chaos.events()[0].kind, FaultKind::Crash { node: 1 });
-    }
-
-    #[test]
     fn injector_kills_on_schedule() {
         let medium = two_node_medium();
         let mut k: Kernel<u32> = Kernel::new(1);
-        FaultPlan::none()
-            .kill_at(SimTime::from_ticks(3), 0)
-            .kill_at(SimTime::from_ticks(7), 1)
+        ChaosPlan::none()
+            .crash_at(SimTime::from_ticks(3), 0)
+            .crash_at(SimTime::from_ticks(7), 1)
             .install(&mut k, medium.clone())
             .unwrap();
         k.run_until(SimTime::from_ticks(5));

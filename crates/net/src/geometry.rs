@@ -1,12 +1,11 @@
 //! Planar geometry for terrains and radio ranges.
 
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// A point in the terrain plane. `x` grows eastward, `y` grows southward,
 /// so the origin is the terrain's north-west corner — matching the paper's
 /// oriented grid whose level-k leaders sit at north-west corners.
-#[derive(Debug, Clone, Copy, PartialEq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Default)]
 pub struct Point {
     /// Eastward coordinate.
     pub x: f64,
@@ -42,7 +41,7 @@ impl fmt::Display for Point {
 /// An axis-aligned rectangle, closed on the north/west edges and open on
 /// the south/east edges, so that a partition of the terrain into cells
 /// assigns every point to exactly one cell.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Rect {
     /// North-west corner (inclusive).
     pub min: Point,

@@ -39,7 +39,7 @@ pub mod terrain;
 
 pub use deployment::{Deployment, DeploymentSpec, Placement};
 pub use energy::{EnergyKind, EnergyLedger, EnergySnapshot};
-pub use fault::{ChaosError, ChaosEvent, ChaosPlan, FaultKind, FaultPlan};
+pub use fault::{ChaosError, ChaosEvent, ChaosPlan, FaultKind};
 pub use frame::{
     FrameBuf, FramePool, WireError, WirePayload, FRAME_BYTES, FRAME_HEADER_BYTES,
     FRAME_PAYLOAD_CAPACITY,

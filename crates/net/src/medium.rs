@@ -20,7 +20,6 @@
 use crate::energy::{EnergyKind, EnergyLedger};
 use crate::graph::UnitDiskGraph;
 use crate::radio::RadioModel;
-use serde::{Deserialize, Serialize};
 use std::cell::RefCell;
 use std::collections::BTreeMap;
 use std::rc::Rc;
@@ -36,7 +35,7 @@ use wsn_sim::{
 /// deliveries so later sends can overtake earlier ones. Both default to
 /// off and cost no RNG draws while off, so existing seeds replay
 /// unchanged.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct DeliveryChaos {
     /// Probability that a delivered message is duplicated.
     pub dup_prob: f64,
@@ -76,7 +75,7 @@ impl Default for DeliveryChaos {
 /// paradigm (transmit immediately); [`MacModel::Tdma`] defers every
 /// transmission to the start of the sender's next slot, modeling a
 /// synchronized, collision-free schedule.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum MacModel {
     /// Transmit immediately (no channel-access delay).
     Ideal,
@@ -115,7 +114,7 @@ impl MacModel {
 }
 
 /// Stochastic link behavior.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct LinkModel {
     /// Independent per-delivery drop probability.
     pub drop_prob: f64,

@@ -9,10 +9,8 @@
 //! it (the paper: "a different set of cost functions can be used if the
 //! characteristics of the deployment necessitate it").
 
-use serde::{Deserialize, Serialize};
-
 /// Energy and latency coefficients of a node's radio and CPU.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct RadioModel {
     /// Transmission range `r`.
     pub range: f64,

@@ -8,11 +8,10 @@
 //! runtime protocols.
 
 use crate::geometry::{Point, Rect};
-use serde::{Deserialize, Serialize};
 
 /// A cell's (column, row) coordinates in the oriented grid.
 /// Column 0 is the west edge; row 0 is the north edge.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct CellCoord {
     /// Column (west → east).
     pub col: u32,
@@ -34,7 +33,7 @@ impl CellCoord {
 }
 
 /// The square deployment terrain.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Terrain {
     side: f64,
 }
@@ -61,7 +60,7 @@ impl Terrain {
 }
 
 /// The partition of a terrain into an `m × m` grid of square cells.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct CellGrid {
     terrain: Terrain,
     cells_per_side: u32,

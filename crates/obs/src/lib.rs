@@ -16,7 +16,9 @@
 //!   span trees, counters, gauges and histograms absorbed from [`wsn_sim::Stats`]
 //!   stores ([`TraceDocument::absorb_stats`], which re-bins each exact
 //!   histogram into a [`FixedHistogram`]), per-node resource snapshots,
-//!   and the kernel event stream. Round-trips losslessly through
+//!   and the kernel event stream, the run's one dispatch log (a
+//!   post-mortem replays the failing seed with it on). Round-trips
+//!   losslessly through
 //!   [`TraceDocument::to_jsonl`] / [`TraceDocument::from_jsonl`] with a
 //!   built-in parser (no external JSON dependency).
 //! * [`render_span_forest`] / [`render_timeline`] /
@@ -27,6 +29,8 @@
 //!   validated happens-before DAG over a run's Lamport-stamped events,
 //!   and the exact critical path through the quad-tree merge with
 //!   per-hop flight/handle and per-merge-level attribution.
+//! * [`shard_table`] — the per-shard utilization, skew and barrier-stall
+//!   table of a sharded run's telemetry (what `netscope shards` prints).
 //! * [`render_trace_diff`] — per-counter/per-span deltas between two
 //!   trace documents (what `netscope diff` prints).
 //!
@@ -38,7 +42,6 @@
 pub mod causal;
 pub mod critpath;
 pub mod diff;
-pub mod flight;
 pub mod json;
 pub mod registry;
 pub mod shardview;
@@ -49,7 +52,6 @@ pub mod trace;
 pub use causal::{DagError, HbDag};
 pub use critpath::{extract_critical_path, CriticalPath, PathSegment, SegmentKind};
 pub use diff::render_trace_diff;
-pub use flight::{FlightDump, FlightDumpRec, FlightParseError, FlightShard, FLIGHT_SCHEMA_VERSION};
 pub use json::{Json, JsonError};
 pub use registry::{labeled, split_labels, FixedHistogram, TICK_BUCKETS};
 pub use shardview::{shard_table, ShardRow, ShardTable};

@@ -33,12 +33,10 @@ use wsn_net::{
     ChaosError, ChaosPlan, Deployment, EnergyKind, EnergyLedger, LinkModel, Medium, RadioModel,
     SharedMedium, UnitDiskGraph,
 };
-use wsn_obs::{
-    labeled, FlightDump, NodeSnapshot, SpanNode, SpanRecorder, TraceDocument, TraceMeta,
-};
+use wsn_obs::{labeled, NodeSnapshot, SpanNode, SpanRecorder, TraceDocument, TraceMeta};
 use wsn_sim::{
-    order_tap, shared_causal_log, ActorId, BarrierReplay, FlightRecorder, Kernel, OrderTap,
-    RunReport, ShardObs, ShardSchedule, SharedCausalLog, SimTime, Stats, StopReason,
+    order_tap, shared_causal_log, ActorId, BarrierReplay, Kernel, OrderTap, RunReport, ShardObs,
+    ShardSchedule, SharedCausalLog, SimTime, Stats, StopReason,
 };
 
 /// Result of one topology-emulation run.
@@ -400,44 +398,6 @@ impl<P: Clone + 'static> PhysicalRuntime<P> {
     /// [`TraceDocument::absorb_stats`] when exporting shard metrics.
     pub fn shard_telemetry(&self) -> &Stats {
         &self.shard_telemetry
-    }
-
-    /// Arms the per-shard flight recorder: the last `capacity`
-    /// dispatches of every shard at `cut_level` (plus the global
-    /// pseudo-shard) are retained in preallocated rings for post-mortem
-    /// dumps. The actor→shard map is the same quad-tree assignment the
-    /// sharded scheduler uses, and both the sequential and sharded
-    /// engines feed the recorder in canonical dispatch order — so
-    /// same-seed dumps are byte-identical across engines. Recording
-    /// never allocates, so the recorder may stay armed under the
-    /// `allocs_per_event = 0` gate.
-    ///
-    /// Requires a power-of-two grid side and a cut level within the
-    /// quad-tree depth (the same constraint as sharded execution).
-    pub fn enable_flight_recorder(&mut self, cut_level: u32, capacity: usize) {
-        let side = self.grid.side();
-        assert!(
-            side.is_power_of_two() && cut_level >= 1 && cut_level <= side.trailing_zeros(),
-            "flight recorder needs a power-of-two side and a valid cut level"
-        );
-        let plan = ShardPlan::new(side, cut_level as u8);
-        let map: Vec<u32> = (0..self.deployment.node_count())
-            .map(|i| {
-                let cell = self.deployment.cell_of_node(i);
-                plan.shard_of(GridCoord::new(cell.col, cell.row))
-            })
-            .collect();
-        self.kernel
-            .set_flight_recorder(FlightRecorder::new(map, plan.shard_count(), capacity));
-    }
-
-    /// Snapshots the armed flight recorder into a dump tagged with
-    /// `reason`; `None` when [`PhysicalRuntime::enable_flight_recorder`]
-    /// was never called.
-    pub fn flight_dump(&self, reason: &str) -> Option<FlightDump> {
-        self.kernel
-            .flight_recorder()
-            .map(|rec| FlightDump::from_recorder(rec, reason))
     }
 
     /// Turns causal tracing on: every subsequent radio transmission,
@@ -2430,34 +2390,6 @@ mod tests {
         // Shard accounting never leaks into the main telemetry — that
         // would break bit-identical traces across engines.
         assert_eq!(rt.telemetry().counter("shard.events.total"), 0);
-    }
-
-    #[test]
-    fn flight_dump_is_identical_across_engines() {
-        let run = |parallel: bool| {
-            let mut rt = runtime(4, 3, 7);
-            rt.enable_flight_recorder(1, 8);
-            assert!(rt.run_topology_emulation().complete);
-            assert!(rt.run_binding().unique);
-            rt.install_programs(move |_| {
-                Box::new(Gather {
-                    expected: 16,
-                    seen: 0,
-                    sum: 0.0,
-                })
-            });
-            if parallel {
-                rt.run_application_parallel(&ParallelConfig::at_cut(1));
-            } else {
-                rt.run_application();
-            }
-            rt.flight_dump("test").unwrap()
-        };
-        let seq = run(false);
-        let par = run(true);
-        assert!(seq.recorded > 0);
-        assert_eq!(seq, par, "flight dumps diverged across engines");
-        assert_eq!(seq.to_jsonl(), par.to_jsonl());
     }
 
     #[test]

@@ -1,12 +1,11 @@
 //! The simulation kernel: actors, contexts, and the run loop.
 
 use crate::event::{EventKind, EventQueue};
-use crate::flight::FlightRecorder;
 use crate::rng::DetRng;
 use crate::shard::ShardBuffers;
 use crate::stats::{StagedStats, Stats, StatsSink};
 use crate::time::SimTime;
-use crate::trace::{TraceEntry, TraceKind, Tracer};
+use crate::trace::TraceEntry;
 use std::any::Any;
 
 /// Index of an actor inside a [`Kernel`]. Actors are never removed, so ids
@@ -174,9 +173,10 @@ pub struct Kernel<M: Payload> {
     pub(crate) now: SimTime,
     master_seed: u64,
     pub(crate) stats: Stats,
-    pub(crate) tracer: Tracer,
+    /// The dispatch log: `None` while tracing is off, else every
+    /// dispatch so far.
+    pub(crate) trace: Option<Vec<TraceEntry>>,
     pub(crate) metrics: bool,
-    pub(crate) flight: Option<FlightRecorder>,
     pub(crate) started: bool,
     /// Dispatch staging buffer, held on the struct so repeated runs on a
     /// warm kernel reuse its capacity instead of allocating a fresh
@@ -204,9 +204,8 @@ impl<M: Payload> Kernel<M> {
             now: SimTime::ZERO,
             master_seed,
             stats: Stats::new(),
-            tracer: Tracer::disabled(),
+            trace: None,
             metrics: false,
-            flight: None,
             started: false,
             outbox_scratch: Vec::new(),
             metrics_scratch: (Vec::new(), Vec::new()),
@@ -217,7 +216,7 @@ impl<M: Payload> Kernel<M> {
     /// Enables trace recording: every later dispatch is kept (see
     /// [`Kernel::trace`]).
     pub fn enable_tracing(&mut self) {
-        self.tracer = Tracer::enabled();
+        self.trace = Some(Vec::new());
     }
 
     /// Enables kernel self-metrics: each dispatched event records
@@ -247,28 +246,10 @@ impl<M: Payload> Kernel<M> {
         self.metrics
     }
 
-    /// Installs a [`FlightRecorder`]: every subsequent dispatch (in
-    /// canonical order, sequential or sharded) lands in the recorder's
-    /// per-shard ring. Recording is allocation-free and touches none of
-    /// the kernel's other observables.
-    pub fn set_flight_recorder(&mut self, recorder: FlightRecorder) {
-        self.flight = Some(recorder);
-    }
-
-    /// The installed flight recorder, if any.
-    pub fn flight_recorder(&self) -> Option<&FlightRecorder> {
-        self.flight.as_ref()
-    }
-
-    /// Removes and returns the flight recorder.
-    pub fn take_flight_recorder(&mut self) -> Option<FlightRecorder> {
-        self.flight.take()
-    }
-
     /// The trace recorded so far, in dispatch order (empty unless
     /// [`Kernel::enable_tracing`] was called).
     pub fn trace(&self) -> &[TraceEntry] {
-        self.tracer.entries()
+        self.trace.as_deref().unwrap_or_default()
     }
 
     /// Registers an actor and returns its id. May be called mid-run:
@@ -436,24 +417,8 @@ impl<M: Payload> Kernel<M> {
                 self.metrics_scratch.1.push(self.queue.len() as f64);
             }
 
-            if self.tracer.is_enabled() || self.flight.is_some() {
-                let (kind, a, b) = match &ev.kind {
-                    EventKind::Message { from, msg } => {
-                        (TraceKind::Message, *from, msg.discriminant())
-                    }
-                    EventKind::Timer { tag } => (TraceKind::Timer, 0, *tag),
-                };
-                let entry = TraceEntry {
-                    time: ev.time,
-                    target: ev.target,
-                    kind,
-                    a,
-                    b,
-                };
-                if let Some(flight) = self.flight.as_mut() {
-                    flight.record(&entry);
-                }
-                self.tracer.record(entry);
+            if let Some(trace) = self.trace.as_mut() {
+                trace.push(TraceEntry::dispatch(ev.time, ev.target, &ev.kind));
             }
 
             let mut actor = self.actors[ev.target]
@@ -729,54 +694,15 @@ mod tests {
     }
 
     #[test]
-    fn ring_tracer_keeps_newest_events() {
-        // The flight recorder is the bounded ring: it holds exactly the
-        // newest entries of the complete trace.
-        let mut k: Kernel<u32> = Kernel::new(7);
-        let a = k.add_actor(Box::new(Echo {
-            reply_to: Some(1),
-            ..Default::default()
-        }));
-        let _b = k.add_actor(Box::new(Echo {
-            reply_to: Some(0),
-            ..Default::default()
-        }));
-        k.enable_tracing();
-        k.set_flight_recorder(FlightRecorder::new(vec![0, 0], 1, 4));
-        k.schedule_message(SimTime::ZERO, 1, a, 10);
-        k.run();
-        let full = k.trace();
-        let recorder = k.flight_recorder().unwrap();
-        let kept: Vec<_> = (recorder.snapshot(0).iter())
-            .map(|r| (r.time, r.target, r.kind, r.a, r.b))
-            .collect();
-        let newest: Vec<_> = (full[full.len() - 4..].iter())
-            .map(|e| (e.time, e.target, e.kind, e.a, e.b))
-            .collect();
-        assert_eq!(kept, newest);
-        assert_eq!(recorder.dropped(0) as usize, full.len() - 4);
-    }
-
-    #[test]
     fn per_actor_rng_streams_differ() {
         struct Draw {
             value: u64,
         }
         impl Actor<u32> for Draw {
             fn on_start(&mut self, ctx: &mut Context<'_, u32>) {
-                self.value = ctx.rng().next_u64_pub();
+                self.value = ctx.rng().next_u64();
             }
             fn on_message(&mut self, _: &mut Context<'_, u32>, _: ActorId, _: u32) {}
-        }
-        // tiny helper since DetRng's next is private
-        trait NextPub {
-            fn next_u64_pub(&mut self) -> u64;
-        }
-        impl NextPub for crate::rng::DetRng {
-            fn next_u64_pub(&mut self) -> u64 {
-                use rand::RngCore;
-                self.next_u64()
-            }
         }
         let mut k: Kernel<u32> = Kernel::new(5);
         let a = k.add_actor(Box::new(Draw { value: 0 }));

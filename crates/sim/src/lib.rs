@@ -48,10 +48,10 @@
 
 pub mod causal;
 pub mod event;
-pub mod flight;
 pub mod kernel;
 pub mod rng;
 pub mod shard;
+pub mod shard_obs;
 pub mod stats;
 pub mod time;
 pub mod trace;
@@ -60,13 +60,13 @@ pub use causal::{
     shared_causal_log, CausalEvent, CausalKind, CausalLog, CausalStamp, SharedCausalLog,
 };
 pub use event::{EventKind, ScheduledEvent};
-pub use flight::{FlightRec, FlightRecorder, ShardObs};
 pub use kernel::{
     Actor, ActorId, Context, Kernel, Payload, RunReport, StopReason, METRIC_DISPATCH_LATENCY,
     METRIC_QUEUE_DEPTH,
 };
 pub use rng::DetRng;
 pub use shard::{order_tap, BarrierReplay, OrderTap, ShardSchedule, GLOBAL_SHARD};
+pub use shard_obs::ShardObs;
 pub use stats::{Histogram, Stats, StatsSink};
 pub use time::SimTime;
 pub use trace::{TraceEntry, TraceKind};

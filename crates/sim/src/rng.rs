@@ -4,14 +4,13 @@
 //! table in EXPERIMENTS.md must regenerate bit-identically from a seed. We
 //! therefore ship our own xoshiro256++ implementation rather than depend on
 //! the (unspecified, version-dependent) algorithm behind `rand`'s small
-//! RNGs. The generator still implements [`rand::RngCore`] and
-//! [`rand::SeedableRng`], so all of `rand`'s distributions work on it.
+//! RNGs. Its inherent methods are the whole distribution surface the
+//! workspace uses: bounded integers, unit and ranged floats, Bernoulli
+//! trials, normal deviates and shuffles.
 //!
 //! Independent *streams* (one per simulated node) are derived from a master
 //! seed with SplitMix64, the recommended seeding procedure for the xoshiro
 //! family.
-
-use rand::{RngCore, SeedableRng};
 
 /// SplitMix64 step, used to expand seeds into full xoshiro state.
 #[inline]
@@ -57,8 +56,9 @@ impl DetRng {
         DetRng::new(splitmix64(&mut sm2))
     }
 
+    /// The next raw 64-bit output.
     #[inline]
-    fn next(&mut self) -> u64 {
+    pub fn next_u64(&mut self) -> u64 {
         let s = &mut self.s;
         let result = s[0].wrapping_add(s[3]).rotate_left(23).wrapping_add(s[0]);
         let t = s[1] << 17;
@@ -74,13 +74,13 @@ impl DetRng {
     /// Uniform `u64` in `[0, bound)` using Lemire's method (unbiased).
     pub fn bounded_u64(&mut self, bound: u64) -> u64 {
         assert!(bound > 0, "bounded_u64 requires a positive bound");
-        let mut x = self.next();
+        let mut x = self.next_u64();
         let mut m = (x as u128).wrapping_mul(bound as u128);
         let mut l = m as u64;
         if l < bound {
             let threshold = bound.wrapping_neg() % bound;
             while l < threshold {
-                x = self.next();
+                x = self.next_u64();
                 m = (x as u128).wrapping_mul(bound as u128);
                 l = m as u64;
             }
@@ -95,7 +95,7 @@ impl DetRng {
 
     /// Uniform `f64` in `[0, 1)` with 53 bits of precision.
     pub fn unit_f64(&mut self) -> f64 {
-        (self.next() >> 11) as f64 * (1.0 / (1u64 << 53) as f64)
+        (self.next_u64() >> 11) as f64 * (1.0 / (1u64 << 53) as f64)
     }
 
     /// Uniform `f64` in `[lo, hi)`.
@@ -124,40 +124,6 @@ impl DetRng {
             let j = self.bounded_usize(i + 1);
             xs.swap(i, j);
         }
-    }
-}
-
-impl RngCore for DetRng {
-    fn next_u32(&mut self) -> u32 {
-        (self.next() >> 32) as u32
-    }
-
-    fn next_u64(&mut self) -> u64 {
-        self.next()
-    }
-
-    fn fill_bytes(&mut self, dest: &mut [u8]) {
-        let mut chunks = dest.chunks_exact_mut(8);
-        for chunk in &mut chunks {
-            chunk.copy_from_slice(&self.next().to_le_bytes());
-        }
-        let rem = chunks.into_remainder();
-        if !rem.is_empty() {
-            let bytes = self.next().to_le_bytes();
-            rem.copy_from_slice(&bytes[..rem.len()]);
-        }
-    }
-}
-
-impl SeedableRng for DetRng {
-    type Seed = [u8; 8];
-
-    fn from_seed(seed: Self::Seed) -> Self {
-        DetRng::new(u64::from_le_bytes(seed))
-    }
-
-    fn seed_from_u64(state: u64) -> Self {
-        DetRng::new(state)
     }
 }
 
@@ -256,18 +222,6 @@ mod tests {
     }
 
     #[test]
-    fn fill_bytes_handles_unaligned_lengths() {
-        let mut r = DetRng::new(9);
-        for len in [0usize, 1, 7, 8, 9, 31] {
-            let mut buf = vec![0u8; len];
-            r.fill_bytes(&mut buf);
-            if len >= 8 {
-                assert!(buf.iter().any(|&b| b != 0));
-            }
-        }
-    }
-
-    #[test]
     fn known_answer_regression() {
         // Pins the generator's output so cross-version drift is caught.
         let mut r = DetRng::new(0xDEAD_BEEF);
@@ -277,13 +231,6 @@ mod tests {
         assert_eq!(got, got2);
         // Distinct outputs (sanity that state advances).
         assert_ne!(got[0], got[1]);
-    }
-
-    #[test]
-    fn seedable_rng_roundtrip() {
-        let a = DetRng::seed_from_u64(123);
-        let b = DetRng::from_seed(123u64.to_le_bytes());
-        assert_eq!(a, b);
     }
 
     #[test]

@@ -65,11 +65,11 @@
 //!   use budgets as livelock guards, not as precise cutoffs.
 
 use crate::event::{EventKind, EventQueue, ScheduledEvent};
-use crate::flight::ShardObs;
 use crate::kernel::{Context, Kernel, Payload, RunReport, StopReason};
+use crate::shard_obs::ShardObs;
 use crate::stats::StagedStats;
 use crate::time::SimTime;
-use crate::trace::{TraceEntry, TraceKind};
+use crate::trace::TraceEntry;
 use std::cell::Cell;
 use std::cmp::Reverse;
 use std::collections::{BinaryHeap, VecDeque};
@@ -413,23 +413,10 @@ impl<M: Payload> Kernel<M> {
                         break;
                     };
                     set_tap(Some(recs.len() as u32));
-                    let trace = if self.tracer.is_enabled() || self.flight.is_some() {
-                        let (tk, a, b) = match &kind {
-                            EventKind::Message { from, msg } => {
-                                (TraceKind::Message, *from, msg.discriminant())
-                            }
-                            EventKind::Timer { tag } => (TraceKind::Timer, 0, *tag),
-                        };
-                        Some(TraceEntry {
-                            time: tick,
-                            target,
-                            kind: tk,
-                            a,
-                            b,
-                        })
-                    } else {
-                        None
-                    };
+                    let trace = self
+                        .trace
+                        .is_some()
+                        .then(|| TraceEntry::dispatch(tick, target, &kind));
                     let (pushes_start, stats_start) = (pushes.len(), stats.len());
                     let mut actor = self.actors[target]
                         .take()
@@ -532,11 +519,8 @@ impl<M: Payload> Kernel<M> {
                     self.metrics_scratch.1.push(pending as f64);
                 }
                 pending += rec.pushes.len();
-                if let Some(entry) = &rec.trace {
-                    if let Some(flight) = self.flight.as_mut() {
-                        flight.record(entry);
-                    }
-                    self.tracer.record(entry.clone());
+                if let (Some(trace), Some(entry)) = (self.trace.as_mut(), &rec.trace) {
+                    trace.push(entry.clone());
                 }
                 if let Some(o) = obs.as_deref_mut() {
                     o.note_dispatch(rec.slot as usize);
@@ -916,36 +900,6 @@ mod tests {
         let mut obs = ShardObs::new(2).with_undercount_tap();
         let report = par.run_sharded_observed(&schedule, None, None, None, |_| {}, Some(&mut obs));
         assert!(obs.total_events() < report.events_processed);
-    }
-
-    #[test]
-    fn flight_recorder_is_identical_across_engines() {
-        let shard_map: Vec<u32> = (0..8).map(|i| (i % 2) as u32).collect();
-        let snapshot_all = |k: &Kernel<u32>| -> Vec<Vec<crate::flight::FlightRec>> {
-            let rec = k.flight_recorder().expect("recorder installed");
-            (0..rec.slot_count()).map(|s| rec.snapshot(s)).collect()
-        };
-        let mut seq = build_relay_ring(8, 20);
-        seq.set_flight_recorder(crate::flight::FlightRecorder::new(shard_map.clone(), 2, 16));
-        seq.run();
-
-        let mut par = build_relay_ring(8, 20);
-        par.set_flight_recorder(crate::flight::FlightRecorder::new(shard_map, 2, 16));
-        par.run_sharded(&parity_schedule(8), None, None, None, |_| {});
-
-        // Same stamps, same retained events, same drop counts — the
-        // recorder itself is a deterministic observable.
-        assert_eq!(snapshot_all(&seq), snapshot_all(&par));
-        let (s, p) = (
-            seq.flight_recorder().unwrap(),
-            par.flight_recorder().unwrap(),
-        );
-        assert_eq!(s.recorded(), p.recorded());
-        for slot in 0..s.slot_count() {
-            assert_eq!(s.dropped(slot), p.dropped(slot));
-        }
-        // And it did not perturb the ordinary observables either.
-        assert_eq!(observables(&seq), observables(&par));
     }
 
     #[test]

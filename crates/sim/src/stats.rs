@@ -10,12 +10,11 @@
 //! statistics, the runtime's phase telemetry and its per-shard accounting
 //! are each a [`Stats`], and a trace document absorbs any of them.
 
-use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
 use std::ops::Range;
 
 /// A set of named counters, gauges and histograms.
-#[derive(Debug, Default, Clone, Serialize, Deserialize)]
+#[derive(Debug, Default, Clone)]
 pub struct Stats {
     counters: BTreeMap<String, u64>,
     gauges: BTreeMap<String, f64>,
@@ -198,7 +197,7 @@ impl StagedStats {
 ///
 /// Experiment populations are at most a few million values, so exactness is
 /// affordable and keeps quantiles honest.
-#[derive(Debug, Default, Clone, Serialize, Deserialize)]
+#[derive(Debug, Default, Clone)]
 pub struct Histogram {
     values: Vec<f64>,
     sorted: bool,

@@ -27,12 +27,11 @@
 
 use crate::quadtree::QuadTree;
 use crate::taskgraph::{TaskId, TaskKind};
-use serde::{Deserialize, Serialize};
 use wsn_core::{CostModel, GridCoord, VirtualGrid};
 use wsn_sim::DetRng;
 
 /// An assignment of every task to a virtual node.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Mapping {
     assignment: Vec<GridCoord>,
 }
@@ -65,7 +64,7 @@ impl Mapping {
 }
 
 /// Cost of a mapping under the virtual architecture's cost model.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct MappingCost {
     /// Network-wide energy for one round of the task graph.
     pub total_energy: f64,

@@ -13,11 +13,9 @@
 //! `msgsReceived`) are built in, because their element type is opaque
 //! application data with an externally supplied merge operator.
 
-use serde::{Deserialize, Serialize};
-
 /// An integer/boolean expression over the program state. Booleans are
 /// represented as 0/1.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub enum Expr {
     /// Integer literal.
     Int(i64),
@@ -51,7 +49,7 @@ impl Expr {
 }
 
 /// A rule guard.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub enum Guard {
     /// `lhs = rhs` over program state.
     Eq(Expr, Expr),
@@ -73,7 +71,7 @@ impl Guard {
 }
 
 /// An executable action.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub enum Action {
     /// `name := expr`.
     Set(String, Expr),
@@ -109,7 +107,7 @@ pub enum Action {
 }
 
 /// A declared scalar state variable.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct StateDecl {
     /// Variable name.
     pub name: String,
@@ -118,7 +116,7 @@ pub struct StateDecl {
 }
 
 /// One `Condition → Action` clause.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Rule {
     /// Short label for code generation and diagnostics.
     pub label: String,
@@ -129,7 +127,7 @@ pub struct Rule {
 }
 
 /// A complete synthesized program.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct GuardedProgram {
     /// Program name.
     pub name: String,

@@ -7,15 +7,13 @@
 //! cost model this is "sufficient information to decide an efficient
 //! mapping of application tasks onto sensor nodes".
 
-use serde::{Deserialize, Serialize};
-
 /// Index of a task within its graph.
 pub type TaskId = usize;
 
 /// What a task does (§4.1: "a leaf node corresponds to a task that is
 /// linked to the sensing interface, and interior nodes represent
 /// in-network processing").
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum TaskKind {
     /// Samples the sensing interface.
     Sensing,
@@ -24,7 +22,7 @@ pub enum TaskKind {
 }
 
 /// One task, annotated for cost analysis.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Task {
     /// Id (== index in the graph).
     pub id: TaskId,
@@ -38,7 +36,7 @@ pub struct Task {
 }
 
 /// A directed data-flow edge with its data-volume annotation.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Edge {
     /// Producer.
     pub from: TaskId,
@@ -90,7 +88,7 @@ impl std::fmt::Display for EdgeError {
 impl std::error::Error for EdgeError {}
 
 /// An annotated, directed, acyclic task graph.
-#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct TaskGraph {
     tasks: Vec<Task>,
     edges: Vec<Edge>,

@@ -25,7 +25,6 @@
 //! compression is exactly why in-network merging beats shipping raw maps.
 
 use crate::field::FeatureMap;
-use serde::{Deserialize, Serialize};
 use std::collections::HashMap;
 use wsn_core::GridCoord;
 
@@ -35,7 +34,7 @@ use wsn_core::GridCoord;
 /// (classes numbered by first appearance along the border walk, closed
 /// areas sorted ascending), so two summaries of the same underlying map
 /// compare equal regardless of how they were computed.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct BoundarySummary {
     /// North-west corner of the extent (absolute grid coordinates).
     pub origin: GridCoord,

@@ -17,7 +17,9 @@
 //! Everything is seeded: the same scenario seed regenerates the same
 //! deployment, field, plan, and — because the kernel is deterministic —
 //! the same verdict, which is what makes failures replayable from a
-//! one-line report.
+//! one-line report. A post-mortem is such a replay:
+//! [`replay_scenario_traced`] re-runs a schedule with telemetry and the
+//! kernel's dispatch log on and returns the run's trace.
 
 use crate::dandc::{DandcMsg, DandcProgram};
 use crate::field::{Field, FieldSpec};
@@ -88,11 +90,6 @@ pub struct ScenarioOutcome {
     pub answers: Vec<usize>,
     /// The oracle's region count for the scenario's field.
     pub oracle: usize,
-    /// Flight-recorder dump (JSONL, see `wsn_obs::FlightDump`) of the
-    /// last dispatches before a [`ChaosVerdict::Wrong`] answer; `None`
-    /// on safe verdicts. `wsn-chaos` writes it next to the failure
-    /// report so the wrong answer's tail is post-mortem inspectable.
-    pub flight_jsonl: Option<String>,
 }
 
 impl ChaosScenario {
@@ -196,6 +193,32 @@ pub fn run_scenario(scenario: &ChaosScenario) -> ScenarioOutcome {
 /// a shrunk variant of the scenario's own) and differentially checks
 /// every exfiltrated answer against the centralized oracle.
 pub fn run_scenario_with_plan(scenario: &ChaosScenario, plan: ChaosPlan) -> ScenarioOutcome {
+    run_mission(scenario, plan, false).0
+}
+
+/// Replays the scenario under `plan` with telemetry and the kernel's
+/// complete dispatch log on, returning the outcome and the run's trace
+/// as JSONL (`wsn_obs::TraceDocument`, rendered by `netscope`). Tracing
+/// observes the run without perturbing it, so the outcome equals
+/// [`run_scenario_with_plan`]'s: this is how a failing seed is taken
+/// apart after the fact.
+pub fn replay_scenario_traced(
+    scenario: &ChaosScenario,
+    plan: ChaosPlan,
+) -> (ScenarioOutcome, String) {
+    let (outcome, rt) = run_mission(scenario, plan, true);
+    (outcome, rt.record_trace().to_jsonl())
+}
+
+/// The one mission set-up behind both entry points: deploys the
+/// scenario, optionally turns telemetry and the dispatch log on
+/// (`traced`), runs the self-healing mission under `plan` and judges the
+/// answers against the oracle.
+fn run_mission(
+    scenario: &ChaosScenario,
+    plan: ChaosPlan,
+    traced: bool,
+) -> (ScenarioOutcome, PhysicalRuntime<DandcMsg>) {
     let deployment =
         DeploymentSpec::per_cell(scenario.side, scenario.per_cell).generate(scenario.seed);
     let range = deployment.grid().range_for_adjacent_cell_reachability();
@@ -209,11 +232,10 @@ pub fn run_scenario_with_plan(scenario: &ChaosScenario, plan: ChaosPlan) -> Scen
         scenario.seed,
         move |c| field.value(c),
     );
+    if traced {
+        rt.enable_telemetry(true);
+    }
     let (side, threshold) = (scenario.side, scenario.threshold);
-    // Scenario sides are always powers of two, so the cut-1 flight
-    // recorder can ride along: it retains the last dispatches per
-    // quadrant in preallocated rings, and costs nothing observable.
-    rt.enable_flight_recorder(1, 64);
     rt.install_programs(move |_| Box::new(DandcProgram::new(side, threshold)));
     if let Some((max_retries, timeout_ticks)) = scenario.arq {
         rt.enable_arq(max_retries, timeout_ticks);
@@ -238,18 +260,13 @@ pub fn run_scenario_with_plan(scenario: &ChaosScenario, plan: ChaosPlan) -> Scen
         None if answers.is_empty() => ChaosVerdict::Stall,
         None => ChaosVerdict::Correct,
     };
-    let flight_jsonl = if verdict.is_safe() {
-        None
-    } else {
-        rt.flight_dump("chaos-wrong").map(|d| d.to_jsonl())
-    };
-    ScenarioOutcome {
+    let outcome = ScenarioOutcome {
         verdict,
         report,
         answers,
         oracle,
-        flight_jsonl,
-    }
+    };
+    (outcome, rt)
 }
 
 /// Greedy delta-debugging: starting from `scenario.plan`, repeatedly

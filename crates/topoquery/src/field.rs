@@ -8,12 +8,11 @@
 //! the algorithm actually works on ("for simplicity we assume that a
 //! sensor node has a binary status", §3.1).
 
-use serde::{Deserialize, Serialize};
 use wsn_core::GridCoord;
 use wsn_sim::DetRng;
 
 /// A generator recipe for scalar fields.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub enum FieldSpec {
     /// The same reading everywhere.
     Uniform(f64),
@@ -48,7 +47,7 @@ pub enum FieldSpec {
 
 /// A concrete scalar field over a `side × side` grid of points of
 /// coverage.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Field {
     side: u32,
     values: Vec<f64>,
@@ -150,7 +149,7 @@ impl Field {
 }
 
 /// The binary feature status of every point of coverage.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct FeatureMap {
     side: u32,
     bits: Vec<bool>,

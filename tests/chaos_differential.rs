@@ -3,10 +3,13 @@
 //! schedules, executed under the self-healing runtime, must either match
 //! the centralized `label_regions` oracle or stall explicitly — never
 //! report a wrong region count. Failures shrink to a minimal schedule and
-//! replay from their seed alone.
+//! replay from their seed alone, and a traced replay reproduces the run
+//! with its complete dispatch log.
 
+use wsn::obs::TraceDocument;
 use wsn::topoquery::chaos::{
-    run_scenario, run_scenario_with_plan, shrink_plan, ChaosScenario, ChaosVerdict,
+    replay_scenario_traced, run_scenario, run_scenario_with_plan, shrink_plan, ChaosScenario,
+    ChaosVerdict,
 };
 
 /// Seed lane for this suite (disjoint from the wsn-chaos CLI's default
@@ -59,6 +62,17 @@ fn scenarios_replay_bit_identically() {
         assert_eq!(a.verdict, b.verdict, "seed {seed}");
         assert_eq!(a.report, b.report, "seed {seed}");
         assert_eq!(a.answers, b.answers, "seed {seed}");
+        // The post-mortem replay: telemetry and the dispatch log on must
+        // reproduce the untraced outcome and log every dispatch.
+        let (traced, jsonl) = replay_scenario_traced(&scenario, scenario.plan.clone());
+        assert_eq!(a.verdict, traced.verdict, "seed {seed}");
+        assert_eq!(a.report, traced.report, "seed {seed}");
+        assert_eq!(a.answers, traced.answers, "seed {seed}");
+        let doc = TraceDocument::from_jsonl(&jsonl)
+            .unwrap_or_else(|e| panic!("seed {seed}: traced replay does not parse: {e}"));
+        let meta = doc.meta.expect("a replay trace carries its meta record");
+        assert!(meta.events > 0, "seed {seed}");
+        assert_eq!(doc.events.len() as u64, meta.events, "seed {seed}");
     }
 }
 

@@ -3,7 +3,7 @@
 //! answer.
 
 use wsn::core::GridCoord;
-use wsn::net::{ChaosPlan, DeploymentSpec, FaultPlan, LinkModel, RadioModel};
+use wsn::net::{ChaosPlan, DeploymentSpec, LinkModel, RadioModel};
 use wsn::runtime::{PhysicalRuntime, SelfHealConfig};
 use wsn::sim::SimTime;
 use wsn::synth::SummaryMsg;
@@ -70,8 +70,9 @@ fn killing_every_cell_leader_still_recovers() {
 fn fault_plan_kills_mid_application() {
     // A mid-run failure of the root leader prevents exfiltration but the
     // run still terminates (no wedged simulation). The kill travels the
-    // real injector path: a FaultPlan installed into the runtime's kernel,
-    // applied by the injector actor at its scheduled instant.
+    // real injector path: a crash-only ChaosPlan installed into the
+    // runtime's kernel, applied by the injector actor at its scheduled
+    // instant.
     let side = 2u32;
     let field = Field::generate(FieldSpec::Uniform(10.0), side, 1);
     let mut rt = build_runtime(side, 3, 5, field);
@@ -80,8 +81,8 @@ fn fault_plan_kills_mid_application() {
     let root_leader = rt.leader_of(GridCoord::new(0, 0)).unwrap();
     // Schedule the kill just after the application kicks off.
     let kill_at = rt.now() + 1;
-    let plan = FaultPlan::none().kill_at(SimTime::from_ticks(kill_at.ticks()), root_leader);
-    rt.install_chaos(plan.into_chaos()).unwrap();
+    let plan = ChaosPlan::none().crash_at(kill_at, root_leader);
+    rt.install_chaos(plan).unwrap();
     rt.install_programs(move |_| Box::new(DandcProgram::new(side, 5.0)));
     let app = rt.run_application();
     assert_eq!(app.exfil_count, 0, "root died; nothing exfiltrated");
