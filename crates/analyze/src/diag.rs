@@ -45,8 +45,9 @@ impl fmt::Display for Severity {
 ///   facts that sharpen them);
 /// * `SI` — shard interference (footprint and commutativity of handlers
 ///   under a quad-tree shard plan);
-/// * `FL` — frame layout (every reachable send site fits the fixed wire
-///   frame at its certified offsets);
+/// * `FL` — frame layout (every reachable send site's payload fits the
+///   fixed wire frame and has a wire form); retired `FL` numbers are
+///   never reused;
 /// * `AL` — allocation discipline (runtime state on the certified hot
 ///   path is arena-allocatable, not per-event heap);
 /// * `TC` — trace conformance (measured run vs certified interval).
@@ -90,8 +91,6 @@ pub enum Code {
     FL001,
     FL002,
     FL003,
-    FL004,
-    FL005,
     AL001,
     AL002,
     AL003,
@@ -147,9 +146,7 @@ impl Code {
             Code::SI004 => "receive handler writes scalar state across the epoch barrier",
             Code::FL001 => "reachable send site's payload bound exceeds the frame capacity",
             Code::FL002 => "send site's data level is unbounded (no static payload bound)",
-            Code::FL003 => "message variant has no wire representation on the fixed frame",
-            Code::FL004 => "frame layout table violates an offset/alignment/size invariant",
-            Code::FL005 => "causal stamp width cannot hold the certified event-count bound",
+            Code::FL003 => "a value with no wire form reaches a send or exfiltration site",
             Code::AL001 => "per-event heap allocation site on the certified hot path",
             Code::AL002 => "shared-ownership (Rc/RefCell) access on the certified hot path",
             Code::AL003 => "message buffer escapes past the epoch barrier",
@@ -173,8 +170,8 @@ impl Code {
             WF001, WF002, WF003, WF004, WF005, WF006, WF007, WF008, WF009, WF010, RD001, RD002,
             RD003, RD004, GM001, GM002, GM003, GM004, GM005, DL001, DL002, CB001, CB002, CB003,
             CB004, CC001, CC002, CC003, CC004, CC005, SI001, SI002, SI003, SI004, FL001, FL002,
-            FL003, FL004, FL005, AL001, AL002, AL003, TC001, TC002, TC003, TC004, TC005, TC006,
-            TC007, TC008, TC009, TC010,
+            FL003, AL001, AL002, AL003, TC001, TC002, TC003, TC004, TC005, TC006, TC007, TC008,
+            TC009, TC010,
         ]
     }
 }
@@ -558,6 +555,6 @@ mod tests {
         for &c in Code::all() {
             assert!(!c.description().is_empty(), "{c}");
         }
-        assert_eq!(Code::all().len(), 52);
+        assert_eq!(Code::all().len(), 50);
     }
 }

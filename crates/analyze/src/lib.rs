@@ -68,9 +68,8 @@ pub use deadlock::{check_deadlock, quorum_specs, wait_for_graph, QuorumSpec, Wai
 pub use diag::{Code, Diagnostic, Diagnostics, Severity, Span};
 pub use footprint::{check_footprints, role_footprints};
 pub use frame::{
-    analyze_frames, check_layout_table, check_stamp_width, check_variant_table,
-    frame_cert_from_json, frame_cert_to_json, recompute_data_units, FrameCertificate,
-    FrameLevelBound, RolePayload, FRAME_CERT_SCHEMA_VERSION,
+    analyze_frames, frame_cert_from_json, frame_cert_to_json, recompute_data_units,
+    FrameCertificate, FrameLevelBound, RolePayload, FRAME_CERT_SCHEMA_VERSION,
 };
 pub use graphcheck::{check_graph, check_mapping, find_cycle};
 pub use model_json::{program_from_json, program_to_json, PROGRAM_SCHEMA_VERSION};

@@ -19,7 +19,7 @@
 //!                                    trace must be a certified boundary edge
 //! wsn-lint --frame-check [depth] [--emit-frame-cert]
 //!                                    frame-layout & allocation certification
-//!                                    (FL001–FL005 / AL001–AL003); --emit-frame-cert
+//!                                    (FL001–FL003 / AL001–AL003); --emit-frame-cert
 //!                                    prints the machine-checkable certificate JSON
 //! wsn-lint --codes                   list the diagnostic catalog
 //! wsn-lint gate <row> [--mutate]     run one row of the gate table, clean or with

@@ -2,19 +2,21 @@
 //!
 //! The frame certificate (`wsn-analyze` pass 7) licenses a runtime
 //! configuration where every application payload travels as a fixed
-//! [`wsn_net::FrameBuf`] and the steady-state event loop never touches
-//! the heap. This module is the measurement side of that claim:
+//! [`wsn_net::FrameBuf`] inside the runtime's typed envelope and the
+//! steady-state event loop never touches the heap. This module is the
+//! measurement side of that claim:
 //!
 //! * [`steady_state_hotpath`] drives a seeded ping-pong mission on a
 //!   framed [`PhysicalRuntime`] — warm-up rounds to size every table,
-//!   then one measured round whose send→stamp→deliver→dispatch cycles
+//!   then one measured round whose send→forward→deliver→dispatch cycles
 //!   are counted against the process allocator;
 //! * [`allocprobe`] is the hook a counting `#[global_allocator]`
 //!   registers (the `wsn-lint` binary installs one; the library itself
 //!   stays `forbid(unsafe_code)`);
-//! * the wall-clock per-event figure feeds the `BENCH_topoquery.json`
-//!   perf baseline, so a per-event cost regression trips the same 10%
-//!   gate as a latency regression.
+//! * the measured round's allocation count is the `allocs_per_event`
+//!   column of the `BENCH_topoquery.json` perf baseline, gated like
+//!   latency, and its bare-vs-instrumented wall-clock ratio is what the
+//!   `obs` gate row bounds.
 
 use wsn_core::{GridCoord, NodeApi, NodeProgram};
 use wsn_net::{DeploymentSpec, LinkModel, RadioModel};
@@ -49,7 +51,7 @@ pub mod allocprobe {
 /// origin leader opens a volley, each endpoint echoes the counter back
 /// until `2 · volleys` sends have happened. Every echo crosses the full
 /// diagonal of the grid hop by hop, so one round exercises the complete
-/// send→stamp→forward→deliver→dispatch cycle many times with no
+/// send→forward→deliver→dispatch cycle many times with no
 /// application-side work to muddy the measurement.
 pub struct HotpathProgram {
     origin: GridCoord,
@@ -124,7 +126,7 @@ impl HotpathReport {
 /// steady-state capacity, then measures one more round.
 ///
 /// Requires [`wsn_core::framed_payload_fits`]`(side)` — the harness
-/// refuses to drive the framed codec outside its certified envelope.
+/// refuses to drive the framed runtime outside its certified envelope.
 pub fn steady_state_hotpath(side: u32, volleys: u64, warmup_rounds: u32) -> HotpathReport {
     steady_state_hotpath_with(side, volleys, warmup_rounds, false)
 }
@@ -132,9 +134,9 @@ pub fn steady_state_hotpath(side: u32, volleys: u64, warmup_rounds: u32) -> Hotp
 /// [`steady_state_hotpath`] with the runtime's telemetry switchable: the
 /// `telemetry` variant runs the same mission with every counter, gauge,
 /// and kernel metric live, so the bare-vs-instrumented throughput ratio
-/// is the `telemetry_overhead_pct` column the `obs` gate row bounds. (The
-/// instrumented round is *allowed* to allocate — telemetry series are
-/// heap-keyed; only the bare configuration carries the no-alloc claim.)
+/// is what the `obs` gate row bounds. (The instrumented round is
+/// *allowed* to allocate — telemetry series are heap-keyed; only the
+/// bare configuration carries the no-alloc claim.)
 pub fn steady_state_hotpath_with(
     side: u32,
     volleys: u64,

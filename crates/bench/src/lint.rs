@@ -258,26 +258,6 @@ pub fn shard_metrics_figure4(
     Ok((cert, diags))
 }
 
-/// Median-of-`rounds` sandwich samples of the steady-state hot path
-/// (bare → instrumented → bare, the bare cost centered on the
-/// instrumented round so linear machine drift divides out). Measured
-/// telemetry overhead: percent slowdown of the steady-state per-event
-/// wall cost with the full telemetry live versus the bare configuration
-/// (whose telemetry writes reduce to one flag check — the provably-cheap
-/// disabled path). Negative noise clamps to `0.0`.
-pub fn telemetry_overhead_pct(side: u32, volleys: u64, rounds: u32) -> f64 {
-    let mut ratios: Vec<f64> = Vec::new();
-    for _ in 0..rounds.max(1) {
-        let before = crate::hotpath::steady_state_hotpath_with(side, volleys, 1, false);
-        let instrumented = crate::hotpath::steady_state_hotpath_with(side, volleys, 1, true);
-        let after = crate::hotpath::steady_state_hotpath_with(side, volleys, 1, false);
-        let bare_ns = (before.ns_per_event() + after.ns_per_event()) / 2.0;
-        ratios.push(instrumented.ns_per_event() / bare_ns);
-    }
-    ratios.sort_by(|a, b| a.partial_cmp(b).expect("finite ratios"));
-    ((ratios[ratios.len() / 2] - 1.0) * 100.0).max(0.0)
-}
-
 /// The live-export overhead gate behind the `obs` gate row: the
 /// instrumented steady-state hot path (every counter, gauge, and kernel
 /// metric live) must stay within `threshold_pct` percent of the bare
@@ -334,7 +314,7 @@ pub fn obs_gate(side: u32, volleys: u64, threshold_pct: f64) -> Result<String, S
 }
 
 /// Runs the frame-layout and allocation certifier (`wsn-analyze` pass 7,
-/// `FL001`–`FL005` / `AL001`–`AL003`) on the paper's Figure-4 program at
+/// `FL001`–`FL003` / `AL001`–`AL003`) on the paper's Figure-4 program at
 /// hierarchy depth `depth`. Depth 5 (side 32) is the deployment the
 /// fixed frame cannot carry — the root exfiltration's full-boundary
 /// summary (5624 bytes) exceeds the certified payload capacity, which is

@@ -50,15 +50,6 @@ pub struct RunSnapshot {
     /// under a counting allocator; `-1.0` means unmeasured, and the gate
     /// only compares the column when both sides measured it.
     pub allocs_per_event: f64,
-    /// Telemetry overhead on the steady-state hot path: percent slowdown
-    /// of the per-event wall cost with the full telemetry live versus the
-    /// bare (telemetry-off) configuration, the median of sandwich samples
-    /// on the same machine (see [`crate::lint::telemetry_overhead_pct`]).
-    /// Machine-dependent and noisy, so recorded but never drift-gated
-    /// here; the absolute ≤10% bound is the `obs` gate row's job. `-1.0`
-    /// means unmeasured; small negative measured values are clamped to
-    /// `0.0`.
-    pub telemetry_overhead_pct: f64,
     /// Scale-experiment row (sharded kernel at a large side): exempt
     /// from the default gate's missing-side check so routine `perf` gate
     /// runs stay cheap.
@@ -118,7 +109,6 @@ pub fn snapshot_from_trace(
         events_per_sec: events as f64 / wall_secs.max(1e-9),
         peak_rss_bytes: peak_rss_bytes(),
         allocs_per_event: -1.0,
-        telemetry_overhead_pct: -1.0,
         scale: false,
     })
 }
@@ -150,10 +140,6 @@ pub fn render_snapshots(runs: &[RunSnapshot]) -> String {
                 (
                     "allocs_per_event".to_string(),
                     Json::Num((r.allocs_per_event * 10000.0).round() / 10000.0),
-                ),
-                (
-                    "telemetry_overhead_pct".to_string(),
-                    Json::Num((r.telemetry_overhead_pct * 10.0).round() / 10.0),
                 ),
                 ("scale".to_string(), Json::Bool(r.scale)),
             ])
@@ -199,10 +185,6 @@ pub fn parse_snapshots(text: &str) -> Result<Vec<RunSnapshot>, String> {
                 peak_rss_bytes: u("peak_rss_bytes").unwrap_or(0),
                 allocs_per_event: r
                     .get("allocs_per_event")
-                    .and_then(Json::as_f64)
-                    .unwrap_or(-1.0),
-                telemetry_overhead_pct: r
-                    .get("telemetry_overhead_pct")
                     .and_then(Json::as_f64)
                     .unwrap_or(-1.0),
                 scale: r.get("scale").and_then(Json::as_bool).unwrap_or(false),
@@ -257,17 +239,14 @@ pub fn perf_snapshots_with(
             snapshot_from_trace(side, &doc, wall)
                 .map(|mut s| {
                     s.scale = scale;
-                    // The per-event allocation and telemetry-overhead columns
-                    // ride the standard rows only: the steady-state
-                    // framed mission is a fixed side-`side` workload,
-                    // pointless (and slow) to repeat at scale sides
-                    // outside the frame envelope.
+                    // The per-event allocation column rides the standard
+                    // rows only: the steady-state framed mission is a
+                    // fixed side-`side` workload, pointless (and slow) to
+                    // repeat at scale sides outside the frame envelope.
                     if !scale && wsn_core::framed_payload_fits(side) {
                         s.allocs_per_event = crate::hotpath::steady_state_hotpath(side, 100, 2)
                             .allocs_per_event()
                             .unwrap_or(-1.0);
-                        s.telemetry_overhead_pct =
-                            crate::lint::telemetry_overhead_pct(side, 100, 1);
                     }
                     s
                 })
@@ -321,7 +300,7 @@ pub fn regression_gate(
             continue;
         };
         // (name, baseline, current, gated)
-        let metrics: [(&str, f64, f64, bool); 10] = [
+        let metrics: [(&str, f64, f64, bool); 9] = [
             (
                 "latency_ticks",
                 base.latency_ticks as f64,
@@ -363,14 +342,6 @@ pub fn regression_gate(
                 base.allocs_per_event,
                 cur.allocs_per_event,
                 base.allocs_per_event >= 0.0 && cur.allocs_per_event >= 0.0,
-            ),
-            // Wall-clock ratio: recorded for the record, never
-            // drift-gated (the absolute bound lives in the `obs` gate row).
-            (
-                "telemetry_overhead_pct",
-                base.telemetry_overhead_pct,
-                cur.telemetry_overhead_pct,
-                false,
             ),
         ];
         for (name, b, c, gated) in metrics {
@@ -430,7 +401,6 @@ mod tests {
             events_per_sec: 120000.0,
             peak_rss_bytes: 40 * 1024 * 1024,
             allocs_per_event: 0.0,
-            telemetry_overhead_pct: 3.5,
             scale: false,
         }
     }
@@ -459,7 +429,6 @@ mod tests {
         assert_eq!(parsed[0].events_per_sec, 0.0);
         assert_eq!(parsed[0].peak_rss_bytes, 0);
         assert_eq!(parsed[0].allocs_per_event, -1.0);
-        assert_eq!(parsed[0].telemetry_overhead_pct, -1.0);
         assert!(!parsed[0].scale);
     }
 
@@ -468,7 +437,7 @@ mod tests {
         let runs = vec![snap(4)];
         let report = regression_gate(&runs, &runs, 10.0, false).unwrap();
         assert_eq!(report.matches(" ok\n").count(), 7);
-        assert_eq!(report.matches(" info\n").count(), 3);
+        assert_eq!(report.matches(" info\n").count(), 2);
         assert!(!report.contains("FAIL"));
     }
 

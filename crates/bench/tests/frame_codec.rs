@@ -1,188 +1,42 @@
-//! Byte-equivalence certification of the zero-copy wire codec.
+//! Byte-equivalence of the framed and the typed transport.
 //!
 //! The frame-layout certificate (wsn-analyze pass 7) licenses swapping
-//! heap-owning `DandcMsg` values for flat `FrameBuf`s on the hot path.
+//! heap-owning `DandcMsg` payloads for flat `FrameBuf`s on the hot path.
 //! This suite proves the swap is invisible:
 //!
-//! * every [`RtMsg`] variant round-trips through
-//!   [`encode_rtmsg`]/[`decode_rtmsg`] bit-exactly, including seeded
-//!   random region-summary payloads drawn from real feature maps;
 //! * the full topoquery mission run on `PhysicalRuntime<FrameBuf>`
 //!   (via [`FramedProgram`]) exfiltrates **identical decoded answers**
-//!   and identical run metrics to the legacy typed
-//!   `PhysicalRuntime<DandcMsg>` run, across seeds at sides 4 and 8;
-//! * `Partial` accumulators — which the certifier proves never reach a
-//!   send site — are refused by the codec, not silently mangled.
+//!   and identical run metrics to the typed `PhysicalRuntime<DandcMsg>`
+//!   run, across seeds at sides 4 and 8;
+//! * the two runs record byte-identical traces: phase telemetry, the
+//!   complete dispatch log and the causal DAG;
+//! * what a framed mission exfiltrates sits inside the certified byte
+//!   bound.
+//!
+//! Payload round trips, and the refusal of `Partial` summaries, which
+//! have no wire form, are tested with the codec in
+//! `wsn_topoquery::wirecodec`.
 
 use wsn_core::{GridCoord, NodeProgram};
-use wsn_net::{DeploymentSpec, FrameBuf, LinkModel, RadioModel, WireError, WirePayload};
-use wsn_runtime::{decode_framed, decode_rtmsg, encode_rtmsg, AppEnvelope, PhysicalRuntime, RtMsg};
-use wsn_sim::CausalStamp;
-use wsn_topoquery::{BoundarySummary, DandcMsg, DandcProgram, Field, FieldSpec, RegionSummary};
+use wsn_net::{DeploymentSpec, FrameBuf, LinkModel, RadioModel, WirePayload};
+use wsn_runtime::{decode_framed, FramedProgram, PhysicalRuntime};
+use wsn_topoquery::{DandcMsg, DandcProgram};
 
 const SEEDS: [u64; 5] = [3, 5, 11, 21, 42];
 
-/// A deterministic splitmix64 stream: cheap seeded randomness for field
-/// values without reaching into the kernel's RNG.
-struct Mix(u64);
-
-impl Mix {
-    fn next(&mut self) -> u64 {
-        self.0 = self.0.wrapping_add(0x9e37_79b9_7f4a_7c15);
-        let mut z = self.0;
-        z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-        z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-        z ^ (z >> 31)
-    }
-
-    fn f64(&mut self) -> f64 {
-        (self.next() >> 11) as f64 / (1u64 << 53) as f64
-    }
-}
-
-/// A random complete summary over an `extent × extent` feature map.
-fn random_summary(extent: u32, seed: u64) -> RegionSummary {
-    let map = Field::generate(
-        FieldSpec::RandomCells {
-            p: 0.45,
-            hot: 10.0,
-            cold: 0.0,
-        },
-        extent,
+/// The seeded side-`side` deployment every mission here runs on.
+fn runtime<P: Clone + 'static>(side: u32, seed: u64) -> PhysicalRuntime<P> {
+    let deployment = DeploymentSpec::per_cell(side, 2).generate(seed);
+    let range = deployment.grid().range_for_adjacent_cell_reachability();
+    PhysicalRuntime::new(
+        deployment,
+        RadioModel::uniform(range),
+        LinkModel::ideal(),
+        None,
+        1,
         seed,
+        |c| f64::from((c.col * 7 + c.row * 3) % 11),
     )
-    .threshold(5.0);
-    RegionSummary::Complete(BoundarySummary::from_feature_map(
-        &map,
-        GridCoord::new(0, 0),
-        extent,
-    ))
-}
-
-fn random_envelope(rng: &mut Mix, extent: u32, seed: u64) -> AppEnvelope<DandcMsg> {
-    AppEnvelope {
-        src_cell: GridCoord::new(rng.next() as u32 % 8, rng.next() as u32 % 8),
-        dest_cell: GridCoord::new(rng.next() as u32 % 8, rng.next() as u32 % 8),
-        units: rng.next() % 1000,
-        round: rng.next() as u32 % 100,
-        origin: (rng.next() % 256) as usize,
-        msg_id: rng.next(),
-        stamp: CausalStamp {
-            seq: rng.next() % 10_000,
-            lamport: rng.next() % 10_000,
-        },
-        payload: wsn_synth::SummaryMsg {
-            sender: GridCoord::new(rng.next() as u32 % 8, rng.next() as u32 % 8),
-            level: extent.trailing_zeros() as u8,
-            data: random_summary(extent, seed),
-        },
-    }
-}
-
-/// Every variant of the runtime message enum, parameterized by a seeded
-/// random summary payload where the variant carries one.
-fn all_variants(rng: &mut Mix, extent: u32, seed: u64) -> Vec<RtMsg<DandcMsg>> {
-    vec![
-        RtMsg::Topo {
-            sender: (rng.next() % 64) as usize,
-            sender_cell: GridCoord::new(rng.next() as u32 % 8, rng.next() as u32 % 8),
-            dirs: [
-                rng.next().is_multiple_of(2),
-                rng.next().is_multiple_of(2),
-                rng.next().is_multiple_of(2),
-                rng.next().is_multiple_of(2),
-            ],
-        },
-        RtMsg::Delta {
-            sender_cell: GridCoord::new(rng.next() as u32 % 8, rng.next() as u32 % 8),
-            delta: rng.f64() * 8.0 - 4.0,
-            candidate: (rng.next() % 64) as usize,
-        },
-        RtMsg::Announce {
-            sender_cell: GridCoord::new(rng.next() as u32 % 8, rng.next() as u32 % 8),
-            leader: (rng.next() % 64) as usize,
-            hops: rng.next() as u32 % 32,
-            sender: (rng.next() % 64) as usize,
-        },
-        RtMsg::App(random_envelope(rng, extent, seed)),
-        RtMsg::AppArq {
-            seq: rng.next() % 4096,
-            hop_sender: (rng.next() % 64) as usize,
-            env: random_envelope(rng, extent, seed ^ 0xdead),
-        },
-        RtMsg::Ack {
-            seq: rng.next() % 4096,
-            from: (rng.next() % 64) as usize,
-        },
-        RtMsg::Sample {
-            sender_cell: GridCoord::new(rng.next() as u32 % 8, rng.next() as u32 % 8),
-            reading: rng.f64() * 20.0,
-        },
-        RtMsg::Heartbeat {
-            sender_cell: GridCoord::new(rng.next() as u32 % 8, rng.next() as u32 % 8),
-            leader: (rng.next() % 64) as usize,
-            seq: rng.next() % 4096,
-        },
-    ]
-}
-
-#[test]
-fn every_variant_round_trips_with_random_summary_payloads() {
-    let mut frame = FrameBuf::new();
-    for extent in [1u32, 2, 4, 8] {
-        for seed in SEEDS {
-            let mut rng = Mix(seed.wrapping_mul(extent as u64 + 1));
-            for msg in all_variants(&mut rng, extent, seed) {
-                encode_rtmsg(&msg, &mut frame).unwrap();
-                let back: RtMsg<DandcMsg> = decode_rtmsg(&frame).unwrap();
-                assert_eq!(back, msg, "extent {extent} seed {seed}: codec round trip");
-            }
-        }
-    }
-}
-
-#[test]
-fn reencoding_a_decoded_frame_is_byte_stable() {
-    // Decode → re-encode must reproduce the exact frame bytes: the codec
-    // has one canonical form, so relays may compare or hash raw frames.
-    let mut frame = FrameBuf::new();
-    let mut again = FrameBuf::new();
-    for seed in SEEDS {
-        let mut rng = Mix(seed);
-        for msg in all_variants(&mut rng, 4, seed) {
-            encode_rtmsg(&msg, &mut frame).unwrap();
-            let back: RtMsg<DandcMsg> = decode_rtmsg(&frame).unwrap();
-            encode_rtmsg(&back, &mut again).unwrap();
-            assert_eq!(
-                frame.bytes(),
-                again.bytes(),
-                "seed {seed}: re-encoding drifted"
-            );
-        }
-    }
-}
-
-#[test]
-fn partial_summaries_are_refused_not_mangled() {
-    let env = AppEnvelope {
-        src_cell: GridCoord::new(0, 0),
-        dest_cell: GridCoord::new(1, 1),
-        units: 1,
-        round: 0,
-        origin: 0,
-        msg_id: 1,
-        stamp: CausalStamp { seq: 0, lamport: 0 },
-        payload: wsn_synth::SummaryMsg {
-            sender: GridCoord::new(0, 0),
-            level: 1,
-            data: RegionSummary::Partial(vec![]),
-        },
-    };
-    let mut frame = FrameBuf::new();
-    assert!(matches!(
-        encode_rtmsg(&RtMsg::App(env), &mut frame),
-        Err(WireError::Unrepresentable(_))
-    ));
 }
 
 /// Runs the full topoquery mission and returns the decoded exfiltrated
@@ -198,18 +52,7 @@ where
     P: Clone + 'static,
     D: Fn(&P) -> DandcMsg,
 {
-    let spec = DeploymentSpec::per_cell(side, 2);
-    let deployment = spec.generate(seed);
-    let range = deployment.grid().range_for_adjacent_cell_reachability();
-    let mut rt: PhysicalRuntime<P> = PhysicalRuntime::new(
-        deployment,
-        RadioModel::uniform(range),
-        LinkModel::ideal(),
-        None,
-        1,
-        seed,
-        |c| f64::from((c.col * 7 + c.row * 3) % 11),
-    );
+    let mut rt = runtime::<P>(side, seed);
     assert!(rt.run_topology_emulation().complete);
     assert!(rt.run_binding().unique);
     rt.install_programs(move |_| make());
@@ -239,17 +82,55 @@ fn framed_missions_decode_identical_to_legacy_typed_missions() {
             let framed = mission::<FrameBuf, _>(
                 side,
                 seed,
-                move || {
-                    Box::new(wsn_runtime::FramedProgram::new(DandcProgram::new(
-                        side, 5.0,
-                    )))
-                },
+                move || Box::new(FramedProgram::new(DandcProgram::new(side, 5.0))),
                 |f| decode_framed::<DandcMsg>(f).expect("framed exfiltration decodes"),
             );
             assert_eq!(
                 legacy, framed,
                 "side {side} seed {seed}: framed run diverged from legacy"
             );
+        }
+    }
+}
+
+/// Runs the full topoquery mission with telemetry and the dispatch log on
+/// from topology emulation, and causal tracing on from the application,
+/// and returns the recorded trace as JSONL.
+fn traced_mission<P: Clone + 'static>(
+    side: u32,
+    seed: u64,
+    make: impl Fn() -> Box<dyn NodeProgram<P>> + 'static,
+) -> String {
+    let mut rt = runtime::<P>(side, seed);
+    rt.enable_telemetry(true);
+    assert!(rt.run_topology_emulation().complete);
+    assert!(rt.run_binding().unique);
+    rt.install_programs(move |_| make());
+    rt.enable_causal_tracing();
+    rt.run_application();
+    rt.record_trace().to_jsonl()
+}
+
+#[test]
+fn framed_missions_record_traces_identical_to_typed_missions() {
+    // The kernel records `RtMsg`'s discriminant, never a frame's bytes,
+    // and both transports carry the causal stamp in the typed envelope:
+    // a framed run's trace is the typed run's, byte for byte.
+    for side in [4u32, 8] {
+        for seed in SEEDS {
+            let typed = traced_mission::<DandcMsg>(side, seed, move || {
+                Box::new(DandcProgram::new(side, 5.0))
+            });
+            let framed = traced_mission::<FrameBuf>(side, seed, move || {
+                Box::new(FramedProgram::new(DandcProgram::new(side, 5.0)))
+            });
+            assert!(typed.contains("app.hop"), "side {side}: no causal hops");
+            if typed != framed {
+                let line = typed.lines().zip(framed.lines()).position(|(a, b)| a != b);
+                panic!(
+                    "side {side} seed {seed}: framed trace diverged from typed at line {line:?}"
+                );
+            }
         }
     }
 }
@@ -262,11 +143,7 @@ fn framed_exfiltrations_respect_the_certified_byte_bound() {
     let (answers, _) = mission::<FrameBuf, _>(
         side,
         3,
-        move || {
-            Box::new(wsn_runtime::FramedProgram::new(DandcProgram::new(
-                side, 5.0,
-            )))
-        },
+        move || Box::new(FramedProgram::new(DandcProgram::new(side, 5.0))),
         |f| decode_framed::<DandcMsg>(f).expect("framed exfiltration decodes"),
     );
     assert!(!answers.is_empty());

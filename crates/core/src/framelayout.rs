@@ -1,15 +1,14 @@
-//! The certified wire-frame layout — the single source of truth shared by
-//! the zero-copy codec (`wsn-runtime`) and the frame-layout certifier
-//! (`wsn-analyze` pass 7).
+//! The certified frame geometry and the §4 payload bounds priced in
+//! bytes — shared by the framed runtime (`wsn-runtime`) and the
+//! frame-layout certifier (`wsn-analyze` pass 7).
 //!
-//! One fixed frame geometry carries every `RtMsg` variant: a tagged
-//! 80-byte header whose slots are unioned across variants, the causal
-//! stamp at a *variant-independent* offset (so relays re-stamp in place
-//! without decoding), and a bounded payload region sized by the §4
-//! closed-form payload analysis. The certifier checks this table — slot
-//! disjointness, alignment, stamp width, and that every reachable send
-//! site's payload bound fits [`wsn_net::FRAME_PAYLOAD_CAPACITY`] — and
-//! refuses the zero-copy runtime configuration otherwise.
+//! A frame (`wsn_net::FrameBuf`) carries one application payload in at
+//! most [`wsn_net::FRAME_PAYLOAD_CAPACITY`] bytes; the frame's other
+//! [`wsn_net::FRAME_HEADER_BYTES`] are a reserved margin with no fields.
+//! The closed forms below bound every payload the synthesized program
+//! can ship, per hierarchy level. The certifier checks that every
+//! reachable send site's bound fits the capacity and refuses the framed
+//! runtime configuration otherwise.
 
 use crate::estimate::full_boundary_units;
 // Re-exported so crates above the virtual architecture (e.g. `wsn-synth`,
@@ -18,190 +17,6 @@ use crate::estimate::full_boundary_units;
 pub use wsn_net::{
     WireError, WirePayload, FRAME_BYTES, FRAME_HEADER_BYTES, FRAME_PAYLOAD_CAPACITY,
 };
-
-/// Schema version of the layout table (bumped on any offset change; the
-/// frame certificate embeds it so stale certificates are rejected).
-pub const FRAME_LAYOUT_VERSION: u64 = 1;
-
-/// One named field of the frame header.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct FrameField {
-    /// Field name as it appears in the certificate's layout table.
-    pub name: &'static str,
-    /// Byte offset from the start of the frame.
-    pub offset: usize,
-    /// Width in bytes.
-    pub width: usize,
-    /// Required alignment of `offset` (the widest scalar inside the
-    /// field: 4 for the `(col, row)` cell pairs, else the width).
-    pub align: usize,
-}
-
-impl FrameField {
-    const fn new(name: &'static str, offset: usize, width: usize, align: usize) -> Self {
-        FrameField {
-            name,
-            offset,
-            width,
-            align,
-        }
-    }
-
-    /// First byte past the field.
-    pub fn end(&self) -> usize {
-        self.offset + self.width
-    }
-}
-
-/// Offset of the variant tag byte (equals the kernel discriminant).
-pub const TAG_OFFSET: usize = 0;
-/// Offset of the layout version byte.
-pub const VERSION_OFFSET: usize = 1;
-/// Offset of the `u16` payload length.
-pub const PAYLOAD_LEN_OFFSET: usize = 2;
-/// Offset of the first cell slot (sender / source cell), `(col, row)` as
-/// two `u32`s.
-pub const CELL_A_OFFSET: usize = 4;
-/// Offset of the second cell slot (destination cell).
-pub const CELL_B_OFFSET: usize = 12;
-/// Offset of the `u32` application round.
-pub const ROUND_OFFSET: usize = 20;
-/// Offset of the `u64` payload size in data units.
-pub const UNITS_OFFSET: usize = 24;
-/// Offset of the `u64` origin / primary node-id slot.
-pub const ORIGIN_OFFSET: usize = 32;
-/// Offset of the `u64` message-id slot.
-pub const MSG_ID_OFFSET: usize = 40;
-/// Offset of the first auxiliary `u64` slot (ARQ/heartbeat/ack sequence,
-/// topology direction bits, announce hop count).
-pub const AUX_A_OFFSET: usize = 48;
-/// Offset of the second auxiliary `u64` slot (hop sender, leader id,
-/// candidate id, or a scalar reading's bit pattern).
-pub const AUX_B_OFFSET: usize = 56;
-/// Offset of the causal stamp's send sequence — fixed across all stamped
-/// variants so relays write it in place without decoding the frame.
-pub const STAMP_SEQ_OFFSET: usize = 64;
-/// Offset of the causal stamp's Lamport clock.
-pub const STAMP_LAMPORT_OFFSET: usize = 72;
-/// Width in bytes of each causal-stamp component.
-pub const STAMP_WIDTH_BYTES: usize = 8;
-/// Offset of the payload region (must equal the header size declared by
-/// `wsn_net`).
-pub const PAYLOAD_OFFSET: usize = FRAME_HEADER_BYTES;
-
-/// The full header field table, in offset order.
-pub const HEADER_FIELDS: &[FrameField] = &[
-    FrameField::new("tag", TAG_OFFSET, 1, 1),
-    FrameField::new("version", VERSION_OFFSET, 1, 1),
-    FrameField::new("payload_len", PAYLOAD_LEN_OFFSET, 2, 2),
-    FrameField::new("cell_a", CELL_A_OFFSET, 8, 4),
-    FrameField::new("cell_b", CELL_B_OFFSET, 8, 4),
-    FrameField::new("round", ROUND_OFFSET, 4, 4),
-    FrameField::new("units", UNITS_OFFSET, 8, 8),
-    FrameField::new("origin", ORIGIN_OFFSET, 8, 8),
-    FrameField::new("msg_id", MSG_ID_OFFSET, 8, 8),
-    FrameField::new("aux_a", AUX_A_OFFSET, 8, 8),
-    FrameField::new("aux_b", AUX_B_OFFSET, 8, 8),
-    FrameField::new("stamp_seq", STAMP_SEQ_OFFSET, STAMP_WIDTH_BYTES, 8),
-    FrameField::new("stamp_lamport", STAMP_LAMPORT_OFFSET, STAMP_WIDTH_BYTES, 8),
-];
-
-/// How one `RtMsg` variant maps onto the header slots.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct VariantLayout {
-    /// The tag byte (equals the kernel discriminant).
-    pub tag: u8,
-    /// Variant name.
-    pub name: &'static str,
-    /// Names of the header slots the variant occupies (besides the three
-    /// mandatory bookkeeping fields `tag`/`version`/`payload_len`).
-    pub slots: &'static [&'static str],
-    /// Whether the variant carries application payload bytes.
-    pub carries_payload: bool,
-    /// Whether the variant carries a causal stamp (written in place at
-    /// [`STAMP_SEQ_OFFSET`]/[`STAMP_LAMPORT_OFFSET`]).
-    pub stamped: bool,
-}
-
-/// The eight `RtMsg` variants and their slot usage.
-pub const RTMSG_VARIANTS: &[VariantLayout] = &[
-    VariantLayout {
-        tag: 1,
-        name: "Topo",
-        slots: &["cell_a", "origin", "aux_a"],
-        carries_payload: false,
-        stamped: false,
-    },
-    VariantLayout {
-        tag: 2,
-        name: "Delta",
-        slots: &["cell_a", "aux_b", "origin"],
-        carries_payload: false,
-        stamped: false,
-    },
-    VariantLayout {
-        tag: 3,
-        name: "Announce",
-        slots: &["cell_a", "origin", "aux_a", "aux_b"],
-        carries_payload: false,
-        stamped: false,
-    },
-    VariantLayout {
-        tag: 4,
-        name: "App",
-        slots: &[
-            "cell_a",
-            "cell_b",
-            "round",
-            "units",
-            "origin",
-            "msg_id",
-            "stamp_seq",
-            "stamp_lamport",
-        ],
-        carries_payload: true,
-        stamped: true,
-    },
-    VariantLayout {
-        tag: 5,
-        name: "AppArq",
-        slots: &[
-            "cell_a",
-            "cell_b",
-            "round",
-            "units",
-            "origin",
-            "msg_id",
-            "aux_a",
-            "aux_b",
-            "stamp_seq",
-            "stamp_lamport",
-        ],
-        carries_payload: true,
-        stamped: true,
-    },
-    VariantLayout {
-        tag: 6,
-        name: "Ack",
-        slots: &["aux_a", "origin"],
-        carries_payload: false,
-        stamped: false,
-    },
-    VariantLayout {
-        tag: 7,
-        name: "Sample",
-        slots: &["cell_a", "aux_b"],
-        carries_payload: false,
-        stamped: false,
-    },
-    VariantLayout {
-        tag: 8,
-        name: "Heartbeat",
-        slots: &["cell_a", "origin", "aux_a"],
-        carries_payload: false,
-        stamped: false,
-    },
-];
 
 /// Structural upper bound, in bytes, of the wire encoding of one boundary
 /// summary over a square extent of `extent_side` cells:
@@ -244,50 +59,6 @@ pub fn framed_payload_fits(side: u32) -> bool {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn header_fields_are_disjoint_ordered_and_aligned() {
-        let mut end = 0;
-        for f in HEADER_FIELDS {
-            assert!(f.offset >= end, "field {} overlaps its predecessor", f.name);
-            assert_eq!(f.offset % f.align, 0, "field {} is misaligned", f.name);
-            end = f.end();
-        }
-        assert!(end <= PAYLOAD_OFFSET, "header spills into the payload");
-        assert_eq!(PAYLOAD_OFFSET, FRAME_HEADER_BYTES);
-        assert_eq!(
-            wsn_net::FRAME_BYTES - PAYLOAD_OFFSET,
-            FRAME_PAYLOAD_CAPACITY
-        );
-    }
-
-    #[test]
-    fn every_variant_maps_onto_declared_slots() {
-        let names: Vec<&str> = HEADER_FIELDS.iter().map(|f| f.name).collect();
-        let mut tags = std::collections::BTreeSet::new();
-        for v in RTMSG_VARIANTS {
-            assert!(tags.insert(v.tag), "duplicate tag {}", v.tag);
-            assert!(v.tag > 0, "tag 0 is reserved for 'empty'");
-            for slot in v.slots {
-                assert!(names.contains(slot), "{}: unknown slot {slot}", v.name);
-            }
-            assert_eq!(
-                v.stamped,
-                v.slots.contains(&"stamp_seq"),
-                "{}: stamp flag and slots disagree",
-                v.name
-            );
-        }
-        assert_eq!(RTMSG_VARIANTS.len(), 8);
-    }
-
-    #[test]
-    fn stamp_offsets_are_variant_independent_and_eight_byte() {
-        assert_eq!(STAMP_SEQ_OFFSET % 8, 0);
-        assert_eq!(STAMP_LAMPORT_OFFSET, STAMP_SEQ_OFFSET + STAMP_WIDTH_BYTES);
-        assert_eq!(STAMP_WIDTH_BYTES, 8, "CausalStamp fields are u64");
-        const { assert!(STAMP_LAMPORT_OFFSET + STAMP_WIDTH_BYTES <= PAYLOAD_OFFSET) };
-    }
 
     #[test]
     fn payload_bounds_follow_the_closed_form() {

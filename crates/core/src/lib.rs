@@ -54,7 +54,6 @@ pub use estimate::{
 };
 pub use framelayout::{
     framed_payload_fits, payload_bound_bytes, payload_bound_units, summary_wire_bound_bytes,
-    FrameField, VariantLayout, FRAME_LAYOUT_VERSION, HEADER_FIELDS, RTMSG_VARIANTS,
 };
 pub use grid::{Direction, GridCoord, VirtualGrid};
 pub use groups::Hierarchy;

@@ -16,21 +16,21 @@
 //! * [`FramePool`] — a run-sized arena of frames, allocated once up front
 //!   (sized from the certificate's message bound) and recycled.
 //!
-//! Field offsets for the full `RtMsg`-on-frame layout are declared in
-//! `wsn_core::framelayout` (the certifier's source of truth); this module
-//! only fixes the buffer geometry those offsets must respect.
-
-use wsn_sim::Payload;
+//! A frame carries one application payload, written from its first byte.
+//! Routing fields and the causal stamp travel in the runtime's typed
+//! envelope around the frame, not in its bytes.
 
 /// Total size of one wire frame in bytes.
 pub const FRAME_BYTES: usize = 2048;
 
-/// Bytes reserved at the front of a frame for the message header (tag,
-/// routing fields, causal stamp). The stamp is written in place inside
-/// this region — see `wsn_core::framelayout`.
+/// Bytes of a frame held back as a reserved margin: no field lives there,
+/// and the payload may not use them. The margin keeps the certified
+/// payload capacity, and with it `FL001`'s threshold, at 1,968 bytes.
 pub const FRAME_HEADER_BYTES: usize = 80;
 
-/// Maximum payload bytes a frame can carry after the header.
+/// Maximum payload bytes a frame can carry: the frame less its reserved
+/// margin. Pass 7 certifies every payload against this capacity, and
+/// [`FrameBuf::encode_payload`] refuses anything larger.
 pub const FRAME_PAYLOAD_CAPACITY: usize = FRAME_BYTES - FRAME_HEADER_BYTES;
 
 /// Why an encode or decode refused.
@@ -45,8 +45,6 @@ pub enum WireError {
     },
     /// The byte region ended before the named field was complete.
     Truncated(&'static str),
-    /// An unknown discriminant tag was read.
-    BadTag(u8),
     /// The value has no wire representation by design (e.g. an
     /// accumulator that must never travel).
     Unrepresentable(&'static str),
@@ -62,7 +60,6 @@ impl std::fmt::Display for WireError {
                 )
             }
             WireError::Truncated(field) => write!(out, "frame truncated reading {field}"),
-            WireError::BadTag(tag) => write!(out, "unknown frame tag {tag}"),
             WireError::Unrepresentable(what) => {
                 write!(out, "{what} has no wire representation")
             }
@@ -99,19 +96,7 @@ impl PartialEq for FrameBuf {
 
 impl std::fmt::Debug for FrameBuf {
     fn fmt(&self, out: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        write!(
-            out,
-            "FrameBuf {{ len: {}, tag: {} }}",
-            self.len, self.bytes[0]
-        )
-    }
-}
-
-impl Payload for FrameBuf {
-    /// A frame's kernel discriminant is its tag byte, so dispatch traces
-    /// of framed runs are byte-identical to their typed equivalents.
-    fn discriminant(&self) -> u64 {
-        u64::from(self.bytes[0])
+        write!(out, "FrameBuf {{ len: {} }}", self.len)
     }
 }
 
@@ -136,19 +121,9 @@ impl FrameBuf {
         &self.bytes[..self.len()]
     }
 
-    /// The whole storage array (layout-offset writers use this).
-    pub fn storage(&self) -> &[u8; FRAME_BYTES] {
-        &self.bytes
-    }
-
-    /// Mutable whole storage.
-    pub fn storage_mut(&mut self) -> &mut [u8; FRAME_BYTES] {
-        &mut self.bytes
-    }
-
-    /// Declares the filled length (after writing through
-    /// [`FrameBuf::storage_mut`]). Panics if `len > FRAME_BYTES`.
-    pub fn set_len(&mut self, len: usize) {
+    /// Declares the filled length. Bytes past the old length keep whatever
+    /// they held. Panics if `len > FRAME_BYTES`.
+    fn set_len(&mut self, len: usize) {
         assert!(
             len <= FRAME_BYTES,
             "frame length {len} exceeds {FRAME_BYTES}"
@@ -156,68 +131,18 @@ impl FrameBuf {
         self.len = len as u16;
     }
 
-    /// Resets to empty without touching the storage (recycled frames are
-    /// overwritten field by field).
+    /// Resets to empty without touching the storage: bytes past the fill
+    /// length never count (see the `PartialEq` impl).
     pub fn clear(&mut self) {
         self.len = 0;
     }
 
-    /// Writes `v` little-endian at `offset`.
-    pub fn put_u8(&mut self, offset: usize, v: u8) {
-        self.bytes[offset] = v;
-    }
-
-    /// Writes `v` little-endian at `offset`.
-    pub fn put_u16(&mut self, offset: usize, v: u16) {
-        self.bytes[offset..offset + 2].copy_from_slice(&v.to_le_bytes());
-    }
-
-    /// Writes `v` little-endian at `offset`.
-    pub fn put_u32(&mut self, offset: usize, v: u32) {
-        self.bytes[offset..offset + 4].copy_from_slice(&v.to_le_bytes());
-    }
-
-    /// Writes `v` little-endian at `offset`.
-    pub fn put_u64(&mut self, offset: usize, v: u64) {
-        self.bytes[offset..offset + 8].copy_from_slice(&v.to_le_bytes());
-    }
-
-    /// Writes `v` little-endian at `offset`.
-    pub fn put_f64(&mut self, offset: usize, v: f64) {
-        self.put_u64(offset, v.to_bits());
-    }
-
-    /// Reads the byte at `offset`.
-    pub fn get_u8(&self, offset: usize) -> u8 {
-        self.bytes[offset]
-    }
-
-    /// Reads a little-endian `u16` at `offset`.
-    pub fn get_u16(&self, offset: usize) -> u16 {
-        u16::from_le_bytes(self.bytes[offset..offset + 2].try_into().expect("2 bytes"))
-    }
-
-    /// Reads a little-endian `u32` at `offset`.
-    pub fn get_u32(&self, offset: usize) -> u32 {
-        u32::from_le_bytes(self.bytes[offset..offset + 4].try_into().expect("4 bytes"))
-    }
-
-    /// Reads a little-endian `u64` at `offset`.
-    pub fn get_u64(&self, offset: usize) -> u64 {
-        u64::from_le_bytes(self.bytes[offset..offset + 8].try_into().expect("8 bytes"))
-    }
-
-    /// Reads a little-endian `f64` at `offset`.
-    pub fn get_f64(&self, offset: usize) -> f64 {
-        f64::from_bits(self.get_u64(offset))
-    }
-
-    /// Encodes `payload` into the frame starting at offset 0 (the
-    /// payload-region convention used when a frame *is* the application
-    /// payload of a typed envelope).
+    /// Encodes `payload` into a fresh frame from offset 0, inside the
+    /// certified [`FRAME_PAYLOAD_CAPACITY`]: a payload the certificate
+    /// would refuse is refused here too, with [`WireError::Overflow`].
     pub fn encode_payload<P: WirePayload>(payload: &P) -> Result<FrameBuf, WireError> {
         let mut frame = FrameBuf::new();
-        let written = payload.encode(&mut frame.bytes)?;
+        let written = payload.encode(&mut frame.bytes[..FRAME_PAYLOAD_CAPACITY])?;
         frame.set_len(written);
         Ok(frame)
     }
@@ -365,8 +290,8 @@ impl FramePool {
         self.free.pop()
     }
 
-    /// Returns a frame to the arena. The contents are kept as-is (frames
-    /// are overwritten field by field on reuse); only the length resets.
+    /// Returns a frame to the arena. The contents are kept as-is; only
+    /// the length resets.
     pub fn release(&mut self, mut frame: FrameBuf) {
         assert!(
             self.free.len() < self.capacity,
@@ -380,6 +305,30 @@ impl FramePool {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// A test payload that puts its bytes on the wire as they are.
+    #[derive(Debug, PartialEq)]
+    struct Raw(Vec<u8>);
+
+    impl WirePayload for Raw {
+        fn encoded_bytes(&self) -> usize {
+            self.0.len()
+        }
+        fn encode(&self, out: &mut [u8]) -> Result<usize, WireError> {
+            let needed = self.0.len();
+            if out.len() < needed {
+                return Err(WireError::Overflow {
+                    needed,
+                    capacity: out.len(),
+                });
+            }
+            out[..needed].copy_from_slice(&self.0);
+            Ok(needed)
+        }
+        fn decode(bytes: &[u8]) -> Result<Self, WireError> {
+            Ok(Raw(bytes.to_vec()))
+        }
+    }
 
     #[test]
     fn scalar_payloads_round_trip() {
@@ -398,29 +347,11 @@ mod tests {
     }
 
     #[test]
-    fn fixed_offset_accessors_round_trip() {
-        let mut f = FrameBuf::new();
-        f.put_u8(0, 4);
-        f.put_u16(2, 0xBEEF);
-        f.put_u32(4, 77);
-        f.put_u64(48, u64::MAX - 3);
-        f.put_f64(56, -2.25);
-        assert_eq!(f.get_u8(0), 4);
-        assert_eq!(f.get_u16(2), 0xBEEF);
-        assert_eq!(f.get_u32(4), 77);
-        assert_eq!(f.get_u64(48), u64::MAX - 3);
-        assert_eq!(f.get_f64(56), -2.25);
-        assert_eq!(f.discriminant(), 4);
-    }
-
-    #[test]
     fn equality_ignores_stale_bytes_past_len() {
-        let mut a = FrameBuf::new();
-        a.put_u64(0, 42);
-        a.set_len(8);
-        let mut b = FrameBuf::new();
-        b.put_u64(0, 42);
-        b.put_u64(8, 999); // stale garbage past the fill
+        let a = FrameBuf::encode_payload(&42u64).unwrap();
+        let mut bytes = 42u64.to_le_bytes().to_vec();
+        bytes.extend_from_slice(&999u64.to_le_bytes()); // stale garbage past the fill
+        let mut b = FrameBuf::encode_payload(&Raw(bytes)).unwrap();
         b.set_len(8);
         assert_eq!(a, b);
         b.set_len(16);
@@ -444,7 +375,6 @@ mod tests {
         let mut b = pool.acquire().unwrap();
         assert_eq!(pool.in_use(), 2);
         assert!(pool.acquire().is_none(), "run-sized pool must not grow");
-        b.put_u64(0, 7);
         b.set_len(8);
         pool.release(b);
         let b2 = pool.acquire().unwrap();
@@ -455,9 +385,24 @@ mod tests {
     }
 
     #[test]
+    fn payloads_fill_at_most_the_certified_capacity() {
+        let full = Raw(vec![7; FRAME_PAYLOAD_CAPACITY]);
+        let frame = FrameBuf::encode_payload(&full).unwrap();
+        assert_eq!(frame.len(), 1968);
+        assert_eq!(frame.decode_payload::<Raw>().unwrap(), full);
+        assert_eq!(
+            FrameBuf::encode_payload(&Raw(vec![7; FRAME_PAYLOAD_CAPACITY + 1])),
+            Err(WireError::Overflow {
+                needed: 1969,
+                capacity: 1968
+            })
+        );
+    }
+
+    #[test]
     fn header_region_leaves_certified_payload_capacity() {
         assert_eq!(FRAME_BYTES, FRAME_HEADER_BYTES + FRAME_PAYLOAD_CAPACITY);
-        const { assert!(FRAME_HEADER_BYTES >= 64, "header must fit the RtMsg fields") };
+        assert_eq!(FRAME_PAYLOAD_CAPACITY, 1968);
         assert_eq!(FRAME_BYTES % 8, 0, "frames stay 8-byte aligned");
     }
 }

@@ -46,7 +46,4 @@ pub use runner::{
     AppReport, BindReport, ChaosMissionReport, MissionConfig, MissionReport, ParallelConfig,
     PhysicalRuntime, SelfHealConfig, ShardMutation, TopoReport,
 };
-pub use wire::{
-    decode_framed, decode_rtmsg, encode_rtmsg, frame_stamp, is_stamped_tag, set_frame_stamp,
-    FramedProgram,
-};
+pub use wire::{decode_framed, FramedProgram};
