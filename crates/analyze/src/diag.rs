@@ -19,7 +19,7 @@ pub enum Severity {
     /// Suspicious but not certainly broken; the program still runs.
     Warning,
     /// The artifact will panic, hang, or violate a design constraint at
-    /// runtime; codegen refuses it unless overridden.
+    /// runtime; codegen refuses it.
     Error,
 }
 
@@ -40,7 +40,6 @@ impl fmt::Display for Severity {
 /// * `RD` — reachability and determinism of the rule system;
 /// * `GM` — task-graph and mapping structure;
 /// * `DL` — cross-node deadlock;
-/// * `CB` — cost-budget conformance;
 /// * `CC` — cost certification (symbolic §4 bounds and the optimizer
 ///   facts that sharpen them);
 /// * `SI` — shard interference (footprint and commutativity of handlers
@@ -51,6 +50,9 @@ impl fmt::Display for Severity {
 /// * `AL` — allocation discipline (runtime state on the certified hot
 ///   path is arena-allocatable, not per-event heap);
 /// * `TC` — trace conformance (measured run vs certified interval).
+///
+/// The cost-budget group `CB` is retired, and its numbers are never
+/// reused.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 #[allow(missing_docs)] // variants are documented by Self::description
 pub enum Code {
@@ -75,10 +77,6 @@ pub enum Code {
     GM005,
     DL001,
     DL002,
-    CB001,
-    CB002,
-    CB003,
-    CB004,
     CC001,
     CC002,
     CC003,
@@ -131,10 +129,6 @@ impl Code {
             Code::GM005 => "spatial-correlation constraint violated",
             Code::DL001 => "merge level waits for more senders than the mapping supplies",
             Code::DL002 => "merge level receives more senders than the quorum consumes",
-            Code::CB001 => "total energy exceeds the cost budget",
-            Code::CB002 => "hotspot node energy exceeds the cost budget",
-            Code::CB003 => "energy balance below the cost budget",
-            Code::CB004 => "critical-path latency exceeds the cost budget",
             Code::CC001 => "program cost structure diverges from the task graph",
             Code::CC002 => "certified bound is degenerate (lower exceeds upper)",
             Code::CC003 => "dead handler eliminated; its costs are excluded from the bounds",
@@ -168,10 +162,9 @@ impl Code {
         use Code::*;
         &[
             WF001, WF002, WF003, WF004, WF005, WF006, WF007, WF008, WF009, WF010, RD001, RD002,
-            RD003, RD004, GM001, GM002, GM003, GM004, GM005, DL001, DL002, CB001, CB002, CB003,
-            CB004, CC001, CC002, CC003, CC004, CC005, SI001, SI002, SI003, SI004, FL001, FL002,
-            FL003, AL001, AL002, AL003, TC001, TC002, TC003, TC004, TC005, TC006, TC007, TC008,
-            TC009, TC010,
+            RD003, RD004, GM001, GM002, GM003, GM004, GM005, DL001, DL002, CC001, CC002, CC003,
+            CC004, CC005, SI001, SI002, SI003, SI004, FL001, FL002, FL003, AL001, AL002, AL003,
+            TC001, TC002, TC003, TC004, TC005, TC006, TC007, TC008, TC009, TC010,
         ]
     }
 }
@@ -555,6 +548,6 @@ mod tests {
         for &c in Code::all() {
             assert!(!c.description().is_empty(), "{c}");
         }
-        assert_eq!(Code::all().len(), 50);
+        assert_eq!(Code::all().len(), 46);
     }
 }

@@ -24,8 +24,6 @@
 //!    spatial-correlation sweeps (`GM001`–`GM005`).
 //! 4. **Deadlock** ([`deadlock`]) — the cross-node wait-for structure
 //!    induced by mapping and merge quorums (`DL001`, `DL002`).
-//! 5. **Cost budget** ([`budget`]) — priced mapping vs mission budget
-//!    (`CB001`–`CB004`).
 //!
 //! 6. **Shard interference** ([`footprint`], [`shard`]) — per-role
 //!    read/write footprints in region space and commutativity under a
@@ -35,15 +33,17 @@
 //!    whose exploration is truncated is an `RD004` error here and in the
 //!    frame pass ([`frame`]), and no certificate is issued.
 //!
-//! [`verified`] gates synthesis and code generation on the verdict:
-//! error-bearing artifacts are refused unless the caller opts out.
+//! The passes keep their numbers: pass 5, a cost-budget pass, is retired
+//! with its `CB` codes, and pass 7 is the frame pass.
+//!
+//! [`verified`] gates code generation on the verdict: an error-bearing
+//! program is refused.
 //! [`model_json`] gives programs a stable JSON encoding so external
 //! artifacts can be linted too.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod budget;
 pub mod certify;
 pub mod conform;
 pub mod deadlock;
@@ -59,7 +59,6 @@ pub mod sym;
 pub mod verified;
 pub mod wellformed;
 
-pub use budget::check_budget;
 pub use certify::{
     certify, BoundKind, CertConfig, Certificate, CertifiedBound, Interval, PayloadProfile,
 };
@@ -80,44 +79,23 @@ pub use shard::{
     shard_cert_to_json, ShardCertificate, SHARD_CERT_SCHEMA_VERSION,
 };
 pub use sym::Sym;
-pub use verified::{render_figure4_checked, synthesize_checked, CheckedError, Enforcement};
+pub use verified::render_figure4_checked;
 pub use wellformed::check_program;
 
-use wsn_core::{CostBudget, CostModel};
-use wsn_synth::{GuardedProgram, Mapping, QuadTree, TaskGraph};
+use wsn_synth::{GuardedProgram, Mapping, QuadTree};
 
 /// Analyzes a program: well-formedness, then (when the program is sound
 /// enough to evaluate — no unbound reads or writes) the reachability
 /// pass. Diagnostics come back sorted errors-first.
 pub fn analyze_program(program: &GuardedProgram) -> Diagnostics {
-    analyze_program_with(program, ReachConfig::default())
-}
-
-/// [`analyze_program`] with explicit exploration limits.
-pub fn analyze_program_with(program: &GuardedProgram, config: ReachConfig) -> Diagnostics {
     let mut diags = wellformed::check_program(program);
     let evaluable = !diags
         .items()
         .iter()
         .any(|d| matches!(d.code, Code::WF002 | Code::WF003));
     if evaluable {
-        diags.extend(reach::check_dynamics(program, config));
+        diags.extend(reach::check_dynamics(program, ReachConfig::default()));
     }
-    diags.sort();
-    diags
-}
-
-/// Analyzes a task graph's structure.
-pub fn analyze_graph(graph: &TaskGraph) -> Diagnostics {
-    let mut diags = graphcheck::check_graph(graph);
-    diags.sort();
-    diags
-}
-
-/// Analyzes a mapping: graph structure plus the §4.1 constraint sweeps.
-pub fn analyze_mapping(qt: &QuadTree, mapping: &Mapping) -> Diagnostics {
-    let mut diags = graphcheck::check_graph(&qt.graph);
-    diags.extend(graphcheck::check_mapping(qt, mapping));
     diags.sort();
     diags
 }
@@ -139,18 +117,6 @@ pub fn analyze_deployment(
         let (_, cert_diags) = certify::certify(program, &certify::CertConfig::paper(qt.side));
         diags.extend(cert_diags);
     }
-    diags.sort();
-    diags
-}
-
-/// Prices a mapping and lints it against a [`CostBudget`].
-pub fn analyze_budget(
-    qt: &QuadTree,
-    mapping: &Mapping,
-    cost: &CostModel,
-    budget: &CostBudget,
-) -> Diagnostics {
-    let mut diags = budget::check_budget(qt, mapping, cost, budget);
     diags.sort();
     diags
 }

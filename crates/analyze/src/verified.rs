@@ -1,95 +1,36 @@
-//! Analysis-gated synthesis and code generation.
+//! Analysis-gated code generation.
 //!
 //! The analyzer's contract with the rest of the toolchain: error-severity
 //! diagnostics mean the artifact will panic, hang, or violate a design
-//! constraint at runtime, so the checked entry points refuse to hand it
-//! onward unless the caller explicitly opts out
-//! ([`Enforcement::AllowErrors`], the "I know, ship it anyway" escape
-//! hatch for debugging broken programs through the printer).
+//! constraint at runtime, so the checked printer refuses to hand it
+//! onward.
 
+use crate::analyze_program;
 use crate::diag::Diagnostics;
-use crate::{analyze_deployment, analyze_program};
-use std::fmt;
-use wsn_synth::{
-    render_figure4, synthesize_from_mapping, GuardedProgram, Mapping, QuadTree, SynthesisError,
-};
-
-/// What to do when analysis reports errors.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum Enforcement {
-    /// Refuse artifacts carrying error-severity diagnostics (default).
-    #[default]
-    DenyErrors,
-    /// Pass them through anyway (diagnostics are still returned).
-    AllowErrors,
-}
-
-/// Why a checked pipeline stage refused.
-#[derive(Debug, Clone, PartialEq)]
-pub enum CheckedError {
-    /// Synthesis itself failed (infeasible mapping, off-leader task).
-    Synthesis(SynthesisError),
-    /// Analysis found error-severity diagnostics and enforcement is
-    /// [`Enforcement::DenyErrors`].
-    Rejected(Diagnostics),
-}
-
-impl fmt::Display for CheckedError {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            CheckedError::Synthesis(e) => write!(f, "synthesis failed: {e:?}"),
-            CheckedError::Rejected(d) => write!(
-                f,
-                "analysis rejected the artifact ({} error(s)):\n{}",
-                d.error_count(),
-                d.render_text()
-            ),
-        }
-    }
-}
-
-impl std::error::Error for CheckedError {}
+use wsn_synth::{render_figure4, GuardedProgram};
 
 /// Renders a program in the paper's Figure-4 notation after analyzing
-/// it. Under [`Enforcement::DenyErrors`] an error-bearing program is
-/// refused with its diagnostics instead of rendered.
+/// it. An error-bearing program is refused with its diagnostics instead
+/// of rendered.
 pub fn render_figure4_checked(
     program: &GuardedProgram,
-    enforcement: Enforcement,
-) -> Result<(String, Diagnostics), CheckedError> {
+) -> Result<(String, Diagnostics), Diagnostics> {
     let diags = analyze_program(program);
-    if enforcement == Enforcement::DenyErrors && diags.has_errors() {
-        return Err(CheckedError::Rejected(diags));
+    if diags.has_errors() {
+        return Err(diags);
     }
     Ok((render_figure4(program), diags))
-}
-
-/// The full checked synthesis step: mapping-constraint verification (from
-/// the synthesizer), then program, graph, mapping, and deadlock analysis
-/// of the result. Under [`Enforcement::DenyErrors`] an error-bearing
-/// deployment is refused.
-pub fn synthesize_checked(
-    qt: &QuadTree,
-    mapping: &Mapping,
-    enforcement: Enforcement,
-) -> Result<(GuardedProgram, Diagnostics), CheckedError> {
-    let program = synthesize_from_mapping(qt, mapping).map_err(CheckedError::Synthesis)?;
-    let diags = analyze_deployment(qt, mapping, &program);
-    if enforcement == Enforcement::DenyErrors && diags.has_errors() {
-        return Err(CheckedError::Rejected(diags));
-    }
-    Ok((program, diags))
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use wsn_synth::{quadtree_task_graph, synthesize_quadtree_program, Mapper, QuadrantMapper};
+    use wsn_synth::synthesize_quadtree_program;
 
     #[test]
     fn clean_program_renders_with_diagnostics_attached() {
         let p = synthesize_quadtree_program(2);
-        let (text, diags) = render_figure4_checked(&p, Enforcement::DenyErrors).unwrap();
+        let (text, diags) = render_figure4_checked(&p).unwrap();
         assert!(text.contains("msgsReceived"));
         assert_eq!(diags.error_count(), 0);
     }
@@ -101,32 +42,7 @@ mod tests {
             "ghost".into(),
             wsn_synth::Expr::Int(1),
         ));
-        let err = render_figure4_checked(&p, Enforcement::DenyErrors).unwrap_err();
-        let CheckedError::Rejected(diags) = err else {
-            panic!("expected rejection");
-        };
+        let diags = render_figure4_checked(&p).unwrap_err();
         assert!(diags.has_errors());
-        // The opt-out still surfaces the diagnostics.
-        let (text, diags) = render_figure4_checked(&p, Enforcement::AllowErrors).unwrap();
-        assert!(!text.is_empty());
-        assert!(diags.has_errors());
-    }
-
-    #[test]
-    fn checked_synthesis_passes_the_paper_deployment() {
-        let qt = quadtree_task_graph(4, &|l| u64::from(l) + 1, &|l| u64::from(l));
-        let m = QuadrantMapper.map(&qt);
-        let (program, diags) = synthesize_checked(&qt, &m, Enforcement::DenyErrors).unwrap();
-        assert_eq!(program.max_level, 2);
-        assert_eq!(diags.error_count(), 0, "{}", diags.render_text());
-    }
-
-    #[test]
-    fn checked_synthesis_rejects_an_infeasible_mapping() {
-        let qt = quadtree_task_graph(4, &|l| u64::from(l) + 1, &|l| u64::from(l));
-        let mut m = QuadrantMapper.map(&qt);
-        m.assign(0, m.node_of(1));
-        let err = synthesize_checked(&qt, &m, Enforcement::DenyErrors).unwrap_err();
-        assert!(matches!(err, CheckedError::Synthesis(_)), "{err}");
     }
 }

@@ -7,9 +7,10 @@
 use crate::gates::Mutation;
 use crate::table::{f, Table};
 use wsn_core::{
-    follower_to_leader_hops, quadtree_merge_estimate, tree_convergecast_estimate, CollectiveMsg,
-    ConvergecastSum, CostModel, DisseminateProgram, GridCoord, Hierarchy, NodeApi, NodeProgram,
-    ReduceOp, ReduceProgram, SortProgram, TreeVm, VirtualGrid, VirtualTree, Vm,
+    follower_to_leader_hops, full_boundary_units, quadtree_merge_estimate,
+    tree_convergecast_estimate, CollectiveMsg, ConvergecastSum, CostModel, DisseminateProgram,
+    GridCoord, Hierarchy, NodeApi, NodeProgram, ReduceOp, ReduceProgram, SortProgram, TreeVm,
+    VirtualGrid, VirtualTree, Vm,
 };
 use wsn_net::{DeploymentSpec, LinkModel, RadioModel, UnitDiskGraph};
 use wsn_runtime::{AppReport, ParallelConfig, PhysicalRuntime, ShardMutation};
@@ -34,12 +35,6 @@ pub fn blob_field(side: u32, seed: u64) -> Field {
         seed,
     )
 }
-
-/// The paper's message-size model for region summaries of a full extent
-/// (worst case, used by the analytic estimates). Now lives in
-/// `wsn-core` beside the estimator; re-exported here for the
-/// experiment tables that grew up with it.
-pub use wsn_core::full_boundary_units;
 
 /// EXP-5: the O(√N)-steps claim. Runs the divide-and-conquer algorithm
 /// under the paper's *step* cost model (`ticks_per_unit = 0`: one latency

@@ -92,9 +92,8 @@ pub fn fig3_mapping() -> String {
 /// instead of printing broken pseudocode.
 pub fn fig4_program() -> String {
     let program = synthesize_quadtree_program(2);
-    let (rendered, _diags) =
-        wsn_analyze::render_figure4_checked(&program, wsn_analyze::Enforcement::DenyErrors)
-            .expect("the synthesized Figure-4 program analyzes clean");
+    let (rendered, _diags) = wsn_analyze::render_figure4_checked(&program)
+        .expect("the synthesized Figure-4 program analyzes clean");
     format!("Figure 4: synthesized program specification\n\n{rendered}")
 }
 

@@ -1,9 +1,10 @@
 //! # wsn-bench — experiment harness
 //!
 //! Shared plumbing for the experiment regenerator binaries (one per figure
-//! or quantitative claim; see DESIGN.md §5 for the index) and the Criterion
-//! benches. Binaries print their tables as aligned text; pass `--csv` to a
-//! binary to get CSV instead, so EXPERIMENTS.md can quote either.
+//! or quantitative claim; see DESIGN.md §5 for the index) and the
+//! `wsn-lint` gate table. Binaries print their tables as aligned text;
+//! pass `--csv` to a binary to get CSV instead, so EXPERIMENTS.md can
+//! quote either.
 
 #![forbid(unsafe_code)]
 

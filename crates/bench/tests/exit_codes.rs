@@ -200,6 +200,21 @@ fn frame_and_alloc_codes_are_catalogued() {
 }
 
 #[test]
+fn retired_codes_are_never_listed() {
+    let out = lint(&["--codes"]);
+    assert!(out.status.success());
+    let text = String::from_utf8(out.stdout).expect("utf8 catalog");
+    let codes: Vec<&str> = text
+        .lines()
+        .filter_map(|l| l.split_whitespace().next())
+        .collect();
+    assert_eq!(codes.len(), 46, "{text}");
+    for retired in ["FL004", "FL005", "CB001", "CB002", "CB003", "CB004"] {
+        assert!(!codes.contains(&retired), "--codes lists retired {retired}");
+    }
+}
+
+#[test]
 fn conformance_paths_trip_on_recorded_mutations() {
     // Record the faithful and mutated runs once, then drive every
     // trace-checking entry point through both.

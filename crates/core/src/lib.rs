@@ -47,7 +47,7 @@ pub use collective::{
     snake_coord, snake_index, CollectiveMsg, DisseminateProgram, ReduceOp, ReduceProgram,
     SortProgram,
 };
-pub use cost::{BudgetViolation, CostBudget, CostModel};
+pub use cost::CostModel;
 pub use estimate::{
     centralized_collection_estimate, follower_to_leader_hops, full_boundary_units,
     quadtree_merge_estimate, Estimate,

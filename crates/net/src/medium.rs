@@ -1271,9 +1271,14 @@ mod tests {
                 medium.borrow_mut().set_order_tap(tap.clone());
                 let schedule = wsn_sim::ShardSchedule::new(vec![0, 1], 2);
                 let mut replay = wsn_sim::BarrierReplay::default();
-                k.run_sharded(&schedule, None, None, Some(&tap), |order| {
-                    medium.borrow_mut().apply_energy_journal(order, &mut replay)
-                });
+                k.run_sharded(
+                    &schedule,
+                    None,
+                    None,
+                    Some(&tap),
+                    |order| medium.borrow_mut().apply_energy_journal(order, &mut replay),
+                    None,
+                );
             } else {
                 k.run();
             }

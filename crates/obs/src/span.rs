@@ -105,11 +105,6 @@ impl SpanRecorder {
         &self.roots
     }
 
-    /// Consumes the recorder, returning the finished forest.
-    pub fn into_roots(self) -> Vec<SpanNode> {
-        self.roots
-    }
-
     /// Renders the forest as an ASCII tree with durations, event counts,
     /// and each span's share of its root's duration.
     pub fn render(&self) -> String {

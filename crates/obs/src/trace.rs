@@ -154,11 +154,6 @@ impl TraceDocument {
             .unwrap_or(0)
     }
 
-    /// Total span count across all root trees.
-    pub fn span_count(&self) -> usize {
-        self.spans.iter().map(SpanNode::subtree_len).sum()
-    }
-
     /// Serializes the document to JSON Lines (one record per line, in the
     /// order meta, spans, counters, gauges, histograms, nodes, events).
     pub fn to_jsonl(&self) -> String {

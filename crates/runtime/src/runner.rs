@@ -26,8 +26,8 @@ use std::collections::HashMap;
 use std::rc::Rc;
 use wsn_core::ShardPlan;
 use wsn_core::{
-    Direction, Exfiltrated, GridCoord, NodeProgram, RunMetrics, VirtualGrid, CTR_DATA_UNITS,
-    CTR_MESSAGES,
+    Direction, Exfiltrated, GridCoord, NodeProgram, ProgramFactory, RunMetrics, VirtualGrid,
+    CTR_DATA_UNITS, CTR_MESSAGES,
 };
 use wsn_net::{
     ChaosError, ChaosPlan, Deployment, EnergyKind, EnergyLedger, LinkModel, Medium, RadioModel,
@@ -84,10 +84,6 @@ pub struct AppReport {
     /// ARQ retransmissions during this run (0 when ARQ is off).
     pub retransmissions: u64,
 }
-
-/// Factory producing a node program per virtual node (the synthesis
-/// output handed to the runtime).
-type BoxedFactory<P> = Box<dyn FnMut(GridCoord) -> Box<dyn NodeProgram<P>>>;
 
 /// Configuration of a sustained mission: repeated application rounds with
 /// node churn and periodic protocol refresh (§5.1: "the above protocol
@@ -234,7 +230,7 @@ pub struct PhysicalRuntime<P: Clone + 'static> {
     grid: VirtualGrid,
     actors: Vec<ActorId>,
     shared: Rc<RtShared<P>>,
-    factory: Option<BoxedFactory<P>>,
+    factory: Option<ProgramFactory<P>>,
     exfil_seen: usize,
     seed: u64,
     /// Kernel events dispatched across every phase so far.
@@ -831,7 +827,7 @@ impl<P: Clone + 'static> PhysicalRuntime<P> {
             None
         };
         let replay = &mut self.replay;
-        let run = self.kernel.run_sharded_observed(
+        let run = self.kernel.run_sharded(
             schedule,
             until,
             max_events,

@@ -23,14 +23,22 @@
 //! Hence the sequential order restricted to one shard is: the shard's
 //! roots in seq order, then its children in local FIFO push order — which
 //! is exactly how each shard processes its window here, independently of
-//! every other shard. At the window barrier, a **symbolic replay** of the
-//! sequential heap (roots keyed by their real seqs; children assigned the
-//! next global seqs in replay pop order) reconstructs the exact global
-//! dispatch order the sequential kernel would have used — including the
-//! exact numeric `seq` values, since the replay hands out the counter in
-//! the same order the sequential loop would have. Cross-shard messages
-//! sit in a mailbox until the barrier and enter the destination shard's
+//! every other shard. At the window barrier, a **symbolic replay**
+//! reconstructs the exact global dispatch order the sequential kernel
+//! would have used: one sort puts the window's roots in seq order, and a
+//! front-to-back walk of that order hands out the next global seqs to
+//! each dispatch's pushes in push order, appending each same-tick child
+//! as it gets its seq. That is the sequential heap's pop order (children
+//! pop in the order they got their seqs), and it yields the exact
+//! numeric `seq` values, since the walk hands out the counter in the
+//! same order the sequential loop would have. Cross-shard messages sit
+//! in a mailbox until the barrier and enter the destination shard's
 //! queue with their final seqs.
+//!
+//! Given a [`ShardObs`], [`Kernel::run_sharded`] also keeps per-shard
+//! accounting: a cross-shard event counts as staged when its dispatch
+//! pushes it and as applied when the mailbox exchange enters it into the
+//! destination queue.
 //!
 //! ## What is staged, and what is not
 //!
@@ -71,8 +79,7 @@ use crate::stats::StagedStats;
 use crate::time::SimTime;
 use crate::trace::TraceEntry;
 use std::cell::Cell;
-use std::cmp::Reverse;
-use std::collections::{BinaryHeap, VecDeque};
+use std::collections::VecDeque;
 use std::ops::Range;
 use std::rc::Rc;
 
@@ -140,7 +147,6 @@ impl BarrierReplay {
 pub struct ShardSchedule {
     shard_of_actor: Vec<u32>,
     shard_count: u32,
-    workers: usize,
     /// Slot processing order for one window: the global slot first, then
     /// shards striped round-robin across the worker lanes.
     slot_order: Vec<usize>,
@@ -162,7 +168,6 @@ impl ShardSchedule {
         ShardSchedule {
             shard_of_actor,
             shard_count,
-            workers: 1,
             slot_order: Vec::new(),
             misorder_merge: false,
         }
@@ -175,13 +180,13 @@ impl ShardSchedule {
     /// every observable unchanged — the property tests hold the kernel to
     /// that.
     pub fn with_workers(mut self, workers: usize) -> Self {
-        self.workers = workers.max(1);
+        let workers = workers.max(1);
         let n = self.shard_count as usize;
         self.slot_order.clear();
         self.slot_order.push(n); // global slot first
-        for lane in 0..self.workers.min(n) {
+        for lane in 0..workers.min(n) {
             self.slot_order
-                .extend((0..n).filter(|s| s % self.workers == lane));
+                .extend((0..n).filter(|s| s % workers == lane));
         }
         self
     }
@@ -199,11 +204,6 @@ impl ShardSchedule {
     /// Shard count (excluding the global pseudo-shard).
     pub fn shard_count(&self) -> u32 {
         self.shard_count
-    }
-
-    /// Logical worker count.
-    pub fn workers(&self) -> usize {
-        self.workers
     }
 
     fn slot_of_actor(&self, actor: usize) -> usize {
@@ -251,7 +251,7 @@ struct WindowRec {
 /// The buffers of a sharded run, kept on the [`Kernel`] and cleared
 /// between uses, so that rounds on a standing kernel reuse their
 /// capacity: the per-slot queues, and each window's records, pushes,
-/// child FIFO, replay heap, canonical order, staged events and staged
+/// child FIFO, roots, canonical order, staged events and staged
 /// histogram observations.
 pub(crate) struct ShardBuffers<M> {
     queues: Vec<EventQueue<M>>,
@@ -260,8 +260,9 @@ pub(crate) struct ShardBuffers<M> {
     /// In-window children awaiting dispatch, in push order.
     ready: VecDeque<(usize, EventKind<M>)>,
     /// Record index of the window's `n`-th child.
-    child_rec: Vec<usize>,
-    heap: BinaryHeap<Reverse<(u64, usize)>>,
+    child_rec: Vec<u32>,
+    /// The window's roots as `(seq, record)`, in processing order.
+    roots: Vec<(u64, u32)>,
     order: Vec<u32>,
     /// The window's future events, in push order; the replay sets their
     /// seqs.
@@ -277,7 +278,7 @@ impl<M> Default for ShardBuffers<M> {
             pushes: Vec::new(),
             ready: VecDeque::new(),
             child_rec: Vec::new(),
-            heap: BinaryHeap::new(),
+            roots: Vec::new(),
             order: Vec::new(),
             staged: Vec::new(),
             stats: StagedStats::default(),
@@ -297,24 +298,15 @@ impl<M: Payload> Kernel<M> {
     /// barrier with the window's positions in canonical (sequential)
     /// dispatch order, so externally staged side effects can be replayed
     /// ([`BarrierReplay`]).
-    pub fn run_sharded(
-        &mut self,
-        schedule: &ShardSchedule,
-        until: Option<SimTime>,
-        max_events: Option<u64>,
-        tap: Option<&OrderTap>,
-        barrier_hook: impl FnMut(&[u32]),
-    ) -> RunReport {
-        self.run_sharded_observed(schedule, until, max_events, tap, barrier_hook, None)
-    }
-
-    /// [`Kernel::run_sharded`] with per-shard accounting: when `obs` is
-    /// provided, the scheduler fills its [`ShardObs`] arrays (events per
-    /// slot, cross-shard staged/applied, barrier stall, lane queue
-    /// depth) as it runs. The accounting is write-only bookkeeping into
-    /// preallocated arrays — it perturbs no kernel observable and
+    ///
+    /// `obs`, when provided, receives per-shard accounting as the run
+    /// goes: events per slot, cross-shard events staged at dispatch and
+    /// applied when the barrier's mailbox exchange enters them into
+    /// their destination queue, barrier stall and lane queue depth. The
+    /// accounting is write-only bookkeeping into preallocated
+    /// [`ShardObs`] arrays — it perturbs no kernel observable and
     /// allocates nothing.
-    pub fn run_sharded_observed(
+    pub fn run_sharded(
         &mut self,
         schedule: &ShardSchedule,
         until: Option<SimTime>,
@@ -384,7 +376,7 @@ impl<M: Payload> Kernel<M> {
                 pushes,
                 ready,
                 child_rec,
-                heap,
+                roots,
                 order,
                 staged,
                 stats,
@@ -392,7 +384,7 @@ impl<M: Payload> Kernel<M> {
             recs.clear();
             pushes.clear();
             child_rec.clear();
-            heap.clear();
+            roots.clear();
             staged.clear();
             stats.clear();
             let mut children = 0;
@@ -401,13 +393,13 @@ impl<M: Payload> Kernel<M> {
                 loop {
                     // Roots first (they pop in seq order and all carry
                     // smaller seqs than any child), then the FIFO. Roots
-                    // enter the replay heap with their real seqs.
+                    // are recorded with their real seqs for the replay.
                     let (enqueued_at, target, kind) = if queues[slot].peek_time() == Some(tick) {
                         let ev = queues[slot].pop().expect("peeked event vanished");
-                        heap.push(Reverse((ev.seq, recs.len())));
+                        roots.push((ev.seq, recs.len() as u32));
                         (ev.enqueued_at, ev.target, ev.kind)
                     } else if let Some((target, kind)) = ready.pop_front() {
-                        child_rec.push(recs.len());
+                        child_rec.push(recs.len() as u32);
                         (tick, target, kind)
                     } else {
                         break;
@@ -457,7 +449,7 @@ impl<M: Payload> Kernel<M> {
                             );
                             if target_slot != slot {
                                 if let Some(o) = obs.as_deref_mut() {
-                                    o.note_cross(slot, target_slot);
+                                    o.note_staged(slot, target_slot);
                                 }
                             }
                             pushes.push(PushRec::Future(staged.len()));
@@ -483,16 +475,23 @@ impl<M: Payload> Kernel<M> {
             processed += recs.len() as u64;
 
             // ---- Symbolic replay: reconstruct sequential dispatch order ----
-            // Popping a record assigns the global counter to its pushes in
-            // push order — exactly when the sequential loop would have.
+            // The sequential heap pops the roots in seq order, then the
+            // children in the order they were pushed: every root's seq is
+            // below every child's, and children receive increasing seqs
+            // as they are appended. Walking `order` from the front hands
+            // the global counter to each record's pushes in push order —
+            // exactly when the sequential loop would have.
+            roots.sort_unstable();
             order.clear();
-            while let Some(Reverse((_, ri))) = heap.pop() {
-                order.push(ri as u32);
-                for &push in &pushes[recs[ri].pushes.clone()] {
+            order.extend(roots.iter().map(|&(_, ri)| ri));
+            let mut next = 0;
+            while let Some(&ri) = order.get(next) {
+                next += 1;
+                for &push in &pushes[recs[ri as usize].pushes.clone()] {
                     let seq = next_seq;
                     next_seq += 1;
                     match push {
-                        PushRec::InWindow(child) => heap.push(Reverse((seq, child_rec[child]))),
+                        PushRec::InWindow(child) => order.push(child_rec[child]),
                         PushRec::Future(i) => staged[i].seq = seq,
                     }
                 }
@@ -532,6 +531,12 @@ impl<M: Payload> Kernel<M> {
             // ---- Mailbox exchange: futures enter their shard queues ----
             for ev in staged.drain(..) {
                 let slot = schedule.slot_of_actor(ev.target);
+                if let (Some(o), EventKind::Message { from, .. }) = (obs.as_deref_mut(), &ev.kind) {
+                    let from_slot = schedule.slot_of_actor(*from);
+                    if from_slot != slot {
+                        o.note_applied(from_slot, slot);
+                    }
+                }
                 queues[slot].push_scheduled(ev);
             }
             if let Some(o) = obs.as_deref_mut() {
@@ -569,6 +574,7 @@ impl<M: Payload> Kernel<M> {
 mod tests {
     use super::*;
     use crate::kernel::{Actor, ActorId};
+    use crate::trace::TraceKind;
 
     /// Replies to every message on the opposite parity actor with delay 1
     /// (cross-shard safe), burns rng, and records stats.
@@ -650,7 +656,7 @@ mod tests {
 
         let mut par = build_relay_ring(8, 20);
         let schedule = parity_schedule(8);
-        let par_report = par.run_sharded(&schedule, None, None, None, |_| {});
+        let par_report = par.run_sharded(&schedule, None, None, None, |_| {}, None);
 
         assert_eq!(seq_report, par_report);
         assert_eq!(observables(&seq), observables(&par));
@@ -676,7 +682,7 @@ mod tests {
         let seq_report = seq.run();
         let mut par = build();
         let schedule = ShardSchedule::new(vec![0, 0, 0, 1, 1, 1], 2);
-        let par_report = par.run_sharded(&schedule, None, None, None, |_| {});
+        let par_report = par.run_sharded(&schedule, None, None, None, |_| {}, None);
         assert_eq!(seq_report, par_report);
         assert_eq!(observables(&seq), observables(&par));
     }
@@ -723,7 +729,7 @@ mod tests {
             }
             match schedule {
                 None => k.run(),
-                Some(s) => k.run_sharded(&s, None, None, None, |_| {}),
+                Some(s) => k.run_sharded(&s, None, None, None, |_| {}, None),
             };
             k.stats().clone()
         };
@@ -746,7 +752,14 @@ mod tests {
         let schedule = ShardSchedule::new((0..8).map(|i| (i % 4) as u32).collect(), 4);
         let baseline = {
             let mut k = build_relay_ring(8, 15);
-            let r = k.run_sharded(&schedule.clone().with_workers(1), None, None, None, |_| {});
+            let r = k.run_sharded(
+                &schedule.clone().with_workers(1),
+                None,
+                None,
+                None,
+                |_| {},
+                None,
+            );
             (r, observables(&k))
         };
         for workers in [2usize, 4, 11] {
@@ -757,6 +770,7 @@ mod tests {
                 None,
                 None,
                 |_| {},
+                None,
             );
             assert_eq!(baseline.0, r, "workers={workers}");
             assert_eq!(baseline.1, observables(&k), "workers={workers}");
@@ -770,7 +784,14 @@ mod tests {
 
         let mut par = build_relay_ring(6, 30);
         let schedule = parity_schedule(6);
-        let mid = par.run_sharded(&schedule, Some(SimTime::from_ticks(9)), None, None, |_| {});
+        let mid = par.run_sharded(
+            &schedule,
+            Some(SimTime::from_ticks(9)),
+            None,
+            None,
+            |_| {},
+            None,
+        );
         assert_eq!(mid.stop, StopReason::TimeLimit);
         // Leftovers were re-merged with their exact (time, seq) identities,
         // so a plain sequential continuation must land on the same run.
@@ -788,13 +809,20 @@ mod tests {
         let mut par = build_relay_ring(8, 20);
         let schedule = parity_schedule(8);
         let mut seen = 0u64;
-        let report = par.run_sharded(&schedule, None, None, None, |order: &[u32]| {
-            seen += order.len() as u64;
-            // Every window position appears exactly once.
-            let mut positions = order.to_vec();
-            positions.sort_unstable();
-            assert!(positions.into_iter().eq(0..order.len() as u32));
-        });
+        let report = par.run_sharded(
+            &schedule,
+            None,
+            None,
+            None,
+            |order: &[u32]| {
+                seen += order.len() as u64;
+                // Every window position appears exactly once.
+                let mut positions = order.to_vec();
+                positions.sort_unstable();
+                assert!(positions.into_iter().eq(0..order.len() as u32));
+            },
+            None,
+        );
         assert_eq!(seen, report.events_processed);
     }
 
@@ -804,10 +832,17 @@ mod tests {
         let mut par = build_relay_ring(4, 5);
         let schedule = parity_schedule(4);
         let tap_in_hook = tap.clone();
-        par.run_sharded(&schedule, None, None, Some(&tap), move |_| {
-            // At the barrier the window is over: the tap must be reset.
-            assert!(tap_in_hook.get().is_none());
-        });
+        par.run_sharded(
+            &schedule,
+            None,
+            None,
+            Some(&tap),
+            move |_| {
+                // At the barrier the window is over: the tap must be reset.
+                assert!(tap_in_hook.get().is_none());
+            },
+            None,
+        );
         assert!(tap.get().is_none());
     }
 
@@ -817,7 +852,7 @@ mod tests {
         seq.run();
         let mut par = build_relay_ring(8, 20);
         let schedule = parity_schedule(8).with_misordered_merge();
-        par.run_sharded(&schedule, None, None, None, |_| {});
+        par.run_sharded(&schedule, None, None, None, |_| {}, None);
         // The sabotage knob must be *observable* — otherwise the
         // differential suite could not certify the merge order.
         assert_ne!(observables(&seq), observables(&par));
@@ -845,7 +880,7 @@ mod tests {
         k.add_actor(Box::new(Bad));
         k.add_actor(Box::new(Sink));
         let schedule = ShardSchedule::new(vec![0, 1], 2);
-        k.run_sharded(&schedule, None, None, None, |_| {});
+        k.run_sharded(&schedule, None, None, None, |_| {}, None);
     }
 
     #[test]
@@ -867,7 +902,7 @@ mod tests {
         par.schedule_timer(SimTime::from_ticks(1), 4, 77);
         // Schedule only covers the first four actors.
         let schedule = parity_schedule(4);
-        let par_report = par.run_sharded(&schedule, None, None, None, |_| {});
+        let par_report = par.run_sharded(&schedule, None, None, None, |_| {}, None);
         assert_eq!(seq_report, par_report);
         assert_eq!(observables(&seq), observables(&par));
     }
@@ -877,7 +912,7 @@ mod tests {
         let mut par = build_relay_ring(8, 20);
         let schedule = parity_schedule(8);
         let mut obs = ShardObs::new(2);
-        let report = par.run_sharded_observed(&schedule, None, None, None, |_| {}, Some(&mut obs));
+        let report = par.run_sharded(&schedule, None, None, None, |_| {}, Some(&mut obs));
         // Exact accounting: per-slot sums equal the kernel's own total.
         assert_eq!(obs.total_events(), report.events_processed);
         // The relay ring alternates parities, so every send is
@@ -888,7 +923,7 @@ mod tests {
         assert!(obs.windows() > 0);
         // Observing changes no observable: a blind run is bit-identical.
         let mut blind = build_relay_ring(8, 20);
-        let blind_report = blind.run_sharded(&schedule, None, None, None, |_| {});
+        let blind_report = blind.run_sharded(&schedule, None, None, None, |_| {}, None);
         assert_eq!(report, blind_report);
         assert_eq!(observables(&par), observables(&blind));
     }
@@ -898,7 +933,7 @@ mod tests {
         let mut par = build_relay_ring(8, 20);
         let schedule = parity_schedule(8);
         let mut obs = ShardObs::new(2).with_undercount_tap();
-        let report = par.run_sharded_observed(&schedule, None, None, None, |_| {}, Some(&mut obs));
+        let report = par.run_sharded(&schedule, None, None, None, |_| {}, Some(&mut obs));
         assert!(obs.total_events() < report.events_processed);
     }
 
@@ -906,9 +941,143 @@ mod tests {
     fn event_budget_stops_at_window_granularity() {
         let mut par = build_relay_ring(8, 50);
         let schedule = parity_schedule(8);
-        let report = par.run_sharded(&schedule, None, Some(10), None, |_| {});
+        let report = par.run_sharded(&schedule, None, Some(10), None, |_| {}, None);
         assert_eq!(report.stop, StopReason::EventLimit);
         assert!(report.events_processed >= 10);
         assert!(par.pending_events() > 0);
+    }
+
+    #[test]
+    fn cross_applied_matches_traced_cross_shard_dispatches() {
+        // Ring neighbours pair up in shards, so some sends stay inside a
+        // shard; actor 7 sits on the global slot.
+        let map = vec![0, 0, 1, 1, 2, 2, 3, GLOBAL_SHARD];
+        let schedule = ShardSchedule::new(map.clone(), 4);
+        let mut par = build_relay_ring(8, 20);
+        let mut obs = ShardObs::new(4);
+        let report = par.run_sharded(&schedule, None, None, None, |_| {}, Some(&mut obs));
+        assert_eq!(report.stop, StopReason::QueueEmpty);
+        let mut applied = [0u64; 4];
+        let mut inside = 0;
+        for e in par.trace().iter().filter(|e| e.kind == TraceKind::Message) {
+            let (from, to) = (map[e.a], map[e.target]);
+            if from == to {
+                inside += 1;
+            } else if from != GLOBAL_SHARD && to != GLOBAL_SHARD {
+                applied[to as usize] += 1;
+            }
+        }
+        assert!(inside > 0);
+        assert!(applied.iter().sum::<u64>() > 0);
+        for (shard, &n) in applied.iter().enumerate() {
+            assert_eq!(obs.cross_applied(shard), n, "shard {shard}");
+        }
+        let staged: u64 = (0..4).map(|s| obs.cross_staged(s)).sum();
+        assert_eq!(staged, obs.cross_total());
+    }
+
+    /// Spends its message's (or timer tag's) remaining depth on delay-0
+    /// sends to actors on its own slot, one delayed send to any actor,
+    /// and sometimes a timer, all drawn from its rng.
+    struct Fanout {
+        same_slot: Vec<usize>,
+        actors: usize,
+        fan: u64,
+    }
+
+    impl Fanout {
+        fn act(&mut self, ctx: &mut Context<'_, u32>, depth: u32) {
+            ctx.stats().incr("fanout.events");
+            let id = ctx.id() as f64;
+            ctx.stats()
+                .observe("fanout.depth", f64::from(depth) + id / 100.0);
+            if depth == 0 {
+                return;
+            }
+            for _ in 0..=ctx.rng().bounded_u64(self.fan) {
+                let k = ctx.rng().bounded_u64(self.same_slot.len() as u64) as usize;
+                ctx.send(self.same_slot[k], SimTime::ZERO, depth - 1);
+            }
+            let to = ctx.rng().bounded_u64(self.actors as u64) as usize;
+            let delay = 1 + ctx.rng().bounded_u64(3);
+            ctx.send_after(to, delay, depth - 1);
+            if ctx.rng().bounded_u64(2) == 0 {
+                let delay = ctx.rng().bounded_u64(3);
+                ctx.set_timer(delay, u64::from(depth - 1));
+            }
+        }
+    }
+
+    impl Actor<u32> for Fanout {
+        fn on_start(&mut self, ctx: &mut Context<'_, u32>) {
+            let delay = ctx.rng().bounded_u64(4);
+            ctx.set_timer(delay, 3);
+        }
+        fn on_message(&mut self, ctx: &mut Context<'_, u32>, _from: ActorId, depth: u32) {
+            self.act(ctx, depth);
+        }
+        fn on_timer(&mut self, ctx: &mut Context<'_, u32>, tag: u64) {
+            self.act(ctx, tag as u32);
+        }
+    }
+
+    use proptest::prelude::*;
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(32))]
+
+        /// Random same-tick cascades on random shard maps, some actors on
+        /// the global slot (by the map or beyond it): with one lane and
+        /// with several, the sharded run equals the sequential one.
+        #[test]
+        fn random_cascades_match_sequential(
+            mapped in 1usize..10,
+            unmapped in 0usize..3,
+            shards in 1u32..5,
+            draws in prop::collection::vec(0u32..1000, 9..10),
+            fan in 1u64..3,
+            workers in 2usize..6,
+            seed in 0u64..1000,
+        ) {
+            let map: Vec<u32> = draws[..mapped]
+                .iter()
+                .map(|&d| match d % (shards + 1) {
+                    s if s == shards => GLOBAL_SHARD,
+                    s => s,
+                })
+                .collect();
+            let actors = mapped + unmapped;
+            let slot = |i: usize| map.get(i).copied().unwrap_or(GLOBAL_SHARD);
+            let build = || {
+                let mut k: Kernel<u32> = Kernel::new(seed);
+                for i in 0..actors {
+                    k.add_actor(Box::new(Fanout {
+                        same_slot: (0..actors).filter(|&j| slot(j) == slot(i)).collect(),
+                        actors,
+                        fan,
+                    }));
+                }
+                k.enable_tracing();
+                k.enable_metrics();
+                k
+            };
+            let mut seq = build();
+            let seq_report = seq.run();
+            let schedule = ShardSchedule::new(map.clone(), shards);
+            for lanes in [1, workers] {
+                let mut par = build();
+                let par_report = par.run_sharded(
+                    &schedule.clone().with_workers(lanes),
+                    None,
+                    None,
+                    None,
+                    |_| {},
+                    None,
+                );
+                prop_assert_eq!(seq_report, par_report, "lanes={}", lanes);
+                prop_assert_eq!(seq.now(), par.now(), "lanes={}", lanes);
+                prop_assert!(observables(&seq) == observables(&par), "lanes={}", lanes);
+            }
+        }
     }
 }

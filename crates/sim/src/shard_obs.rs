@@ -4,11 +4,13 @@
 //! across quadrants and epoch-barrier stalls — the blockers ahead of true
 //! OS-thread workers — would otherwise stay invisible. [`ShardObs`] holds
 //! fixed per-slot arrays the sharded scheduler fills while it runs:
-//! events dispatched, cross-shard events staged/applied, barrier-stall
-//! units, and per-lane queue depth. Every update is an array index;
-//! nothing allocates after construction, and nothing is written into the
-//! kernel's own stats, trace, or metrics — the bit-identical-observables
-//! contract of [`crate::shard`] is untouched.
+//! events dispatched, cross-shard events staged (when a dispatch pushes
+//! them) and applied (when the barrier's mailbox exchange enters them
+//! into their destination queue), barrier-stall units, and per-lane
+//! queue depth. Every update is an array index; nothing allocates after
+//! construction, and nothing is written into the kernel's own stats,
+//! trace, or metrics — the bit-identical-observables contract of
+//! [`crate::shard`] is untouched.
 //!
 //! Barrier-stall attribution: within one window every slot dispatches
 //! independently and the epoch barrier waits for the straggler. With
@@ -19,7 +21,7 @@
 //! that would idle real OS threads.
 
 /// Per-slot dispatch accounting filled by
-/// [`Kernel::run_sharded_observed`](crate::kernel::Kernel); slots are the
+/// [`Kernel::run_sharded`](crate::kernel::Kernel); slots are the
 /// shards `0..shard_count` plus the global pseudo-shard at index
 /// `shard_count`.
 #[derive(Debug, Clone)]
@@ -132,15 +134,28 @@ impl ShardObs {
         self.window_events[slot] += 1;
     }
 
-    /// Records one cross-shard event staged from `from` toward `to`.
-    /// Only shard-to-shard traffic counts; the global pseudo-slot is
-    /// outside the certified boundary geometry.
-    pub(crate) fn note_cross(&mut self, from: usize, to: usize) {
-        let shards = self.shard_count as usize;
-        if from < shards && to < shards {
+    /// Records one cross-shard event staged from `from` toward `to`, at
+    /// dispatch. Only shard-to-shard traffic counts; the global
+    /// pseudo-slot is outside the certified boundary geometry.
+    pub(crate) fn note_staged(&mut self, from: usize, to: usize) {
+        if self.is_shard_pair(from, to) {
             self.cross_staged[from] += 1;
+        }
+    }
+
+    /// Records one cross-shard event from `from` entering `to`'s queue
+    /// at the barrier's mailbox exchange. Counted apart from
+    /// [`ShardObs::note_staged`], so an event the exchange loses or
+    /// duplicates unbalances the two totals.
+    pub(crate) fn note_applied(&mut self, from: usize, to: usize) {
+        if self.is_shard_pair(from, to) {
             self.cross_applied[to] += 1;
         }
+    }
+
+    fn is_shard_pair(&self, from: usize, to: usize) -> bool {
+        let shards = self.shard_count as usize;
+        from < shards && to < shards
     }
 
     /// Records `slot`'s post-exchange queue depth for this window.
@@ -183,7 +198,8 @@ mod tests {
             obs.note_dispatch(0);
         }
         obs.note_dispatch(1);
-        obs.note_cross(0, 1);
+        obs.note_staged(0, 1);
+        obs.note_applied(0, 1);
         obs.note_depth(0, 5);
         obs.note_depth(1, 2);
         obs.end_window();
@@ -203,10 +219,18 @@ mod tests {
     #[test]
     fn global_slot_traffic_is_not_cross_shard() {
         let mut obs = ShardObs::new(2);
-        obs.note_cross(0, 2); // to the global slot
-        obs.note_cross(2, 1); // from the global slot
+        for (from, to) in [(0, 2), (2, 1)] {
+            // To, then from, the global slot.
+            obs.note_staged(from, to);
+            obs.note_applied(from, to);
+        }
+        assert_eq!(obs.cross_staged(0) + obs.cross_staged(1), 0);
         assert_eq!(obs.cross_total(), 0);
-        obs.note_cross(1, 0);
+        // Staging alone applies nothing: the barrier's exchange does.
+        obs.note_staged(1, 0);
+        assert_eq!(obs.cross_staged(1), 1);
+        assert_eq!(obs.cross_total(), 0);
+        obs.note_applied(1, 0);
         assert_eq!(obs.cross_total(), 1);
     }
 
