@@ -194,7 +194,6 @@ fn hotpath(
     for _ in 0..warmup_rounds.max(1) {
         let app = round(&mut rt);
         assert!(app.messages >= 2 * volleys, "volley did not complete");
-        rt.prune_dedup_state();
         rt.clear_exfiltrated();
     }
     let events_before = rt.events_total();

@@ -13,8 +13,6 @@
 //!   event in steady state.
 //! * [`WirePayload`] — bounded little-endian encodings for application
 //!   payloads carried in a frame's payload region.
-//! * [`FramePool`] — a run-sized arena of frames, allocated once up front
-//!   (sized from the certificate's message bound) and recycled.
 //!
 //! A frame carries one application payload, written from its first byte.
 //! Routing fields and the causal stamp travel in the runtime's typed
@@ -88,7 +86,7 @@ impl Default for FrameBuf {
 
 impl PartialEq for FrameBuf {
     fn eq(&self, other: &Self) -> bool {
-        // Only the filled prefix is compared: recycled frames may carry
+        // Only the filled prefix is compared: a shortened frame keeps
         // stale bytes past `len`, which must not affect equality.
         self.bytes() == other.bytes()
     }
@@ -129,12 +127,6 @@ impl FrameBuf {
             "frame length {len} exceeds {FRAME_BYTES}"
         );
         self.len = len as u16;
-    }
-
-    /// Resets to empty without touching the storage: bytes past the fill
-    /// length never count (see the `PartialEq` impl).
-    pub fn clear(&mut self) {
-        self.len = 0;
     }
 
     /// Encodes `payload` into a fresh frame from offset 0, inside the
@@ -251,57 +243,6 @@ impl WirePayload for () {
     }
 }
 
-/// A run-sized arena of reusable frames.
-///
-/// All storage is allocated once at construction (size it from the frame
-/// certificate's per-run message bound); [`FramePool::acquire`] and
-/// [`FramePool::release`] never touch the heap. The pool refuses to grow —
-/// exhausting it is a sizing bug the caller should surface, not paper over
-/// with a hidden allocation.
-pub struct FramePool {
-    free: Vec<FrameBuf>,
-    capacity: usize,
-}
-
-impl FramePool {
-    /// A pool of `frames` zeroed frames.
-    pub fn with_capacity(frames: usize) -> Self {
-        let mut free = Vec::with_capacity(frames);
-        free.resize_with(frames, FrameBuf::new);
-        FramePool {
-            free,
-            capacity: frames,
-        }
-    }
-
-    /// Total frames owned by the pool.
-    pub fn capacity(&self) -> usize {
-        self.capacity
-    }
-
-    /// Frames currently checked out.
-    pub fn in_use(&self) -> usize {
-        self.capacity - self.free.len()
-    }
-
-    /// Takes a frame out of the arena, or `None` when the run outgrew its
-    /// certified sizing.
-    pub fn acquire(&mut self) -> Option<FrameBuf> {
-        self.free.pop()
-    }
-
-    /// Returns a frame to the arena. The contents are kept as-is; only
-    /// the length resets.
-    pub fn release(&mut self, mut frame: FrameBuf) {
-        assert!(
-            self.free.len() < self.capacity,
-            "released more frames than the pool owns"
-        );
-        frame.clear();
-        self.free.push(frame);
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -365,23 +306,6 @@ mod tests {
             frame.decode_payload::<f64>(),
             Err(WireError::Truncated("f64"))
         );
-    }
-
-    #[test]
-    fn pool_recycles_without_growth() {
-        let mut pool = FramePool::with_capacity(2);
-        assert_eq!(pool.capacity(), 2);
-        let a = pool.acquire().unwrap();
-        let mut b = pool.acquire().unwrap();
-        assert_eq!(pool.in_use(), 2);
-        assert!(pool.acquire().is_none(), "run-sized pool must not grow");
-        b.set_len(8);
-        pool.release(b);
-        let b2 = pool.acquire().unwrap();
-        assert!(b2.is_empty(), "recycled frames come back empty");
-        pool.release(a);
-        pool.release(b2);
-        assert_eq!(pool.in_use(), 0);
     }
 
     #[test]

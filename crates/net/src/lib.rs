@@ -41,8 +41,7 @@ pub use deployment::{Deployment, DeploymentSpec, Placement};
 pub use energy::{EnergyKind, EnergyLedger, EnergySnapshot};
 pub use fault::{ChaosError, ChaosEvent, ChaosPlan, FaultKind};
 pub use frame::{
-    FrameBuf, FramePool, WireError, WirePayload, FRAME_BYTES, FRAME_HEADER_BYTES,
-    FRAME_PAYLOAD_CAPACITY,
+    FrameBuf, WireError, WirePayload, FRAME_BYTES, FRAME_HEADER_BYTES, FRAME_PAYLOAD_CAPACITY,
 };
 pub use geometry::{Point, Rect};
 pub use graph::UnitDiskGraph;

@@ -24,8 +24,34 @@ use std::cell::RefCell;
 use std::collections::BTreeMap;
 use std::rc::Rc;
 use wsn_sim::{
-    ActorId, BarrierReplay, CausalStamp, Context, OrderTap, Payload, SharedCausalLog, SimTime,
+    ActorId, BarrierReplay, CausalStamp, Context, OrderTap, Payload, Shared, SharedCausalLog,
+    SimTime,
 };
+
+/// The payload of one delivery: a unicast's own message, or the one
+/// payload a broadcast shares among its receivers.
+enum Outgoing<'s, 'd, M> {
+    Owned(M),
+    Shared(&'s Shared<'d>),
+}
+
+impl<M: Payload + Clone> Outgoing<'_, '_, M> {
+    /// A second copy for a chaos duplicate: a clone of an owned message,
+    /// the same handle of a shared one.
+    fn duplicate(&self) -> Self {
+        match self {
+            Outgoing::Owned(msg) => Outgoing::Owned(msg.clone()),
+            Outgoing::Shared(shared) => Outgoing::Shared(shared),
+        }
+    }
+
+    fn send(self, ctx: &mut Context<'_, M>, to: ActorId, delay: SimTime) {
+        match self {
+            Outgoing::Owned(msg) => ctx.send(to, delay, msg),
+            Outgoing::Shared(shared) => ctx.send_shared(to, delay, shared),
+        }
+    }
+}
 
 /// Stochastic message duplication and reordering — the delivery anomalies
 /// a chaos plan can switch on mid-run ([`crate::fault::FaultKind`]).
@@ -518,7 +544,7 @@ impl Medium {
         from: usize,
         to: usize,
         units: u64,
-        msg: M,
+        msg: Outgoing<'_, '_, M>,
         stamp: CausalStamp,
     ) -> bool {
         if self.partition_blocks(from, to) {
@@ -541,7 +567,7 @@ impl Medium {
         let actor = self.actor_of[to].expect("destination node has no bound actor");
         if self.chaos.is_off() {
             self.record_deliver(ctx.now() + delay, to, stamp, units);
-            ctx.send(actor, delay, msg);
+            msg.send(ctx, actor, delay);
             return true;
         }
         if self.chaos.reorder_prob > 0.0
@@ -563,10 +589,10 @@ impl Medium {
             let dup_delay = delay + 1 + ctx.rng().bounded_u64(4);
             ctx.stats().incr("medium.duplicated");
             self.record_deliver(ctx.now() + dup_delay, to, stamp, units);
-            ctx.send(actor, dup_delay, msg.clone());
+            msg.duplicate().send(ctx, actor, dup_delay);
         }
         self.record_deliver(ctx.now() + delay, to, stamp, units);
-        ctx.send(actor, delay, msg);
+        msg.send(ctx, actor, delay);
         true
     }
 
@@ -602,12 +628,13 @@ impl Medium {
         ctx.stats().add("medium.tx_units", units);
         self.check_depletion(from, ctx.now());
         let stamp = self.tx_stamp(from, ctx.now(), units);
-        self.try_deliver(ctx, from, to, units, msg, stamp)
+        self.try_deliver(ctx, from, to, units, Outgoing::Owned(msg), stamp)
     }
 
     /// Broadcasts `msg` from `from` to *all* its radio neighbors with one
-    /// transmission (one tx charge; each live receiver pays rx). Returns
-    /// the number of neighbors that actually received it.
+    /// transmission (one tx charge; each live receiver pays rx). The
+    /// kernel stores the payload once for every receiver. Returns the
+    /// number of neighbors that actually received it.
     pub fn broadcast<M: Payload + Clone>(
         &mut self,
         ctx: &mut Context<'_, M>,
@@ -629,10 +656,11 @@ impl Medium {
         self.check_depletion(from, ctx.now());
 
         let stamp = self.tx_stamp(from, ctx.now(), units);
-        let neighbors: Vec<usize> = self.graph.neighbors(from).to_vec();
+        let shared = ctx.share(msg);
         let mut delivered = 0;
-        for to in neighbors {
-            if self.try_deliver(ctx, from, to, units, msg.clone(), stamp) {
+        for i in 0..self.graph.neighbors(from).len() {
+            let to = self.graph.neighbors(from)[i];
+            if self.try_deliver(ctx, from, to, units, Outgoing::Shared(&shared), stamp) {
                 delivered += 1;
             }
         }

@@ -45,15 +45,6 @@ impl SpanNode {
     pub fn duration_ticks(&self) -> u64 {
         self.end - self.start
     }
-
-    /// Total spans in this subtree, including `self`.
-    pub fn subtree_len(&self) -> usize {
-        1 + self
-            .children
-            .iter()
-            .map(SpanNode::subtree_len)
-            .sum::<usize>()
-    }
 }
 
 /// Records spans via an open/close stack; see the module docs.
@@ -195,7 +186,6 @@ mod tests {
         assert_eq!(mission.children[0].name, "topology-emulation");
         assert_eq!(mission.children[1].name, "binding");
         assert_eq!(mission.children[1].children[0].name, "election");
-        assert_eq!(mission.subtree_len(), 4);
     }
 
     #[test]

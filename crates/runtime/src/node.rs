@@ -325,12 +325,18 @@ impl<P: Clone + 'static> RtNode<P> {
 
     /// Drops the per-round deduplication state (application and ARQ
     /// `seen` sets) while keeping leadership, routes, and the spanning
-    /// tree intact. `clear` retains each set's capacity, so a
-    /// steady-state loop that prunes between rounds re-inserts into
-    /// already-sized tables — the no-alloc gate's maintenance hook.
+    /// tree intact. The runtime prunes after every application run that
+    /// drains its queue; `clear` retains each set's capacity, so the
+    /// next round re-inserts into already-sized tables.
     pub fn prune_dedup_state(&mut self) {
         self.app_seen.clear();
         self.seen_arq.clear();
+    }
+
+    /// Entries in the deduplication sets.
+    #[cfg(test)]
+    pub(crate) fn dedup_entries(&self) -> usize {
+        self.app_seen.len() + self.seen_arq.len()
     }
 
     /// Clears all protocol-derived state (routing table, election,

@@ -933,6 +933,11 @@ impl<P: Clone + 'static> PhysicalRuntime<P> {
             Some(schedule) => self.run_kernel_sharded(schedule, None, Some(1_000_000_000)),
         };
         self.events_total += run.events_processed;
+        if run.stop == StopReason::QueueEmpty {
+            // Nothing is in flight that could repeat an old id, so a
+            // standing deployment's dedup sets need not outlive the round.
+            self.prune_dedup_state();
+        }
         if self.telemetry_on() {
             self.attach_merge_level_spans();
         }
@@ -1203,11 +1208,12 @@ impl<P: Clone + 'static> PhysicalRuntime<P> {
     }
 
     /// Prunes every node's per-round deduplication sets (capacity
-    /// retained — see [`RtNode::prune_dedup_state`]). Steady-state
-    /// drivers call this between measured rounds so the dedup tables
-    /// stop growing; paired with [`PhysicalRuntime::clear_exfiltrated`]
-    /// it keeps a long-running hot loop off the allocator.
-    pub fn prune_dedup_state(&mut self) {
+    /// retained — see [`RtNode::prune_dedup_state`]). An application
+    /// run that drains its queue calls this, so the dedup tables of a
+    /// standing deployment stop growing; paired with
+    /// [`PhysicalRuntime::clear_exfiltrated`] it keeps a long-running
+    /// hot loop off the allocator.
+    fn prune_dedup_state(&mut self) {
         for &a in &self.actors {
             if let Some(node) = self.kernel.actor_mut::<RtNode<P>>(a) {
                 node.prune_dedup_state();
@@ -1619,6 +1625,26 @@ mod tests {
                 sequential,
                 "cut level {cut_level}"
             );
+        }
+    }
+
+    #[test]
+    fn finished_application_rounds_leave_no_dedup_state() {
+        let mut rt = runtime(4, 3, 11);
+        assert!(rt.run_topology_emulation().complete);
+        assert!(rt.run_binding().unique);
+        for round in 0..3 {
+            rt.install_programs(|_| {
+                Box::new(Gather {
+                    expected: 16,
+                    seen: 0,
+                    sum: 0.0,
+                })
+            });
+            assert_eq!(rt.run_application().exfil_count, 1, "round {round}");
+            for i in 0..rt.deployment().node_count() {
+                assert_eq!(rt.node(i).dedup_entries(), 0, "round {round}, node {i}");
+            }
         }
     }
 

@@ -1,12 +1,13 @@
 //! The simulation kernel: actors, contexts, and the run loop.
 
-use crate::event::{EventKind, EventQueue};
+use crate::event::{EventKind, EventQueue, Key, KeyPool, Slab, TIMER};
 use crate::rng::DetRng;
 use crate::shard::ShardBuffers;
 use crate::stats::{StagedStats, Stats, StatsSink};
 use crate::time::SimTime;
 use crate::trace::TraceEntry;
 use std::any::Any;
+use std::marker::PhantomData;
 
 /// Index of an actor inside a [`Kernel`]. Actors are never removed, so ids
 /// stay valid for the lifetime of the kernel.
@@ -83,20 +84,29 @@ pub struct RunReport {
 }
 
 /// The facilities an actor may use while handling an event.
-///
-/// Fields are crate-visible so the sharded scheduler ([`crate::shard`])
-/// can build identical contexts for its per-shard dispatch loop.
 pub struct Context<'a, M: Payload> {
-    pub(crate) now: SimTime,
-    pub(crate) self_id: ActorId,
-    pub(crate) outbox: &'a mut Vec<(SimTime, ActorId, EventKind<M>)>,
-    pub(crate) rng: &'a mut DetRng,
-    pub(crate) stats: &'a mut Stats,
+    now: SimTime,
+    self_id: ActorId,
+    /// This dispatch's pushes, awaiting their seqs.
+    outbox: &'a mut Vec<Key>,
+    slab: &'a mut Slab<M>,
+    rng: &'a mut DetRng,
+    stats: &'a mut Stats,
     /// Where order-sensitive statistics wait for the barrier inside a
     /// sharded window; `None` on the sequential path.
-    pub(crate) staged_stats: Option<&'a mut StagedStats>,
-    pub(crate) stop_requested: &'a mut bool,
-    pub(crate) actor_count: usize,
+    staged_stats: Option<&'a mut StagedStats>,
+    stop_requested: &'a mut bool,
+    actor_count: usize,
+}
+
+/// A payload stored once for any number of sends in the dispatch that
+/// shared it ([`Context::share`]). Each receiver gets its own `M`: a
+/// clone, or the original for the last one popped.
+#[derive(Debug)]
+pub struct Shared<'a> {
+    slot: u64,
+    /// Ties the handle to its dispatch's context.
+    dispatch: PhantomData<&'a ()>,
 }
 
 impl<'a, M: Payload> Context<'a, M> {
@@ -118,13 +128,38 @@ impl<'a, M: Payload> Context<'a, M> {
     /// Sends `msg` to `to`, arriving `delay` ticks from now.
     pub fn send(&mut self, to: ActorId, delay: SimTime, msg: M) {
         assert!(to < self.actor_count, "send to unknown actor {to}");
-        self.outbox.push((
-            self.now + delay.ticks(),
-            to,
-            EventKind::Message {
-                from: self.self_id,
-                msg,
-            },
+        let slot = self.slab.insert(msg);
+        self.push(to, delay.ticks(), self.self_id as u32, slot);
+    }
+
+    /// Stores `msg` once for any number of [`Context::send_shared`]
+    /// calls in this dispatch. A share no send used is freed when the
+    /// dispatch ends.
+    pub fn share(&mut self, msg: M) -> Shared<'a>
+    where
+        M: Clone,
+    {
+        Shared {
+            slot: self.slab.share(msg, M::clone),
+            dispatch: PhantomData,
+        }
+    }
+
+    /// Sends the shared payload `msg` to `to`, arriving `delay` ticks
+    /// from now.
+    pub fn send_shared(&mut self, to: ActorId, delay: SimTime, msg: &Shared<'_>) {
+        assert!(to < self.actor_count, "send to unknown actor {to}");
+        self.slab.add_ref(msg.slot);
+        self.push(to, delay.ticks(), self.self_id as u32, msg.slot);
+    }
+
+    fn push(&mut self, target: ActorId, delay_ticks: u64, from: u32, data: u64) {
+        self.outbox.push(Key::new(
+            self.now + delay_ticks,
+            self.now,
+            target as u32,
+            from,
+            data,
         ));
     }
 
@@ -135,11 +170,7 @@ impl<'a, M: Payload> Context<'a, M> {
 
     /// Schedules a timer on this actor, `delay` ticks from now.
     pub fn set_timer(&mut self, delay_ticks: u64, tag: u64) {
-        self.outbox.push((
-            self.now + delay_ticks,
-            self.self_id,
-            EventKind::Timer { tag },
-        ));
+        self.push(self.self_id, delay_ticks, TIMER, tag);
     }
 
     /// Requests that the run loop return after this event.
@@ -164,12 +195,17 @@ impl<'a, M: Payload> Context<'a, M> {
 /// A deterministic discrete-event simulator over actors exchanging `M`s.
 ///
 /// Fields are crate-visible so the sharded scheduler
-/// ([`crate::shard`]) can drive the same actor store, queue, and
-/// bookkeeping as the sequential loop below.
+/// ([`crate::shard`]) can drive the same queue, key pool, payload slab
+/// and bookkeeping as the sequential loop below; both run handlers
+/// through one `dispatch`.
 pub struct Kernel<M: Payload> {
-    pub(crate) actors: Vec<Option<Box<dyn Actor<M>>>>,
-    pub(crate) rngs: Vec<DetRng>,
-    pub(crate) queue: EventQueue<M>,
+    actors: Vec<Option<Box<dyn Actor<M>>>>,
+    rngs: Vec<DetRng>,
+    pub(crate) queue: EventQueue,
+    /// The key chunks of the global queue and of every shard queue.
+    pub(crate) pool: KeyPool,
+    /// The payloads of every queued message.
+    pub(crate) slab: Slab<M>,
     pub(crate) now: SimTime,
     master_seed: u64,
     pub(crate) stats: Stats,
@@ -177,11 +213,11 @@ pub struct Kernel<M: Payload> {
     /// dispatch so far.
     pub(crate) trace: Option<Vec<TraceEntry>>,
     pub(crate) metrics: bool,
-    pub(crate) started: bool,
+    started: bool,
     /// Dispatch staging buffer, held on the struct so repeated runs on a
     /// warm kernel reuse its capacity instead of allocating a fresh
     /// outbox per run (the no-alloc gate measures exactly this path).
-    pub(crate) outbox_scratch: Vec<(SimTime, ActorId, EventKind<M>)>,
+    pub(crate) outbox_scratch: Vec<Key>,
     /// Per-run self-metrics staging (dispatch latencies, queue depths):
     /// the hot loop pushes raw observations here and
     /// [`Kernel::flush_metrics_scratch`] folds them into the named
@@ -191,7 +227,7 @@ pub struct Kernel<M: Payload> {
     pub(crate) metrics_scratch: (Vec<f64>, Vec<f64>),
     /// The sharded scheduler's queues and window buffers, kept between
     /// runs so rounds on a standing kernel reuse their capacity.
-    pub(crate) shard_buffers: ShardBuffers<M>,
+    pub(crate) shard_buffers: ShardBuffers,
 }
 
 impl<M: Payload> Kernel<M> {
@@ -200,7 +236,9 @@ impl<M: Payload> Kernel<M> {
         Kernel {
             actors: Vec::new(),
             rngs: Vec::new(),
-            queue: EventQueue::new(),
+            queue: EventQueue::default(),
+            pool: KeyPool::default(),
+            slab: Slab::default(),
             now: SimTime::ZERO,
             master_seed,
             stats: Stats::new(),
@@ -257,8 +295,15 @@ impl<M: Payload> Kernel<M> {
     /// [`Actor::on_start`] fires immediately at the current simulated
     /// time, so late-installed actors (fault injectors, monitors) can
     /// arm timers relative to *now*.
+    ///
+    /// Panics when the id would not fit a queue key (`u32`, less one
+    /// value reserved for timers).
     pub fn add_actor(&mut self, actor: Box<dyn Actor<M>>) -> ActorId {
         let id = self.actors.len();
+        assert!(
+            id < TIMER as usize,
+            "actor id {id} does not fit a queue key"
+        );
         self.actors.push(Some(actor));
         self.rngs.push(DetRng::stream(self.master_seed, id as u64));
         if self.started {
@@ -302,7 +347,13 @@ impl<M: Payload> Kernel<M> {
     /// Schedules an external message delivery (harness-injected stimulus).
     pub fn schedule_message(&mut self, at: SimTime, from: ActorId, to: ActorId, msg: M) {
         assert!(to < self.actors.len(), "schedule to unknown actor {to}");
-        self.queue.push(at, to, EventKind::Message { from, msg });
+        assert!(
+            from < TIMER as usize,
+            "sender id {from} does not fit a queue key"
+        );
+        let slot = self.slab.insert(msg);
+        let key = Key::new(at, at, to as u32, from as u32, slot);
+        self.queue.push(&mut self.pool, key);
     }
 
     /// Schedules an external timer event on `target`.
@@ -311,7 +362,8 @@ impl<M: Payload> Kernel<M> {
             target < self.actors.len(),
             "schedule to unknown actor {target}"
         );
-        self.queue.push(at, target, EventKind::Timer { tag });
+        let key = Key::new(at, at, target as u32, TIMER, tag);
+        self.queue.push(&mut self.pool, key);
     }
 
     pub(crate) fn start_actors(&mut self) {
@@ -329,25 +381,47 @@ impl<M: Payload> Kernel<M> {
         let mut outbox = std::mem::take(&mut self.outbox_scratch);
         outbox.clear();
         let mut stop = false;
-        let mut actor = self.actors[id].take().expect("actor re-entered");
-        {
-            let mut ctx = Context {
-                now: self.now,
-                self_id: id,
-                outbox: &mut outbox,
-                rng: &mut self.rngs[id],
-                stats: &mut self.stats,
-                staged_stats: None,
-                stop_requested: &mut stop,
-                actor_count: self.actors.len(),
-            };
-            actor.on_start(&mut ctx);
-        }
-        self.actors[id] = Some(actor);
-        for (time, target, kind) in outbox.drain(..) {
-            self.queue.push_from(self.now, time, target, kind);
+        self.dispatch(id, None, &mut outbox, None, &mut stop);
+        for key in outbox.drain(..) {
+            self.queue.push(&mut self.pool, key);
         }
         self.outbox_scratch = outbox;
+    }
+
+    /// Runs one handler of actor `target` at the current instant:
+    /// `on_start` for `None`, else the event's. Its pushes are left in
+    /// `outbox`, and the shares it made no send used are freed.
+    #[inline]
+    pub(crate) fn dispatch(
+        &mut self,
+        target: ActorId,
+        event: Option<EventKind<M>>,
+        outbox: &mut Vec<Key>,
+        staged_stats: Option<&mut StagedStats>,
+        stop: &mut bool,
+    ) {
+        let actor_count = self.actors.len();
+        let mut actor = self.actors[target]
+            .take()
+            .unwrap_or_else(|| panic!("actor {target} re-entered"));
+        let mut ctx = Context {
+            now: self.now,
+            self_id: target,
+            outbox,
+            slab: &mut self.slab,
+            rng: &mut self.rngs[target],
+            stats: &mut self.stats,
+            staged_stats,
+            stop_requested: stop,
+            actor_count,
+        };
+        match event {
+            None => actor.on_start(&mut ctx),
+            Some(EventKind::Message { from, msg }) => actor.on_message(&mut ctx, from, msg),
+            Some(EventKind::Timer { tag }) => actor.on_timer(&mut ctx, tag),
+        }
+        self.actors[target] = Some(actor);
+        self.slab.end_dispatch();
     }
 
     /// Runs until the queue drains. Panics if one billion events pass
@@ -406,43 +480,27 @@ impl<M: Payload> Kernel<M> {
                     };
                 }
             }
-            let ev = self.queue.pop().expect("peeked event vanished");
-            debug_assert!(ev.time >= self.now, "time ran backwards");
-            self.now = ev.time;
+            let key = self
+                .queue
+                .pop(&mut self.pool)
+                .expect("peeked event vanished");
+            debug_assert!(key.time >= self.now, "time ran backwards");
+            self.now = key.time;
             processed += 1;
 
             if self.metrics {
-                let latency = ev.time.ticks().saturating_sub(ev.enqueued_at.ticks());
+                let latency = key.time.ticks().saturating_sub(key.enqueued_at.ticks());
                 self.metrics_scratch.0.push(latency as f64);
                 self.metrics_scratch.1.push(self.queue.len() as f64);
             }
 
+            let event = self.slab.event(&key);
             if let Some(trace) = self.trace.as_mut() {
-                trace.push(TraceEntry::dispatch(ev.time, ev.target, &ev.kind));
+                trace.push(TraceEntry::dispatch(key.time, key.target(), &event));
             }
-
-            let mut actor = self.actors[ev.target]
-                .take()
-                .unwrap_or_else(|| panic!("actor {} re-entered", ev.target));
-            {
-                let mut ctx = Context {
-                    now: self.now,
-                    self_id: ev.target,
-                    outbox: &mut outbox,
-                    rng: &mut self.rngs[ev.target],
-                    stats: &mut self.stats,
-                    staged_stats: None,
-                    stop_requested: &mut stop,
-                    actor_count: self.actors.len(),
-                };
-                match ev.kind {
-                    EventKind::Message { from, msg } => actor.on_message(&mut ctx, from, msg),
-                    EventKind::Timer { tag } => actor.on_timer(&mut ctx, tag),
-                }
-            }
-            self.actors[ev.target] = Some(actor);
-            for (time, target, kind) in outbox.drain(..) {
-                self.queue.push_from(self.now, time, target, kind);
+            self.dispatch(key.target(), Some(event), &mut outbox, None, &mut stop);
+            for key in outbox.drain(..) {
+                self.queue.push(&mut self.pool, key);
             }
             if stop {
                 break RunReport {
@@ -726,6 +784,100 @@ mod tests {
         let mut k: Kernel<u32> = Kernel::new(1);
         k.add_actor(Box::new(Bad));
         k.run();
+    }
+
+    /// Counts its clones.
+    #[derive(Debug, PartialEq)]
+    struct Counted(u32);
+
+    thread_local! {
+        static CLONES: std::cell::Cell<usize> = const { std::cell::Cell::new(0) };
+    }
+
+    impl Clone for Counted {
+        fn clone(&self) -> Self {
+            CLONES.with(|c| c.set(c.get() + 1));
+            Counted(self.0)
+        }
+    }
+
+    impl Payload for Counted {}
+
+    /// Actor 0 shares each message it gets with actors `1..=fanout`, or,
+    /// when `fanout` is 0, shares it and sends nothing; the others keep
+    /// what they receive.
+    struct Fan {
+        fanout: usize,
+        got: Vec<Counted>,
+    }
+
+    impl Actor<Counted> for Fan {
+        fn on_message(&mut self, ctx: &mut Context<'_, Counted>, _: ActorId, msg: Counted) {
+            if ctx.id() != 0 {
+                self.got.push(msg);
+                return;
+            }
+            let shared = ctx.share(msg);
+            for to in 1..=self.fanout {
+                ctx.send_shared(to, SimTime::from_ticks(1), &shared);
+            }
+        }
+    }
+
+    fn fan_kernel(fanout: usize, receivers: usize) -> Kernel<Counted> {
+        let mut k = Kernel::new(1);
+        for _ in 0..=receivers {
+            k.add_actor(Box::new(Fan {
+                fanout,
+                got: Vec::new(),
+            }));
+        }
+        k
+    }
+
+    #[test]
+    fn a_shared_payload_reaches_k_receivers_with_k_minus_one_clones() {
+        for fanout in 1..=5 {
+            let mut k = fan_kernel(fanout, fanout);
+            k.schedule_message(SimTime::ZERO, 0, 0, Counted(7));
+            CLONES.with(|c| c.set(0));
+            k.run();
+            assert_eq!(CLONES.with(|c| c.get()), fanout - 1, "fanout {fanout}");
+            for to in 1..=fanout {
+                assert_eq!(k.actor::<Fan>(to).unwrap().got, vec![Counted(7)]);
+            }
+            assert_eq!(k.slab.live(), 0);
+        }
+    }
+
+    #[test]
+    fn a_share_no_send_used_is_freed_when_its_dispatch_ends() {
+        let mut k = fan_kernel(0, 1);
+        k.schedule_message(SimTime::ZERO, 0, 0, Counted(1));
+        let report = k.run();
+        assert_eq!(report.events_processed, 1);
+        assert_eq!(k.slab.slots(), 1);
+        assert_eq!(k.slab.live(), 0);
+    }
+
+    #[test]
+    fn warm_rounds_grow_neither_the_slab_nor_the_key_pool() {
+        let mut k = fan_kernel(8, 8);
+        let round = |k: &mut Kernel<Counted>| {
+            let now = k.now();
+            for tick in 0..3 {
+                k.schedule_message(now + tick, 0, 0, Counted(tick as u32));
+            }
+            k.schedule_timer(now, 1, 0);
+            k.run();
+        };
+        round(&mut k);
+        let (slots, chunks) = (k.slab.slots(), k.pool.chunks());
+        for _ in 0..1_000 {
+            round(&mut k);
+        }
+        assert_eq!((k.slab.slots(), k.pool.chunks()), (slots, chunks));
+        assert_eq!(k.slab.live(), 0);
     }
 
     #[test]

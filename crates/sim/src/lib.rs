@@ -13,6 +13,11 @@
 //! * Events are totally ordered by `(time, sequence number)`; two events
 //!   scheduled for the same tick fire in scheduling order, so a run is a
 //!   pure function of the configuration and the seed.
+//! * A queued event is a 40-byte key in a per-tick FIFO bucket (a
+//!   calendar queue), and its payload lives once in a reference-counted
+//!   slab on the kernel. [`Context::share`] stores one payload for many
+//!   sends, so a broadcast costs one payload however many receivers it
+//!   reaches.
 //! * Randomness comes from [`rng::DetRng`], a self-contained xoshiro256++
 //!   generator with per-actor streams derived from a single master seed.
 //!
@@ -20,9 +25,10 @@
 //! (a sensor node, a virtual grid process, a sink) receives messages and
 //! timer expirations through a [`Context`] that lets it send further
 //! messages, set timers, draw random numbers, and bump statistics counters.
+//! Each handler receives its message as an owned `M`.
 //!
 //! ```
-//! use wsn_sim::{Actor, Context, EventKind, Kernel, SimTime};
+//! use wsn_sim::{Actor, Context, Kernel, SimTime};
 //!
 //! struct Ping { peer: usize, remaining: u32 }
 //!
@@ -47,7 +53,7 @@
 #![forbid(unsafe_code)]
 
 pub mod causal;
-pub mod event;
+mod event;
 pub mod kernel;
 pub mod rng;
 pub mod shard;
@@ -59,10 +65,9 @@ pub mod trace;
 pub use causal::{
     shared_causal_log, CausalEvent, CausalKind, CausalLog, CausalStamp, SharedCausalLog,
 };
-pub use event::{EventKind, ScheduledEvent};
 pub use kernel::{
-    Actor, ActorId, Context, Kernel, Payload, RunReport, StopReason, METRIC_DISPATCH_LATENCY,
-    METRIC_QUEUE_DEPTH,
+    Actor, ActorId, Context, Kernel, Payload, RunReport, Shared, StopReason,
+    METRIC_DISPATCH_LATENCY, METRIC_QUEUE_DEPTH,
 };
 pub use rng::DetRng;
 pub use shard::{order_tap, BarrierReplay, OrderTap, ShardSchedule, GLOBAL_SHARD};

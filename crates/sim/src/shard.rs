@@ -28,12 +28,27 @@
 //! would have used: one sort puts the window's roots in seq order, and a
 //! front-to-back walk of that order hands out the next global seqs to
 //! each dispatch's pushes in push order, appending each same-tick child
-//! as it gets its seq. That is the sequential heap's pop order (children
-//! pop in the order they got their seqs), and it yields the exact
-//! numeric `seq` values, since the walk hands out the counter in the
-//! same order the sequential loop would have. Cross-shard messages sit
-//! in a mailbox until the barrier and enter the destination shard's
-//! queue with their final seqs.
+//! as it gets its seq. That is the sequential queue's pop order (a tick's
+//! FIFO bucket pops children in the order they got their seqs), and it
+//! yields the exact numeric `seq` values, since the walk hands out the
+//! counter in the same order the sequential loop would have. Cross-shard
+//! messages sit in a mailbox until the barrier and enter the destination
+//! shard's queue with their final seqs.
+//!
+//! ## Keeping every bucket in seq order
+//!
+//! The shard queues are the kernel's FIFO tick buckets, filled with keys
+//! that already carry their seqs, so each bucket must receive its keys
+//! in ascending seq. Three hand-overs guarantee it:
+//!
+//! * the start-of-run split pops the global queue in `(time, seq)` order;
+//! * the mailbox records each future key as the replay walk gives it its
+//!   seq, so the barrier hands the keys over in ascending final seq, all
+//!   above any seq already queued (the sabotaged merge reverses both the
+//!   seqs and the mailbox, and stays ordered too);
+//! * the end-of-run re-merge sorts the shard queues' leftovers by
+//!   `(time, seq)` in a scratch buffer before they re-enter the global
+//!   queue.
 //!
 //! Given a [`ShardObs`], [`Kernel::run_sharded`] also keeps per-shard
 //! accounting: a cross-shard event counts as staged when its dispatch
@@ -72,8 +87,8 @@
 //!   granularity (the sequential kernel stops mid-tick). Parallel drivers
 //!   use budgets as livelock guards, not as precise cutoffs.
 
-use crate::event::{EventKind, EventQueue, ScheduledEvent};
-use crate::kernel::{Context, Kernel, Payload, RunReport, StopReason};
+use crate::event::{EventQueue, Key};
+use crate::kernel::{Kernel, Payload, RunReport, StopReason};
 use crate::shard_obs::ShardObs;
 use crate::stats::StagedStats;
 use crate::time::SimTime;
@@ -251,39 +266,29 @@ struct WindowRec {
 /// The buffers of a sharded run, kept on the [`Kernel`] and cleared
 /// between uses, so that rounds on a standing kernel reuse their
 /// capacity: the per-slot queues, and each window's records, pushes,
-/// child FIFO, roots, canonical order, staged events and staged
-/// histogram observations.
-pub(crate) struct ShardBuffers<M> {
-    queues: Vec<EventQueue<M>>,
+/// child FIFO, roots, canonical order, staged keys, mailbox and staged
+/// histogram observations, and the end-of-run re-merge.
+#[derive(Default)]
+pub(crate) struct ShardBuffers {
+    queues: Vec<EventQueue>,
     recs: Vec<WindowRec>,
     pushes: Vec<PushRec>,
     /// In-window children awaiting dispatch, in push order.
-    ready: VecDeque<(usize, EventKind<M>)>,
+    ready: VecDeque<Key>,
     /// Record index of the window's `n`-th child.
     child_rec: Vec<u32>,
     /// The window's roots as `(seq, record)`, in processing order.
     roots: Vec<(u64, u32)>,
     order: Vec<u32>,
-    /// The window's future events, in push order; the replay sets their
-    /// seqs.
-    staged: Vec<ScheduledEvent<M>>,
+    /// The window's future keys, in push order, awaiting their seqs.
+    staged: Vec<Key>,
+    /// The same keys with their final seqs, in ascending seq: the order
+    /// the barrier hands them to their queues.
+    mailbox: Vec<Key>,
+    /// The shard queues' leftovers at the end of a run, on their way
+    /// back to the global queue.
+    merge: Vec<Key>,
     stats: StagedStats,
-}
-
-impl<M> Default for ShardBuffers<M> {
-    fn default() -> Self {
-        ShardBuffers {
-            queues: Vec::new(),
-            recs: Vec::new(),
-            pushes: Vec::new(),
-            ready: VecDeque::new(),
-            child_rec: Vec::new(),
-            roots: Vec::new(),
-            order: Vec::new(),
-            staged: Vec::new(),
-            stats: StagedStats::default(),
-        }
-    }
 }
 
 impl<M: Payload> Kernel<M> {
@@ -320,17 +325,16 @@ impl<M: Payload> Kernel<M> {
         let mut outbox = std::mem::take(&mut self.outbox_scratch);
         outbox.clear();
         bufs.queues
-            .resize_with(schedule.slot_count(), EventQueue::new);
+            .resize_with(schedule.slot_count(), EventQueue::default);
         // Distribute the global queue into per-shard queues, preserving
-        // every event's (time, seq, enqueued_at) verbatim. The global
-        // queue keeps room for as many events as it handed over, which a
-        // round's kick-off needs again, and gives back the rest.
-        for ev in self.queue.drain() {
-            let slot = schedule.slot_of_actor(ev.target);
-            bufs.queues[slot].push_scheduled(ev);
+        // every key verbatim. It pops in (time, seq) order, so each shard
+        // tick receives its keys in seq order.
+        let mut pending: usize = 0;
+        while let Some(key) = self.queue.pop(&mut self.pool) {
+            let slot = schedule.slot_of_actor(key.target());
+            bufs.queues[slot].push_scheduled(&mut self.pool, key);
+            pending += 1;
         }
-        let mut pending: usize = bufs.queues.iter().map(|q| q.len()).sum();
-        self.queue.shrink_to(pending);
         let mut next_seq = self.queue.next_seq();
         let set_tap = |pos: Option<u32>| {
             if let Some(tap) = tap {
@@ -379,7 +383,9 @@ impl<M: Payload> Kernel<M> {
                 roots,
                 order,
                 staged,
+                mailbox,
                 stats,
+                ..
             } = &mut bufs;
             recs.clear();
             pushes.clear();
@@ -394,58 +400,47 @@ impl<M: Payload> Kernel<M> {
                     // Roots first (they pop in seq order and all carry
                     // smaller seqs than any child), then the FIFO. Roots
                     // are recorded with their real seqs for the replay.
-                    let (enqueued_at, target, kind) = if queues[slot].peek_time() == Some(tick) {
-                        let ev = queues[slot].pop().expect("peeked event vanished");
-                        roots.push((ev.seq, recs.len() as u32));
-                        (ev.enqueued_at, ev.target, ev.kind)
-                    } else if let Some((target, kind)) = ready.pop_front() {
+                    let key = if queues[slot].peek_time() == Some(tick) {
+                        let key = queues[slot]
+                            .pop(&mut self.pool)
+                            .expect("peeked event vanished");
+                        roots.push((key.seq, recs.len() as u32));
+                        key
+                    } else if let Some(key) = ready.pop_front() {
                         child_rec.push(recs.len() as u32);
-                        (tick, target, kind)
+                        key
                     } else {
                         break;
                     };
                     set_tap(Some(recs.len() as u32));
+                    let event = self.slab.event(&key);
                     let trace = self
                         .trace
                         .is_some()
-                        .then(|| TraceEntry::dispatch(tick, target, &kind));
+                        .then(|| TraceEntry::dispatch(tick, key.target(), &event));
                     let (pushes_start, stats_start) = (pushes.len(), stats.len());
-                    let mut actor = self.actors[target]
-                        .take()
-                        .unwrap_or_else(|| panic!("actor {target} re-entered"));
-                    {
-                        let mut ctx = Context {
-                            now: self.now,
-                            self_id: target,
-                            outbox: &mut outbox,
-                            rng: &mut self.rngs[target],
-                            stats: &mut self.stats,
-                            staged_stats: Some(&mut *stats),
-                            stop_requested: &mut stop,
-                            actor_count: self.actors.len(),
-                        };
-                        match kind {
-                            EventKind::Message { from, msg } => {
-                                actor.on_message(&mut ctx, from, msg)
-                            }
-                            EventKind::Timer { tag } => actor.on_timer(&mut ctx, tag),
-                        }
-                    }
-                    self.actors[target] = Some(actor);
-                    for (time, push_target, push_kind) in outbox.drain(..) {
-                        let target_slot = schedule.slot_of_actor(push_target);
-                        if time == tick && target_slot == slot {
+                    self.dispatch(
+                        key.target(),
+                        Some(event),
+                        &mut outbox,
+                        Some(&mut *stats),
+                        &mut stop,
+                    );
+                    for push in outbox.drain(..) {
+                        let target_slot = schedule.slot_of_actor(push.target());
+                        if push.time == tick && target_slot == slot {
                             pushes.push(PushRec::InWindow(children));
                             children += 1;
-                            ready.push_back((push_target, push_kind));
+                            ready.push_back(push);
                         } else {
                             assert!(
-                                time > tick || target_slot == slot,
+                                push.time > tick || target_slot == slot,
                                 "cross-shard event violates the one-tick lookahead: \
                                  dispatch at tick {} on slot {slot} scheduled actor \
-                                 {push_target} (slot {target_slot}) for tick {}",
+                                 {} (slot {target_slot}) for tick {}",
                                 tick.ticks(),
-                                time.ticks(),
+                                push.target,
+                                push.time.ticks(),
                             );
                             if target_slot != slot {
                                 if let Some(o) = obs.as_deref_mut() {
@@ -453,18 +448,12 @@ impl<M: Payload> Kernel<M> {
                                 }
                             }
                             pushes.push(PushRec::Future(staged.len()));
-                            staged.push(ScheduledEvent {
-                                time,
-                                seq: u64::MAX,
-                                enqueued_at: tick,
-                                target: push_target,
-                                kind: push_kind,
-                            });
+                            staged.push(push);
                         }
                     }
                     recs.push(WindowRec {
                         slot: slot as u32,
-                        enqueued_at,
+                        enqueued_at: key.enqueued_at,
                         trace,
                         pushes: pushes_start..pushes.len(),
                         stats: stats_start..stats.len(),
@@ -475,15 +464,18 @@ impl<M: Payload> Kernel<M> {
             processed += recs.len() as u64;
 
             // ---- Symbolic replay: reconstruct sequential dispatch order ----
-            // The sequential heap pops the roots in seq order, then the
+            // The sequential queue pops the roots in seq order, then the
             // children in the order they were pushed: every root's seq is
             // below every child's, and children receive increasing seqs
             // as they are appended. Walking `order` from the front hands
             // the global counter to each record's pushes in push order —
-            // exactly when the sequential loop would have.
+            // exactly when the sequential loop would have — so the
+            // mailbox, filled as the futures get their seqs, is in
+            // ascending seq.
             roots.sort_unstable();
             order.clear();
             order.extend(roots.iter().map(|&(_, ri)| ri));
+            mailbox.clear();
             let mut next = 0;
             while let Some(&ri) = order.get(next) {
                 next += 1;
@@ -492,18 +484,21 @@ impl<M: Payload> Kernel<M> {
                     next_seq += 1;
                     match push {
                         PushRec::InWindow(child) => order.push(child_rec[child]),
-                        PushRec::Future(i) => staged[i].seq = seq,
+                        PushRec::Future(i) => mailbox.push(Key { seq, ..staged[i] }),
                     }
                 }
             }
             debug_assert_eq!(order.len(), recs.len(), "replay lost a dispatch");
             if schedule.misorder_merge {
+                // Emit the window backwards and hand the futures their
+                // seqs in reverse; the mailbox stays in ascending seq.
                 order.reverse();
-                staged.sort_unstable_by_key(|ev| ev.seq);
-                let seqs: Vec<u64> = staged.iter().map(|e| e.seq).collect();
-                for (ev, seq) in staged.iter_mut().zip(seqs.into_iter().rev()) {
-                    ev.seq = seq;
+                let n = mailbox.len();
+                for j in 0..n / 2 {
+                    (mailbox[j].seq, mailbox[n - 1 - j].seq) =
+                        (mailbox[n - 1 - j].seq, mailbox[j].seq);
                 }
+                mailbox.reverse();
             }
 
             // ---- Barrier emission: canonical-order observables ----
@@ -529,15 +524,15 @@ impl<M: Payload> Kernel<M> {
             barrier_hook(order);
 
             // ---- Mailbox exchange: futures enter their shard queues ----
-            for ev in staged.drain(..) {
-                let slot = schedule.slot_of_actor(ev.target);
-                if let (Some(o), EventKind::Message { from, .. }) = (obs.as_deref_mut(), &ev.kind) {
-                    let from_slot = schedule.slot_of_actor(*from);
+            for &key in mailbox.iter() {
+                let slot = schedule.slot_of_actor(key.target());
+                if let (Some(o), Some(from)) = (obs.as_deref_mut(), key.sender()) {
+                    let from_slot = schedule.slot_of_actor(from);
                     if from_slot != slot {
                         o.note_applied(from_slot, slot);
                     }
                 }
-                queues[slot].push_scheduled(ev);
+                queues[slot].push_scheduled(&mut self.pool, key);
             }
             if let Some(o) = obs.as_deref_mut() {
                 for (slot, q) in queues.iter().enumerate() {
@@ -555,12 +550,18 @@ impl<M: Payload> Kernel<M> {
             }
         };
         // Re-merge leftovers into the global queue with their exact
-        // (time, seq) identities so a sequential continuation picks up
-        // precisely where a sequential run would have been.
-        for q in &mut bufs.queues {
-            for ev in q.drain() {
-                self.queue.push_scheduled(ev);
+        // (time, seq) identities, interleaved in that order, so a
+        // sequential continuation picks up precisely where a sequential
+        // run would have been.
+        let ShardBuffers { queues, merge, .. } = &mut bufs;
+        for q in queues.iter_mut() {
+            while let Some(key) = q.pop(&mut self.pool) {
+                merge.push(key);
             }
+        }
+        merge.sort_unstable_by_key(|key| (key.time, key.seq));
+        for key in merge.drain(..) {
+            self.queue.push_scheduled(&mut self.pool, key);
         }
         self.queue.set_next_seq(next_seq);
         self.flush_metrics_scratch();
@@ -573,7 +574,7 @@ impl<M: Payload> Kernel<M> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::kernel::{Actor, ActorId};
+    use crate::kernel::{Actor, ActorId, Context};
     use crate::trace::TraceKind;
 
     /// Replies to every message on the opposite parity actor with delay 1
