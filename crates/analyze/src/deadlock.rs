@@ -25,7 +25,7 @@ use wsn_synth::{Expr, Guard, GuardedProgram, Mapping, QuadTree, TaskId, TaskKind
 
 /// How many counted messages a program waits for, per hierarchy level.
 #[derive(Debug, Clone, PartialEq, Eq)]
-pub struct QuorumSpec {
+pub(crate) struct QuorumSpec {
     /// Expected `msgsReceived[level]` count.
     pub expected: i64,
     /// Rule the quorum guard belongs to.
@@ -34,7 +34,7 @@ pub struct QuorumSpec {
 
 /// One merge task's cross-node wait, resolved against a mapping.
 #[derive(Debug, Clone, PartialEq, Eq)]
-pub struct Wait {
+pub(crate) struct Wait {
     /// The waiting (interior) task.
     pub task: TaskId,
     /// Its hierarchy level.
@@ -57,7 +57,7 @@ pub struct Wait {
 /// * `idx` any other expression (e.g. the roving `recLevel`) — a quorum
 ///   at every interior level `1..=maxrecLevel`, since the index sweeps
 ///   the hierarchy as the node climbs it.
-pub fn quorum_specs(program: &GuardedProgram) -> BTreeMap<u8, QuorumSpec> {
+pub(crate) fn quorum_specs(program: &GuardedProgram) -> BTreeMap<u8, QuorumSpec> {
     let mut out = BTreeMap::new();
     for (r, rule) in program.rules.iter().enumerate() {
         if rule.guard == Guard::Received {
@@ -98,7 +98,11 @@ fn collect_quorums(g: &Guard, rule: usize, max_level: u8, out: &mut BTreeMap<u8,
 /// Builds the wait-for structure: one [`Wait`] per interior task whose
 /// level carries a quorum, with its counted and self senders under
 /// `mapping`.
-pub fn wait_for_graph(qt: &QuadTree, mapping: &Mapping, program: &GuardedProgram) -> Vec<Wait> {
+pub(crate) fn wait_for_graph(
+    qt: &QuadTree,
+    mapping: &Mapping,
+    program: &GuardedProgram,
+) -> Vec<Wait> {
     let quorums = quorum_specs(program);
     let mut waits = Vec::new();
     for task in qt.graph.tasks() {

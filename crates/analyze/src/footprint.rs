@@ -38,7 +38,7 @@ use wsn_synth::GuardedProgram;
 /// Sites that never fire at a role are absent from its footprint. The
 /// first role whose exploration stops at the state cap is an `RD004`
 /// error instead: its footprint would cover only an explored prefix.
-pub fn role_footprints(
+pub(crate) fn role_footprints(
     program: &GuardedProgram,
     side: u32,
     config: ReachConfig,
@@ -92,7 +92,7 @@ pub fn role_footprints(
 /// roles. A truncated exploration is the `Err` of [`role_footprints`].
 /// Callers must run [`crate::wellformed::check_program`] first
 /// (evaluation over unbound names is meaningless).
-pub fn check_footprints(
+pub(crate) fn check_footprints(
     program: &GuardedProgram,
     side: u32,
     config: ReachConfig,

@@ -278,7 +278,7 @@ pub fn frame_cert_from_json(v: &wsn_obs::Json) -> Result<FrameCertificate, Strin
 /// frame table's per-level unit column: `Σ_l k · (s/2^l)² merges × 4
 /// senders × units(l−1)` — the independent arithmetic behind the `CC002`
 /// cross-check.
-pub fn recompute_data_units(side: u32, k_send: u64) -> u64 {
+pub(crate) fn recompute_data_units(side: u32, k_send: u64) -> u64 {
     let p = Hierarchy::new(side).max_level();
     (1..=p)
         .map(|l| {

@@ -15,7 +15,7 @@ use wsn_synth::{
 };
 
 /// Runs the structural lints on a task graph.
-pub fn check_graph(graph: &TaskGraph) -> Diagnostics {
+pub(crate) fn check_graph(graph: &TaskGraph) -> Diagnostics {
     let mut diags = Diagnostics::new();
 
     if let Some(cycle) = find_cycle(graph) {
@@ -84,7 +84,7 @@ pub fn check_graph(graph: &TaskGraph) -> Diagnostics {
 }
 
 /// Runs the §4.1 constraint sweep on a mapping over `qt`'s grid.
-pub fn check_mapping(qt: &QuadTree, mapping: &Mapping) -> Diagnostics {
+pub(crate) fn check_mapping(qt: &QuadTree, mapping: &Mapping) -> Diagnostics {
     let mut diags = Diagnostics::new();
     for v in coverage_violations(qt, mapping) {
         diags.push(constraint_diag(Code::GM004, &v));
@@ -125,7 +125,7 @@ fn constraint_diag(code: Code, v: &ConstraintViolation) -> Diagnostic {
 
 /// Finds one cycle as a witness path `[t0, t1, …, tk]` with an edge
 /// `tk -> t0` closing it; `None` when the graph is a DAG.
-pub fn find_cycle(graph: &TaskGraph) -> Option<Vec<TaskId>> {
+pub(crate) fn find_cycle(graph: &TaskGraph) -> Option<Vec<TaskId>> {
     #[derive(Clone, Copy, PartialEq)]
     enum Color {
         White,

@@ -63,24 +63,20 @@ pub use certify::{
     certify, BoundKind, CertConfig, Certificate, CertifiedBound, Interval, PayloadProfile,
 };
 pub use conform::check_conformance;
-pub use deadlock::{check_deadlock, quorum_specs, wait_for_graph, QuorumSpec, Wait};
+pub use deadlock::check_deadlock;
 pub use diag::{Code, Diagnostic, Diagnostics, Severity, Span};
-pub use footprint::{check_footprints, role_footprints};
 pub use frame::{
-    analyze_frames, frame_cert_from_json, frame_cert_to_json, recompute_data_units,
-    FrameCertificate, FrameLevelBound, RolePayload, FRAME_CERT_SCHEMA_VERSION,
+    analyze_frames, frame_cert_from_json, frame_cert_to_json, FrameCertificate, FrameLevelBound,
+    RolePayload, FRAME_CERT_SCHEMA_VERSION,
 };
-pub use graphcheck::{check_graph, check_mapping, find_cycle};
 pub use model_json::{program_from_json, program_to_json, PROGRAM_SCHEMA_VERSION};
-pub use opt::{optimize_program, AbsVal, OptFacts};
-pub use reach::{check_dynamics, explore, explore_with_levels, ReachConfig, ReachReport};
+pub use reach::{explore, explore_with_levels, ReachConfig, ReachReport};
 pub use shard::{
     analyze_shards, check_shard_accounting, check_shard_conformance, shard_cert_from_json,
     shard_cert_to_json, ShardCertificate, SHARD_CERT_SCHEMA_VERSION,
 };
 pub use sym::Sym;
 pub use verified::render_figure4_checked;
-pub use wellformed::check_program;
 
 use wsn_synth::{GuardedProgram, Mapping, QuadTree};
 

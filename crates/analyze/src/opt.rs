@@ -25,7 +25,7 @@ use wsn_synth::{Action, Expr, Guard, GuardedProgram, Rule};
 
 /// Constant-propagation verdict for one variable.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum AbsVal {
+pub(crate) enum AbsVal {
     /// Provably this literal in every reachable state.
     Const(i64),
     /// Not provably constant.
@@ -34,7 +34,7 @@ pub enum AbsVal {
 
 /// What the optimizer learned; the certifier's input.
 #[derive(Debug, Clone, Default, PartialEq)]
-pub struct OptFacts {
+pub(crate) struct OptFacts {
     /// Per-variable constant verdicts (booleans as 0/1).
     pub consts: BTreeMap<String, AbsVal>,
     /// Indices (into the *original* rule list) of provably-dead rules.
@@ -95,7 +95,7 @@ fn count_sends(
 
 /// Runs all three passes. Returns the optimized program, the facts, and
 /// the `CC003`/`CC004`/`CC005` diagnostics describing what was found.
-pub fn optimize_program(p: &GuardedProgram) -> (GuardedProgram, OptFacts, Diagnostics) {
+pub(crate) fn optimize_program(p: &GuardedProgram) -> (GuardedProgram, OptFacts, Diagnostics) {
     let mut diags = Diagnostics::new();
     let consts = propagate_constants(p);
 

@@ -156,7 +156,7 @@ pub fn explore_with_levels(
 /// driver). Run [`crate::wellformed::check_program`] first: this pass
 /// assumes every referenced variable is declared and reads missing ones
 /// as 0.
-pub fn check_dynamics(program: &GuardedProgram, config: ReachConfig) -> Diagnostics {
+pub(crate) fn check_dynamics(program: &GuardedProgram, config: ReachConfig) -> Diagnostics {
     let report = explore(program, config);
     let max_level = i64::from(program.max_level);
     let mut diags = Diagnostics::new();

@@ -653,10 +653,10 @@ pub fn check_shard_conformance(cert: &ShardCertificate, doc: &TraceDocument) -> 
 /// [`ShardCertificate`] and the kernel's own independent totals:
 ///
 /// 1. the telemetry covers exactly the certificate's shard count;
-/// 2. the per-shard event counters (including the global pseudo-shard)
-///    sum to `shard.events.total`, the kernel's own dispatch count for
-///    the same runs — an undercounting or double-counting tap anywhere
-///    in the per-shard accounting breaks this exactly;
+/// 2. the per-shard event counters sum to `shard.events.total`, the
+///    kernel's own dispatch count for the same runs — an undercounting
+///    or double-counting tap anywhere in the per-shard accounting breaks
+///    this exactly;
 /// 3. cross-shard events staged and applied balance;
 /// 4. the observed cross-shard event total lies inside the certified
 ///    envelope `[cross_shard_messages, total_messages]`: every certified
@@ -743,7 +743,6 @@ pub fn check_shard_accounting(cert: &ShardCertificate, doc: &TraceDocument) -> D
         staged_sum += shard_series("shard.cross.staged", &label).unwrap_or(0);
         applied_sum += shard_series("shard.cross.applied", &label).unwrap_or(0);
     }
-    events_sum += shard_series("shard.events", "global").unwrap_or(0);
     if diags.has_errors() {
         diags.sort();
         return diags;
@@ -946,27 +945,24 @@ mod tests {
     }
 
     /// A side-4 cut-1 telemetry document whose accounting reconciles:
-    /// 4 shards plus the global slot summing to the kernel total, with
-    /// balanced cross counters inside the certified envelope [3, 20].
+    /// 4 shards summing to the kernel total, with balanced cross counters
+    /// inside the certified envelope [3, 20].
     fn balanced_accounting_doc() -> TraceDocument {
         let mut doc = TraceDocument::new();
-        doc.counters.push(("shard.events.total".to_string(), 100));
+        doc.counters.push(("shard.events.total".to_string(), 90));
         for (shard, events, staged, applied) in [
             ("0", 30u64, 2u64, 1u64),
             ("1", 25, 1, 2),
             ("2", 20, 1, 1),
             ("3", 15, 0, 0),
-            ("global", 10, 0, 0),
         ] {
             let l = [("shard", shard)];
             doc.counters
                 .push((wsn_obs::labeled("shard.events", &l), events));
-            if shard != "global" {
-                doc.counters
-                    .push((wsn_obs::labeled("shard.cross.staged", &l), staged));
-                doc.counters
-                    .push((wsn_obs::labeled("shard.cross.applied", &l), applied));
-            }
+            doc.counters
+                .push((wsn_obs::labeled("shard.cross.staged", &l), staged));
+            doc.counters
+                .push((wsn_obs::labeled("shard.cross.applied", &l), applied));
         }
         doc.gauges.push(("shard.count".to_string(), 4.0));
         doc
@@ -1001,7 +997,7 @@ mod tests {
         }
         let d = check_shard_accounting(&cert, &doc);
         assert!(d.has_code(Code::TC010), "{}", d.render_text());
-        assert!(d.render_text().contains("sum to 99"), "{}", d.render_text());
+        assert!(d.render_text().contains("sum to 89"), "{}", d.render_text());
     }
 
     #[test]

@@ -13,7 +13,7 @@ use std::collections::{HashMap, HashSet};
 use wsn_synth::{Action, Expr, Guard, GuardedProgram};
 
 /// Runs the well-formedness pass.
-pub fn check_program(program: &GuardedProgram) -> Diagnostics {
+pub(crate) fn check_program(program: &GuardedProgram) -> Diagnostics {
     let mut diags = Diagnostics::new();
     let mut declared: HashSet<&str> = HashSet::new();
 

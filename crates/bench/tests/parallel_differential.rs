@@ -3,18 +3,17 @@
 //! statistics. For every (side, cut level, seed) cell of the matrix the
 //! sharded run's JSONL trace — events, causal log, counters, gauges,
 //! per-node energy — and its metric bundle must be **byte-identical** to
-//! the sequential run's. One chaos mission (fault injection + crash +
-//! self-healing) rides in the matrix so the epoch-sliced driver is
-//! differenced too, not just the plain application run.
+//! the sequential run's. One application round under delivery chaos
+//! (duplicated and reordered deliveries, a dead node) rides in the matrix
+//! so the windows are differenced on chaotic traffic too.
 
 use wsn_bench::experiments::{
     record_end_to_end_trace_mutated, record_end_to_end_trace_with, RunEngine,
 };
 use wsn_bench::gates::Mutation;
 use wsn_core::{GridCoord, NodeApi, NodeProgram};
-use wsn_net::{ChaosPlan, DeliveryChaos, DeploymentSpec, LinkModel, RadioModel};
-use wsn_runtime::{ParallelConfig, PhysicalRuntime, SelfHealConfig, ShardMutation};
-use wsn_sim::SimTime;
+use wsn_net::{DeliveryChaos, DeploymentSpec, LinkModel, RadioModel};
+use wsn_runtime::{ParallelConfig, PhysicalRuntime, ShardMutation};
 
 const SEEDS: [u64; 5] = [3, 5, 11, 21, 42];
 
@@ -121,15 +120,15 @@ fn a_misordered_merge_on_one_cell_diverges() {
     );
 }
 
-/// The chaos cell of the matrix: duplicated + reordered deliveries, a
-/// mid-mission crash, and the self-healing epoch driver — replayed on
-/// the sharded kernel and compared on the mission report, final clock,
-/// and canonical causal log.
+/// The chaos cell of the matrix: one application round with duplicated
+/// and reordered deliveries and a node killed before it, on the sharded
+/// kernel at cuts 1 and 2 on 3 lanes, compared with the sequential round
+/// on the application report and the whole trace (events, causal log,
+/// counters, per-node energy).
 #[test]
-fn chaos_mission_is_byte_identical_across_engines() {
+fn delivery_chaos_round_is_byte_identical_across_engines() {
     let run = |parallel: Option<ParallelConfig>| {
-        let spec = DeploymentSpec::per_cell(4, 3);
-        let deployment = spec.generate(33);
+        let deployment = DeploymentSpec::per_cell(4, 3).generate(33);
         let range = deployment.grid().range_for_adjacent_cell_reachability();
         let mut rt: PhysicalRuntime<f64> = PhysicalRuntime::new(
             deployment,
@@ -140,7 +139,7 @@ fn chaos_mission_is_byte_identical_across_engines() {
             33,
             |c| f64::from(c.col + c.row),
         );
-        rt.enable_causal_tracing();
+        rt.enable_telemetry(true);
         assert!(rt.run_topology_emulation().complete);
         assert!(rt.run_binding().unique);
         rt.install_programs(|_| {
@@ -150,25 +149,30 @@ fn chaos_mission_is_byte_identical_across_engines() {
                 sum: 0.0,
             })
         });
-        rt.install_chaos(
-            ChaosPlan::none()
-                .delivery_at(
-                    SimTime::from_ticks(10),
-                    DeliveryChaos {
-                        dup_prob: 0.2,
-                        reorder_prob: 0.2,
-                        reorder_max_extra_ticks: 3,
-                    },
-                )
-                .crash_at(SimTime::from_ticks(60), 0),
-        )
-        .unwrap();
-        let report = match &parallel {
-            None => rt.run_chaos_mission(SelfHealConfig::default(), 1),
-            Some(cfg) => rt.run_chaos_mission_parallel(SelfHealConfig::default(), 1, cfg),
+        rt.enable_causal_tracing();
+        rt.medium().borrow_mut().set_delivery_chaos(DeliveryChaos {
+            dup_prob: 0.2,
+            reorder_prob: 0.2,
+            reorder_max_extra_ticks: 3,
+        });
+        // A follower of the origin cell dies before the round.
+        let origin = GridCoord::new(0, 0);
+        let victim = rt
+            .deployment()
+            .nodes_in_cell(origin)
+            .iter()
+            .copied()
+            .find(|&i| Some(i) != rt.leader_of(origin))
+            .expect("the origin cell has a follower");
+        let now = rt.now();
+        rt.medium().borrow_mut().kill(victim, now);
+        let app = match &parallel {
+            None => rt.run_application(),
+            Some(cfg) => rt.run_application_parallel(cfg),
         };
-        let causal = rt.causal_log().unwrap().borrow().canonical_events();
-        (report, rt.now(), format!("{causal:?}"))
+        assert!(rt.stats().counter("medium.duplicated") > 0);
+        assert!(rt.stats().counter("medium.reordered") > 0);
+        (app, rt.record_trace().to_jsonl())
     };
     let sequential = run(None);
     for cut_level in [1u32, 2] {
@@ -179,7 +183,7 @@ fn chaos_mission_is_byte_identical_across_engines() {
         assert_eq!(
             run(Some(cfg)),
             sequential,
-            "chaos mission at {cfg:?} diverged from sequential"
+            "delivery-chaos round at {cfg:?} diverged from sequential"
         );
     }
 }

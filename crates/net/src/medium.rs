@@ -1301,8 +1301,6 @@ mod tests {
                 let mut replay = wsn_sim::BarrierReplay::default();
                 k.run_sharded(
                     &schedule,
-                    None,
-                    None,
                     Some(&tap),
                     |order| medium.borrow_mut().apply_energy_journal(order, &mut replay),
                     None,

@@ -401,12 +401,12 @@ mod tests {
         let mut s = Stats::new();
         s.add(&labeled("shard.events", &[("shard", "0")]), 7);
         s.add(&labeled("shard.events", &[("shard", "1")]), 9);
-        s.add(&labeled("shard.events", &[("shard", "global")]), 2);
+        s.add(&labeled("shard.events", &[("shard", "2")]), 2);
         let text = document(&s).render_prometheus();
         assert_eq!(text.matches("# TYPE shard_events counter").count(), 1);
         assert!(text.contains("shard_events{shard=\"0\"} 7\n"));
         assert!(text.contains("shard_events{shard=\"1\"} 9\n"));
-        assert!(text.contains("shard_events{shard=\"global\"} 2\n"));
+        assert!(text.contains("shard_events{shard=\"2\"} 2\n"));
     }
 
     #[test]

@@ -12,16 +12,14 @@
 use crate::registry::split_labels;
 use crate::trace::TraceDocument;
 
-/// One shard's (or the global pseudo-shard's) accumulated telemetry.
+/// One shard's accumulated telemetry.
 #[derive(Debug, Clone, PartialEq)]
 pub struct ShardRow {
-    /// Shard label: `"0"`..`"N-1"`, or `"global"` for events dispatched on
-    /// actors outside every shard (the root pseudo-shard).
+    /// Shard label: `"0"`..`"N-1"`.
     pub label: String,
     /// Events dispatched on this shard's lane.
     pub events: u64,
-    /// Cross-shard events staged at this shard's outbox. Always 0 for the
-    /// global pseudo-shard (it has no outbox; the row renders `-`).
+    /// Cross-shard events staged at this shard's outbox.
     pub staged: u64,
     /// Cross-shard events applied into this shard at the barrier.
     pub applied: u64,
@@ -45,14 +43,13 @@ pub struct ShardTable {
     /// independently of the per-shard series, which is what makes the
     /// reconciliation below meaningful.
     pub total: u64,
-    /// Per-shard rows, shards in numeric order, the global pseudo-shard
-    /// last.
+    /// Per-shard rows, shards in numeric order.
     pub rows: Vec<ShardRow>,
     /// `true` when the per-shard event counters sum to [`ShardTable::total`]
     /// and staged cross-shard traffic balances applied.
     pub reconciled: bool,
-    /// Utilization skew: max over mean of the per-shard event counts
-    /// (global excluded). `1.0` is a perfectly balanced run.
+    /// Utilization skew: max over mean of the per-shard event counts.
+    /// `1.0` is a perfectly balanced run.
     pub skew: f64,
 }
 
@@ -96,31 +93,25 @@ pub fn shard_table(doc: &TraceDocument) -> Result<ShardTable, String> {
             .unwrap_or(0.0)
     };
 
-    let mut labels: Vec<String> = (0..shard_count).map(|s| s.to_string()).collect();
-    labels.push("global".to_string());
-    let rows: Vec<ShardRow> = labels
-        .iter()
+    let rows: Vec<ShardRow> = (0..shard_count)
+        .map(|s| s.to_string())
         .map(|l| ShardRow {
-            label: l.clone(),
-            events: counter_series("shard.events", l),
-            staged: counter_series("shard.cross.staged", l),
-            applied: counter_series("shard.cross.applied", l),
-            stall: counter_series("shard.barrier.stall", l),
-            depth_max: gauge_series("shard.queue.depth.max", l),
-            depth_mean: gauge_series("shard.queue.depth.mean", l),
+            events: counter_series("shard.events", &l),
+            staged: counter_series("shard.cross.staged", &l),
+            applied: counter_series("shard.cross.applied", &l),
+            stall: counter_series("shard.barrier.stall", &l),
+            depth_max: gauge_series("shard.queue.depth.max", &l),
+            depth_mean: gauge_series("shard.queue.depth.mean", &l),
+            label: l,
         })
         .collect();
 
     let events_sum: u64 = rows.iter().map(|r| r.events).sum();
     let staged_sum: u64 = rows.iter().map(|r| r.staged).sum();
     let applied_sum: u64 = rows.iter().map(|r| r.applied).sum();
-    let shard_events: Vec<u64> = rows[..shard_count as usize]
-        .iter()
-        .map(|r| r.events)
-        .collect();
-    let mean = shard_events.iter().sum::<u64>() as f64 / (shard_events.len().max(1)) as f64;
+    let mean = events_sum as f64 / rows.len().max(1) as f64;
     let skew = if mean > 0.0 {
-        shard_events.iter().copied().max().unwrap_or(0) as f64 / mean
+        rows.iter().map(|r| r.events).max().unwrap_or(0) as f64 / mean
     } else {
         1.0
     };
@@ -148,24 +139,17 @@ impl ShardTable {
         ));
         for row in &self.rows {
             let share = 100.0 * row.events as f64 / self.total.max(1) as f64;
-            if row.label == "global" {
-                out.push_str(&format!(
-                    "{:<8} {:>8} {:>6.1}% {:>8} {:>8} {:>8} {:>10.1} {:>11.2}\n",
-                    row.label, row.events, share, "-", "-", "-", row.depth_max, row.depth_mean
-                ));
-            } else {
-                out.push_str(&format!(
-                    "{:<8} {:>8} {:>6.1}% {:>8} {:>8} {:>8} {:>10.1} {:>11.2}\n",
-                    row.label,
-                    row.events,
-                    share,
-                    row.staged,
-                    row.applied,
-                    row.stall,
-                    row.depth_max,
-                    row.depth_mean
-                ));
-            }
+            out.push_str(&format!(
+                "{:<8} {:>8} {:>6.1}% {:>8} {:>8} {:>8} {:>10.1} {:>11.2}\n",
+                row.label,
+                row.events,
+                share,
+                row.staged,
+                row.applied,
+                row.stall,
+                row.depth_max,
+                row.depth_mean
+            ));
         }
         out.push_str(&format!("utilization skew (max/mean): {:.2}x\n", self.skew));
         let events_sum: u64 = self.rows.iter().map(|r| r.events).sum();
@@ -207,11 +191,10 @@ mod tests {
     fn balanced_doc() -> TraceDocument {
         doc_with(
             vec![
-                ("shard.events.total", 100),
+                ("shard.events.total", 90),
                 ("shard.windows", 6),
                 (&labeled("shard.events", &[("shard", "0")]), 40),
                 (&labeled("shard.events", &[("shard", "1")]), 50),
-                (&labeled("shard.events", &[("shard", "global")]), 10),
                 (&labeled("shard.cross.staged", &[("shard", "0")]), 3),
                 (&labeled("shard.cross.applied", &[("shard", "1")]), 3),
                 (&labeled("shard.barrier.stall", &[("shard", "0")]), 7),
@@ -229,21 +212,15 @@ mod tests {
         let table = shard_table(&balanced_doc()).unwrap();
         assert!(table.reconciled);
         assert_eq!(table.shard_count, 2);
-        assert_eq!(table.rows.len(), 3);
-        assert_eq!(table.rows[2].label, "global");
+        assert_eq!(table.rows.len(), 2);
+        assert_eq!(table.rows[1].label, "1");
         assert!((table.skew - 50.0 / 45.0).abs() < 1e-9);
         let text = table.render();
         assert!(
-            text.contains("2 shard(s), 6 barrier window(s), 100 events"),
+            text.contains("2 shard(s), 6 barrier window(s), 90 events"),
             "{text}"
         );
         assert!(text.contains("— reconciled"), "{text}");
-        // The global pseudo-shard has no cross-shard columns.
-        assert!(
-            text.lines()
-                .any(|l| l.starts_with("global") && l.contains('-')),
-            "{text}"
-        );
     }
 
     #[test]

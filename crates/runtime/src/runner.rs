@@ -733,6 +733,7 @@ impl<P: Clone + 'static> PhysicalRuntime<P> {
     ///
     /// * the energy ledger must be unlimited (charges are deferred to
     ///   window barriers, so mid-window depletion checks must be vacuous);
+    /// * no chaos plan may be installed: its injector actor is on no shard;
     /// * the grid side must be a power of two with `cut_level` inside the
     ///   quad-tree depth (the [`ShardPlan`] constraint).
     ///
@@ -744,6 +745,9 @@ impl<P: Clone + 'static> PhysicalRuntime<P> {
         let side = self.grid.side();
         if !self.medium.borrow().ledger().is_unlimited() {
             return Err("energy ledger has a budget; sharded execution defers charges".into());
+        }
+        if self.kernel.actor_count() > self.actors.len() {
+            return Err("a chaos plan is installed; its injector actor is on no shard".into());
         }
         if !side.is_power_of_two() {
             return Err(format!("grid side {side} is not a power of two"));
@@ -759,9 +763,8 @@ impl<P: Clone + 'static> PhysicalRuntime<P> {
     }
 
     /// The actor→shard assignment from the quad-tree plan: node `i` goes
-    /// to the shard of its deployment cell. Actors installed later (e.g. a
-    /// chaos injector) fall outside the map and run on the global
-    /// pseudo-shard. Built once per config and kept for later runs.
+    /// to the shard of its deployment cell. Built once per config and kept
+    /// for later runs.
     fn shard_schedule(&mut self, cfg: &ParallelConfig) -> Rc<ShardSchedule> {
         if let Some((built_for, schedule)) = &self.schedule {
             if built_for == cfg {
@@ -795,12 +798,7 @@ impl<P: Clone + 'static> PhysicalRuntime<P> {
     /// every order-sensitive shared component (energy ledger journal,
     /// causal log, exfiltration buffer) and replaying their staged side
     /// effects in canonical order at each barrier.
-    fn run_kernel_sharded(
-        &mut self,
-        schedule: &ShardSchedule,
-        until: Option<SimTime>,
-        max_events: Option<u64>,
-    ) -> RunReport {
+    fn run_kernel_sharded(&mut self, schedule: &ShardSchedule) -> RunReport {
         let tap = self.order_tap.get_or_insert_with(order_tap).clone();
         self.medium.borrow_mut().set_order_tap(tap.clone());
         if let Some(log) = &self.causal {
@@ -829,8 +827,6 @@ impl<P: Clone + 'static> PhysicalRuntime<P> {
         let replay = &mut self.replay;
         let run = self.kernel.run_sharded(
             schedule,
-            until,
-            max_events,
             Some(&tap),
             |order| {
                 medium.borrow_mut().apply_energy_journal(order, replay);
@@ -857,30 +853,23 @@ impl<P: Clone + 'static> PhysicalRuntime<P> {
         t.set_gauge("shard.count", f64::from(obs.shard_count()));
         t.add("shard.windows", obs.windows());
         t.add("shard.events.total", dispatched);
-        let shards = obs.shard_count() as usize;
-        for slot in 0..obs.slot_count() {
-            let label = if slot == shards {
-                "global".to_string()
-            } else {
-                slot.to_string()
-            };
+        for s in 0..obs.shard_count() as usize {
+            let label = s.to_string();
             let l = [("shard", label.as_str())];
-            t.add(&labeled("shard.events", &l), obs.events(slot));
+            t.add(&labeled("shard.events", &l), obs.events(s));
             t.set_gauge(
                 &labeled("shard.queue.depth.max", &l),
-                obs.depth_max(slot) as f64,
+                obs.depth_max(s) as f64,
             );
             let mean = if obs.windows() == 0 {
                 0.0
             } else {
-                obs.depth_sum(slot) as f64 / obs.windows() as f64
+                obs.depth_sum(s) as f64 / obs.windows() as f64
             };
             t.set_gauge(&labeled("shard.queue.depth.mean", &l), mean);
-            if slot < shards {
-                t.add(&labeled("shard.cross.staged", &l), obs.cross_staged(slot));
-                t.add(&labeled("shard.cross.applied", &l), obs.cross_applied(slot));
-                t.add(&labeled("shard.barrier.stall", &l), obs.barrier_stall(slot));
-            }
+            t.add(&labeled("shard.cross.staged", &l), obs.cross_staged(s));
+            t.add(&labeled("shard.cross.applied", &l), obs.cross_applied(s));
+            t.add(&labeled("shard.barrier.stall", &l), obs.barrier_stall(s));
         }
     }
 
@@ -930,7 +919,7 @@ impl<P: Clone + 'static> PhysicalRuntime<P> {
         }
         let run = match schedule {
             None => self.kernel.run(),
-            Some(schedule) => self.run_kernel_sharded(schedule, None, Some(1_000_000_000)),
+            Some(schedule) => self.run_kernel_sharded(schedule),
         };
         self.events_total += run.events_processed;
         if run.stop == StopReason::QueueEmpty {
@@ -1192,21 +1181,6 @@ impl<P: Clone + 'static> PhysicalRuntime<P> {
             .count()
     }
 
-    /// Schedules `tag` on every actor now and runs the kernel no further
-    /// than `horizon_ticks` ahead — pending chaos timers beyond the
-    /// horizon stay pending instead of being fast-forwarded through.
-    fn kick_phase_bounded(&mut self, tag: u64, horizon_ticks: u64, max_events: u64) -> RunReport {
-        let start = self.kernel.now();
-        for &a in &self.actors {
-            self.kernel.schedule_timer(start, a, tag);
-        }
-        let run = self
-            .kernel
-            .run_with_limits(Some(start + horizon_ticks), Some(max_events));
-        self.events_total += run.events_processed;
-        run
-    }
-
     /// Prunes every node's per-round deduplication sets (capacity
     /// retained — see [`RtNode::prune_dedup_state`]). An application
     /// run that drains its queue calls this, so the dedup tables of a
@@ -1247,11 +1221,35 @@ impl<P: Clone + 'static> PhysicalRuntime<P> {
         out.extend(self.grid.nodes().map(|c| self.leader_of(c)));
     }
 
+    /// Brings the runtime up under bounded horizons: topology emulation,
+    /// election and announce each kick every actor and run no further
+    /// than `cfg.phase_budget_ticks` ahead, so pending chaos timers
+    /// beyond the horizon stay pending instead of being fast-forwarded
+    /// through. Then re-installs programs on the (possibly new) leaders
+    /// and kicks the application off.
+    fn bring_up_bounded(&mut self, cfg: &SelfHealConfig) {
+        for tag in [TAG_TOPO, TAG_BIND, TAG_ANNOUNCE] {
+            let start = self.kernel.now();
+            for &a in &self.actors {
+                self.kernel.schedule_timer(start, a, tag);
+            }
+            let run = self.kernel.run_with_limits(
+                Some(start + cfg.phase_budget_ticks),
+                Some(cfg.max_events_per_epoch),
+            );
+            self.events_total += run.events_processed;
+        }
+        self.reinstall_programs();
+        let now = self.kernel.now();
+        for &a in &self.actors {
+            self.kernel.schedule_timer(now, a, TAG_APP);
+        }
+    }
+
     /// One self-heal: reset protocol state, bump the application round
-    /// (orphaned in-flight envelopes die at the round check), re-run
-    /// topology emulation and binding under bounded horizons, re-install
-    /// programs on the (possibly new) leaders, and restart the
-    /// application. Returns the number of cells whose leader changed.
+    /// (orphaned in-flight envelopes die at the round check), and bring
+    /// the runtime up again ([`PhysicalRuntime::bring_up_bounded`]).
+    /// Returns the number of cells whose leader changed.
     fn heal(&mut self, cfg: &SelfHealConfig) -> u64 {
         let mut before = std::mem::take(&mut self.leader_scratch);
         self.collect_leaders(&mut before);
@@ -1261,18 +1259,7 @@ impl<P: Clone + 'static> PhysicalRuntime<P> {
             }
         }
         self.bump_app_round();
-        self.kick_phase_bounded(TAG_TOPO, cfg.phase_budget_ticks, cfg.max_events_per_epoch);
-        self.kick_phase_bounded(TAG_BIND, cfg.phase_budget_ticks, cfg.max_events_per_epoch);
-        self.kick_phase_bounded(
-            TAG_ANNOUNCE,
-            cfg.phase_budget_ticks,
-            cfg.max_events_per_epoch,
-        );
-        self.reinstall_programs();
-        let now = self.kernel.now();
-        for &a in &self.actors {
-            self.kernel.schedule_timer(now, a, TAG_APP);
-        }
+        self.bring_up_bounded(cfg);
         // Compare in place: `collect_leaders` walks the grid in the same
         // canonical order both times.
         let changed = self
@@ -1305,38 +1292,6 @@ impl<P: Clone + 'static> PhysicalRuntime<P> {
         cfg: SelfHealConfig,
         expected_exfils: usize,
     ) -> ChaosMissionReport {
-        self.run_chaos_mission_with(cfg, expected_exfils, None)
-    }
-
-    /// [`PhysicalRuntime::run_chaos_mission`] with the epoch loops running
-    /// on the sharded kernel. Bring-up and heal phases stay sequential
-    /// (they re-bind leaders, which is not window-shaped work); the epoch
-    /// bodies — where virtually all events are processed — run sharded.
-    /// Chaos injector actors live past the deployment map and therefore
-    /// execute on the global pseudo-shard, preserving injection order.
-    ///
-    /// # Panics
-    ///
-    /// If [`PhysicalRuntime::parallel_preconditions`] rejects `pcfg`.
-    pub fn run_chaos_mission_parallel(
-        &mut self,
-        cfg: SelfHealConfig,
-        expected_exfils: usize,
-        pcfg: &ParallelConfig,
-    ) -> ChaosMissionReport {
-        if let Err(why) = self.parallel_preconditions(pcfg) {
-            panic!("sharded execution precondition failed: {why}");
-        }
-        let schedule = self.shard_schedule(pcfg);
-        self.run_chaos_mission_with(cfg, expected_exfils, Some(&schedule))
-    }
-
-    fn run_chaos_mission_with(
-        &mut self,
-        cfg: SelfHealConfig,
-        expected_exfils: usize,
-        schedule: Option<&ShardSchedule>,
-    ) -> ChaosMissionReport {
         assert!(
             self.factory.is_some(),
             "install_programs must be called before run_chaos_mission"
@@ -1357,28 +1312,12 @@ impl<P: Clone + 'static> PhysicalRuntime<P> {
         self.span_open("chaos-mission");
         let events0 = self.events_total;
         // Bounded bring-up (chaos may already be striking mid-protocol).
-        self.kick_phase_bounded(TAG_TOPO, cfg.phase_budget_ticks, cfg.max_events_per_epoch);
-        self.kick_phase_bounded(TAG_BIND, cfg.phase_budget_ticks, cfg.max_events_per_epoch);
-        self.kick_phase_bounded(
-            TAG_ANNOUNCE,
-            cfg.phase_budget_ticks,
-            cfg.max_events_per_epoch,
-        );
-        self.reinstall_programs();
-        let now = self.kernel.now();
-        for &a in &self.actors {
-            self.kernel.schedule_timer(now, a, TAG_APP);
-        }
+        self.bring_up_bounded(&cfg);
         for epoch in 0..cfg.max_epochs {
             let horizon = self.kernel.now() + cfg.epoch_ticks;
-            let run = match schedule {
-                None => self
-                    .kernel
-                    .run_with_limits(Some(horizon), Some(cfg.max_events_per_epoch)),
-                Some(schedule) => {
-                    self.run_kernel_sharded(schedule, Some(horizon), Some(cfg.max_events_per_epoch))
-                }
-            };
+            let run = self
+                .kernel
+                .run_with_limits(Some(horizon), Some(cfg.max_events_per_epoch));
             self.events_total += run.events_processed;
             report.epochs = epoch + 1;
             self.tally("heal.epochs", 1);
@@ -2325,44 +2264,6 @@ mod tests {
     }
 
     #[test]
-    fn parallel_chaos_mission_matches_sequential() {
-        let run = |parallel: bool| {
-            let mut rt = runtime(2, 4, 33);
-            rt.enable_causal_tracing();
-            rt.install_programs(gather_factory(4));
-            rt.install_chaos(
-                ChaosPlan::none()
-                    .delivery_at(
-                        SimTime::from_ticks(10),
-                        DeliveryChaos {
-                            dup_prob: 0.2,
-                            reorder_prob: 0.2,
-                            reorder_max_extra_ticks: 3,
-                        },
-                    )
-                    .crash_at(SimTime::from_ticks(60), 0),
-            )
-            .unwrap();
-            let report = if parallel {
-                rt.run_chaos_mission_parallel(
-                    SelfHealConfig::default(),
-                    1,
-                    &ParallelConfig::at_cut(1),
-                )
-            } else {
-                rt.run_chaos_mission(SelfHealConfig::default(), 1)
-            };
-            let causal = rt.causal_log().unwrap().borrow().canonical_events();
-            (report, rt.now(), format!("{causal:?}"))
-        };
-        assert_eq!(
-            run(false),
-            run(true),
-            "sharded chaos mission diverged from sequential"
-        );
-    }
-
-    #[test]
     fn sharded_run_publishes_reconcilable_shard_telemetry() {
         let mut rt = runtime(4, 3, 7);
         rt.enable_telemetry(false);
@@ -2386,8 +2287,7 @@ mod tests {
         assert!(total > 0);
         let sum: u64 = (0..4)
             .map(|s| t.counter(&labeled("shard.events", &[("shard", &s.to_string())])))
-            .sum::<u64>()
-            + t.counter(&labeled("shard.events", &[("shard", "global")]));
+            .sum();
         assert_eq!(sum, total);
         // Staged and applied cross-shard counts balance.
         let staged: u64 = (0..4)
@@ -2403,8 +2303,8 @@ mod tests {
             .sum();
         assert_eq!(staged, applied);
         assert!(staged > 0, "the gather app must cross quadrant boundaries");
-        // Queue depths were published for every slot.
-        for label in ["0", "1", "2", "3", "global"] {
+        // Queue depths were published for every shard.
+        for label in ["0", "1", "2", "3"] {
             assert!(t
                 .gauge(&labeled("shard.queue.depth.max", &[("shard", label)]))
                 .is_some());
@@ -2435,5 +2335,16 @@ mod tests {
                 .is_err(),
             "side 3 is not a power of two"
         );
+    }
+
+    #[test]
+    fn an_installed_chaos_plan_fails_the_preconditions() {
+        let mut rt = runtime(4, 3, 1);
+        rt.install_chaos(ChaosPlan::none().crash_at(SimTime::from_ticks(60), 0))
+            .unwrap();
+        let refusal = rt
+            .parallel_preconditions(&ParallelConfig::at_cut(1))
+            .unwrap_err();
+        assert!(refusal.contains("chaos plan"), "{refusal}");
     }
 }

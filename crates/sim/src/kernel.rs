@@ -22,6 +22,14 @@ pub const METRIC_DISPATCH_LATENCY: &str = "kernel.dispatch_latency";
 /// when [`Kernel::enable_metrics`] is on.
 pub const METRIC_QUEUE_DEPTH: &str = "kernel.queue_depth";
 
+/// The event budget of [`Kernel::run`] and [`Kernel::run_sharded`]: a
+/// run that dispatches this many events without draining its queue is
+/// taken for a livelock and panics with [`LIVELOCK`].
+pub(crate) const LIVELOCK_BUDGET: u64 = 1_000_000_000;
+
+/// The panic message of an exhausted [`LIVELOCK_BUDGET`].
+pub(crate) const LIVELOCK: &str = "kernel default event budget exhausted; suspected livelock";
+
 /// Implemented by message types so traces can record a cheap discriminant.
 pub trait Payload: 'static {
     /// A small integer identifying the message variant (for traces only;
@@ -428,18 +436,15 @@ impl<M: Payload> Kernel<M> {
     /// without draining (livelock guard); use
     /// [`Kernel::run_with_limits`] for explicit budgets.
     pub fn run(&mut self) -> RunReport {
-        let report = self.run_with_limits(None, Some(1_000_000_000));
-        assert!(
-            report.stop != StopReason::EventLimit,
-            "kernel default event budget exhausted; suspected livelock"
-        );
+        let report = self.run_with_limits(None, Some(LIVELOCK_BUDGET));
+        assert!(report.stop != StopReason::EventLimit, "{LIVELOCK}");
         report
     }
 
     /// Runs until the queue drains or simulated time would pass `until`.
     /// Events at exactly `until` still fire.
     pub fn run_until(&mut self, until: SimTime) -> RunReport {
-        self.run_with_limits(Some(until), Some(1_000_000_000))
+        self.run_with_limits(Some(until), Some(LIVELOCK_BUDGET))
     }
 
     /// Runs with optional time horizon and event budget.

@@ -70,7 +70,7 @@ pub use kernel::{
     METRIC_DISPATCH_LATENCY, METRIC_QUEUE_DEPTH,
 };
 pub use rng::DetRng;
-pub use shard::{order_tap, BarrierReplay, OrderTap, ShardSchedule, GLOBAL_SHARD};
+pub use shard::{order_tap, BarrierReplay, OrderTap, ShardSchedule};
 pub use shard_obs::ShardObs;
 pub use stats::{Histogram, Stats, StatsSink};
 pub use time::SimTime;

@@ -39,16 +39,16 @@
 //!
 //! The shard queues are the kernel's FIFO tick buckets, filled with keys
 //! that already carry their seqs, so each bucket must receive its keys
-//! in ascending seq. Three hand-overs guarantee it:
+//! in ascending seq. Two hand-overs guarantee it:
 //!
 //! * the start-of-run split pops the global queue in `(time, seq)` order;
 //! * the mailbox records each future key as the replay walk gives it its
 //!   seq, so the barrier hands the keys over in ascending final seq, all
 //!   above any seq already queued (the sabotaged merge reverses both the
-//!   seqs and the mailbox, and stays ordered too);
-//! * the end-of-run re-merge sorts the shard queues' leftovers by
-//!   `(time, seq)` in a scratch buffer before they re-enter the global
-//!   queue.
+//!   seqs and the mailbox, and stays ordered too).
+//!
+//! A run goes on until every shard queue drains, so nothing is left to
+//! hand back: the run returns only the seq counter to the global queue.
 //!
 //! Given a [`ShardObs`], [`Kernel::run_sharded`] also keeps per-shard
 //! accounting: a cross-shard event counts as staged when its dispatch
@@ -74,21 +74,25 @@
 //! window's canonical order, a list of positions, to replay them through a
 //! [`BarrierReplay`].
 //!
-//! ## Contract and caveats
+//! ## Contract: what a window refuses
 //!
-//! * A cross-shard event scheduled for the *current* tick violates the
-//!   lookahead and panics — the shard plan was wrong, not the run.
-//! * Globally-pinned actors ([`GLOBAL_SHARD`], e.g. fault injectors that
-//!   mutate the shared medium) are processed first within each window.
-//!   This matches the sequential order whenever their same-tick events
-//!   carry earlier seqs than every co-tick node event — true for
-//!   injectors that arm all their timers at install time.
-//! * `stop()` requests and event-budget exhaustion take effect at window
-//!   granularity (the sequential kernel stops mid-tick). Parallel drivers
-//!   use budgets as livelock guards, not as precise cutoffs.
+//! Three things a window cannot reproduce panic with a message that names
+//! them, so a run is either bit-identical to the sequential one or no run:
+//!
+//! * a cross-shard event scheduled for the *current* tick violates the
+//!   lookahead — the shard plan was wrong, not the run;
+//! * an actor outside the [`ShardSchedule`]'s map has no shard to run on,
+//!   so a kernel with one is refused before anything dispatches;
+//! * a [`Context::stop`](crate::Context::stop) request: the sequential
+//!   kernel stops right after the requesting dispatch, mid-tick, while a
+//!   window has dispatched the rest of its tick by the time the flag is
+//!   read at its end.
+//!
+//! Like [`Kernel::run`], a run that dispatches one billion events without
+//! draining panics as a suspected livelock.
 
 use crate::event::{EventQueue, Key};
-use crate::kernel::{Kernel, Payload, RunReport, StopReason};
+use crate::kernel::{Kernel, Payload, RunReport, StopReason, LIVELOCK, LIVELOCK_BUDGET};
 use crate::shard_obs::ShardObs;
 use crate::stats::StagedStats;
 use crate::time::SimTime;
@@ -97,10 +101,6 @@ use std::cell::Cell;
 use std::collections::VecDeque;
 use std::ops::Range;
 use std::rc::Rc;
-
-/// Shard id of actors pinned to the global pseudo-shard (processed first
-/// in every window; see the module docs for when this is sound).
-pub const GLOBAL_SHARD: u32 = u32::MAX;
 
 /// Shared cell the sharded scheduler writes the current dispatch's
 /// window-local position into before each dispatch, and resets to `None`
@@ -157,33 +157,33 @@ impl BarrierReplay {
     }
 }
 
-/// The static shard assignment of a kernel's actors.
+/// The static shard assignment of a kernel's actors. It must map every
+/// actor of the kernel it runs: [`Kernel::run_sharded`] refuses a kernel
+/// with an actor beyond the map.
 #[derive(Debug, Clone)]
 pub struct ShardSchedule {
     shard_of_actor: Vec<u32>,
     shard_count: u32,
-    /// Slot processing order for one window: the global slot first, then
-    /// shards striped round-robin across the worker lanes.
-    slot_order: Vec<usize>,
+    /// Shard processing order for one window: shards striped round-robin
+    /// across the worker lanes.
+    shard_order: Vec<usize>,
     misorder_merge: bool,
 }
 
 impl ShardSchedule {
-    /// A schedule mapping actor `i` to `shard_of_actor[i]`
-    /// (or [`GLOBAL_SHARD`]). Actors beyond the map (installed later,
-    /// e.g. fault injectors) default to the global pseudo-shard.
+    /// A schedule mapping actor `i` to shard `shard_of_actor[i]`.
     pub fn new(shard_of_actor: Vec<u32>, shard_count: u32) -> Self {
         assert!(shard_count > 0, "schedule needs at least one shard");
         for (actor, &s) in shard_of_actor.iter().enumerate() {
             assert!(
-                s < shard_count || s == GLOBAL_SHARD,
+                s < shard_count,
                 "actor {actor} assigned to shard {s} of {shard_count}"
             );
         }
         ShardSchedule {
             shard_of_actor,
             shard_count,
-            slot_order: Vec::new(),
+            shard_order: Vec::new(),
             misorder_merge: false,
         }
         .with_workers(1)
@@ -197,10 +197,9 @@ impl ShardSchedule {
     pub fn with_workers(mut self, workers: usize) -> Self {
         let workers = workers.max(1);
         let n = self.shard_count as usize;
-        self.slot_order.clear();
-        self.slot_order.push(n); // global slot first
+        self.shard_order.clear();
         for lane in 0..workers.min(n) {
-            self.slot_order
+            self.shard_order
                 .extend((0..n).filter(|s| s % workers == lane));
         }
         self
@@ -216,27 +215,13 @@ impl ShardSchedule {
         self
     }
 
-    /// Shard count (excluding the global pseudo-shard).
+    /// Shard count.
     pub fn shard_count(&self) -> u32 {
         self.shard_count
     }
 
-    fn slot_of_actor(&self, actor: usize) -> usize {
-        let shard = self
-            .shard_of_actor
-            .get(actor)
-            .copied()
-            .unwrap_or(GLOBAL_SHARD);
-        if shard == GLOBAL_SHARD {
-            self.shard_count as usize
-        } else {
-            shard as usize
-        }
-    }
-
-    /// Number of processing slots: one per shard plus the global slot.
-    fn slot_count(&self) -> usize {
-        self.shard_count as usize + 1
+    fn shard_of(&self, actor: usize) -> usize {
+        self.shard_of_actor[actor] as usize
     }
 }
 
@@ -254,7 +239,7 @@ enum PushRec {
 
 /// One dispatch of a window, awaiting barrier emission.
 struct WindowRec {
-    slot: u32,
+    shard: u32,
     enqueued_at: SimTime,
     trace: Option<TraceEntry>,
     /// Its pushes, in push order, in [`ShardBuffers::pushes`].
@@ -265,9 +250,9 @@ struct WindowRec {
 
 /// The buffers of a sharded run, kept on the [`Kernel`] and cleared
 /// between uses, so that rounds on a standing kernel reuse their
-/// capacity: the per-slot queues, and each window's records, pushes,
+/// capacity: the per-shard queues, and each window's records, pushes,
 /// child FIFO, roots, canonical order, staged keys, mailbox and staged
-/// histogram observations, and the end-of-run re-merge.
+/// histogram observations.
 #[derive(Default)]
 pub(crate) struct ShardBuffers {
     queues: Vec<EventQueue>,
@@ -285,18 +270,13 @@ pub(crate) struct ShardBuffers {
     /// The same keys with their final seqs, in ascending seq: the order
     /// the barrier hands them to their queues.
     mailbox: Vec<Key>,
-    /// The shard queues' leftovers at the end of a run, on their way
-    /// back to the global queue.
-    merge: Vec<Key>,
     stats: StagedStats,
 }
 
 impl<M: Payload> Kernel<M> {
     /// Runs the kernel sharded under `schedule` until the queue drains,
-    /// `until` passes, or `max_events` dispatches occur — producing
-    /// bit-identical observables to [`Kernel::run_with_limits`] (see the
-    /// module docs for the argument and the window-granularity caveats on
-    /// stop/budget).
+    /// producing bit-identical observables to [`Kernel::run`] (see the
+    /// module docs for the argument).
     ///
     /// `tap`, when provided, receives the window position of every
     /// dispatch before it runs; `barrier_hook` is called at each window
@@ -305,34 +285,46 @@ impl<M: Payload> Kernel<M> {
     /// ([`BarrierReplay`]).
     ///
     /// `obs`, when provided, receives per-shard accounting as the run
-    /// goes: events per slot, cross-shard events staged at dispatch and
+    /// goes: events per shard, cross-shard events staged at dispatch and
     /// applied when the barrier's mailbox exchange enters them into
     /// their destination queue, barrier stall and lane queue depth. The
     /// accounting is write-only bookkeeping into preallocated
     /// [`ShardObs`] arrays — it perturbs no kernel observable and
     /// allocates nothing.
+    ///
+    /// # Panics
+    ///
+    /// On what a window cannot reproduce (the module docs' contract): an
+    /// actor outside `schedule`'s map, a cross-shard event inside the
+    /// one-tick lookahead, or a [`Context::stop`](crate::Context::stop)
+    /// request; and, like [`Kernel::run`], after one billion events
+    /// without draining.
     pub fn run_sharded(
         &mut self,
         schedule: &ShardSchedule,
-        until: Option<SimTime>,
-        max_events: Option<u64>,
         tap: Option<&OrderTap>,
         mut barrier_hook: impl FnMut(&[u32]),
         mut obs: Option<&mut ShardObs>,
     ) -> RunReport {
+        let mapped = schedule.shard_of_actor.len();
+        assert!(
+            self.actor_count() <= mapped,
+            "sharded run refused: actor {mapped} is outside the shard map, which covers \
+             actors 0..{mapped}; a window has no shard to run it on"
+        );
         self.start_actors();
         let mut bufs = std::mem::take(&mut self.shard_buffers);
         let mut outbox = std::mem::take(&mut self.outbox_scratch);
         outbox.clear();
         bufs.queues
-            .resize_with(schedule.slot_count(), EventQueue::default);
+            .resize_with(schedule.shard_count as usize, EventQueue::default);
         // Distribute the global queue into per-shard queues, preserving
         // every key verbatim. It pops in (time, seq) order, so each shard
         // tick receives its keys in seq order.
         let mut pending: usize = 0;
         while let Some(key) = self.queue.pop(&mut self.pool) {
-            let slot = schedule.slot_of_actor(key.target());
-            bufs.queues[slot].push_scheduled(&mut self.pool, key);
+            let shard = schedule.shard_of(key.target());
+            bufs.queues[shard].push_scheduled(&mut self.pool, key);
             pending += 1;
         }
         let mut next_seq = self.queue.next_seq();
@@ -343,37 +335,15 @@ impl<M: Payload> Kernel<M> {
         };
 
         let mut processed = 0u64;
-        let report = loop {
-            if let Some(budget) = max_events {
-                if processed >= budget {
-                    break RunReport {
-                        events_processed: processed,
-                        end_time: self.now,
-                        stop: StopReason::EventLimit,
-                    };
-                }
-            }
+        loop {
+            assert!(processed < LIVELOCK_BUDGET, "{LIVELOCK}");
             let Some(tick) = bufs.queues.iter().filter_map(|q| q.peek_time()).min() else {
-                break RunReport {
-                    events_processed: processed,
-                    end_time: self.now,
-                    stop: StopReason::QueueEmpty,
-                };
+                break;
             };
-            if let Some(horizon) = until {
-                if tick > horizon {
-                    self.now = horizon;
-                    break RunReport {
-                        events_processed: processed,
-                        end_time: self.now,
-                        stop: StopReason::TimeLimit,
-                    };
-                }
-            }
             debug_assert!(tick >= self.now, "time ran backwards");
             self.now = tick;
 
-            // ---- The window: each slot drains its tick-`tick` events ----
+            // ---- The window: each shard drains its tick-`tick` events ----
             let ShardBuffers {
                 queues,
                 recs,
@@ -385,7 +355,6 @@ impl<M: Payload> Kernel<M> {
                 staged,
                 mailbox,
                 stats,
-                ..
             } = &mut bufs;
             recs.clear();
             pushes.clear();
@@ -395,13 +364,13 @@ impl<M: Payload> Kernel<M> {
             stats.clear();
             let mut children = 0;
             let mut stop = false;
-            for &slot in &schedule.slot_order {
+            for &shard in &schedule.shard_order {
                 loop {
                     // Roots first (they pop in seq order and all carry
                     // smaller seqs than any child), then the FIFO. Roots
                     // are recorded with their real seqs for the replay.
-                    let key = if queues[slot].peek_time() == Some(tick) {
-                        let key = queues[slot]
+                    let key = if queues[shard].peek_time() == Some(tick) {
+                        let key = queues[shard]
                             .pop(&mut self.pool)
                             .expect("peeked event vanished");
                         roots.push((key.seq, recs.len() as u32));
@@ -427,24 +396,24 @@ impl<M: Payload> Kernel<M> {
                         &mut stop,
                     );
                     for push in outbox.drain(..) {
-                        let target_slot = schedule.slot_of_actor(push.target());
-                        if push.time == tick && target_slot == slot {
+                        let target_shard = schedule.shard_of(push.target());
+                        if push.time == tick && target_shard == shard {
                             pushes.push(PushRec::InWindow(children));
                             children += 1;
                             ready.push_back(push);
                         } else {
                             assert!(
-                                push.time > tick || target_slot == slot,
+                                push.time > tick || target_shard == shard,
                                 "cross-shard event violates the one-tick lookahead: \
-                                 dispatch at tick {} on slot {slot} scheduled actor \
-                                 {} (slot {target_slot}) for tick {}",
+                                 dispatch at tick {} on shard {shard} scheduled actor \
+                                 {} (shard {target_shard}) for tick {}",
                                 tick.ticks(),
                                 push.target,
                                 push.time.ticks(),
                             );
-                            if target_slot != slot {
+                            if target_shard != shard {
                                 if let Some(o) = obs.as_deref_mut() {
-                                    o.note_staged(slot, target_slot);
+                                    o.note_staged(shard);
                                 }
                             }
                             pushes.push(PushRec::Future(staged.len()));
@@ -452,7 +421,7 @@ impl<M: Payload> Kernel<M> {
                         }
                     }
                     recs.push(WindowRec {
-                        slot: slot as u32,
+                        shard: shard as u32,
                         enqueued_at: key.enqueued_at,
                         trace,
                         pushes: pushes_start..pushes.len(),
@@ -461,6 +430,12 @@ impl<M: Payload> Kernel<M> {
                 }
             }
             set_tap(None);
+            assert!(
+                !stop,
+                "sharded run refused: an actor requested stop() at tick {}, and a window \
+                 cannot stop mid-tick as the sequential kernel does",
+                tick.ticks()
+            );
             processed += recs.len() as u64;
 
             // ---- Symbolic replay: reconstruct sequential dispatch order ----
@@ -517,7 +492,7 @@ impl<M: Payload> Kernel<M> {
                     trace.push(entry.clone());
                 }
                 if let Some(o) = obs.as_deref_mut() {
-                    o.note_dispatch(rec.slot as usize);
+                    o.note_dispatch(rec.shard as usize);
                 }
                 stats.replay(rec.stats.clone(), &mut self.stats);
             }
@@ -525,49 +500,30 @@ impl<M: Payload> Kernel<M> {
 
             // ---- Mailbox exchange: futures enter their shard queues ----
             for &key in mailbox.iter() {
-                let slot = schedule.slot_of_actor(key.target());
+                let shard = schedule.shard_of(key.target());
                 if let (Some(o), Some(from)) = (obs.as_deref_mut(), key.sender()) {
-                    let from_slot = schedule.slot_of_actor(from);
-                    if from_slot != slot {
-                        o.note_applied(from_slot, slot);
+                    if schedule.shard_of(from) != shard {
+                        o.note_applied(shard);
                     }
                 }
-                queues[slot].push_scheduled(&mut self.pool, key);
+                queues[shard].push_scheduled(&mut self.pool, key);
             }
             if let Some(o) = obs.as_deref_mut() {
-                for (slot, q) in queues.iter().enumerate() {
-                    o.note_depth(slot, q.len() as u64);
+                for (shard, q) in queues.iter().enumerate() {
+                    o.note_depth(shard, q.len() as u64);
                 }
                 o.end_window();
             }
-
-            if stop {
-                break RunReport {
-                    events_processed: processed,
-                    end_time: self.now,
-                    stop: StopReason::Stopped,
-                };
-            }
-        };
-        // Re-merge leftovers into the global queue with their exact
-        // (time, seq) identities, interleaved in that order, so a
-        // sequential continuation picks up precisely where a sequential
-        // run would have been.
-        let ShardBuffers { queues, merge, .. } = &mut bufs;
-        for q in queues.iter_mut() {
-            while let Some(key) = q.pop(&mut self.pool) {
-                merge.push(key);
-            }
-        }
-        merge.sort_unstable_by_key(|key| (key.time, key.seq));
-        for key in merge.drain(..) {
-            self.queue.push_scheduled(&mut self.pool, key);
         }
         self.queue.set_next_seq(next_seq);
         self.flush_metrics_scratch();
         self.shard_buffers = bufs;
         self.outbox_scratch = outbox;
-        report
+        RunReport {
+            events_processed: processed,
+            end_time: self.now,
+            stop: StopReason::QueueEmpty,
+        }
     }
 }
 
@@ -657,7 +613,7 @@ mod tests {
 
         let mut par = build_relay_ring(8, 20);
         let schedule = parity_schedule(8);
-        let par_report = par.run_sharded(&schedule, None, None, None, |_| {}, None);
+        let par_report = par.run_sharded(&schedule, None, |_| {}, None);
 
         assert_eq!(seq_report, par_report);
         assert_eq!(observables(&seq), observables(&par));
@@ -683,7 +639,7 @@ mod tests {
         let seq_report = seq.run();
         let mut par = build();
         let schedule = ShardSchedule::new(vec![0, 0, 0, 1, 1, 1], 2);
-        let par_report = par.run_sharded(&schedule, None, None, None, |_| {}, None);
+        let par_report = par.run_sharded(&schedule, None, |_| {}, None);
         assert_eq!(seq_report, par_report);
         assert_eq!(observables(&seq), observables(&par));
     }
@@ -730,7 +686,7 @@ mod tests {
             }
             match schedule {
                 None => k.run(),
-                Some(s) => k.run_sharded(&s, None, None, None, |_| {}, None),
+                Some(s) => k.run_sharded(&s, None, |_| {}, None),
             };
             k.stats().clone()
         };
@@ -753,26 +709,12 @@ mod tests {
         let schedule = ShardSchedule::new((0..8).map(|i| (i % 4) as u32).collect(), 4);
         let baseline = {
             let mut k = build_relay_ring(8, 15);
-            let r = k.run_sharded(
-                &schedule.clone().with_workers(1),
-                None,
-                None,
-                None,
-                |_| {},
-                None,
-            );
+            let r = k.run_sharded(&schedule.clone().with_workers(1), None, |_| {}, None);
             (r, observables(&k))
         };
         for workers in [2usize, 4, 11] {
             let mut k = build_relay_ring(8, 15);
-            let r = k.run_sharded(
-                &schedule.clone().with_workers(workers),
-                None,
-                None,
-                None,
-                |_| {},
-                None,
-            );
+            let r = k.run_sharded(&schedule.clone().with_workers(workers), None, |_| {}, None);
             assert_eq!(baseline.0, r, "workers={workers}");
             assert_eq!(baseline.1, observables(&k), "workers={workers}");
         }
@@ -780,29 +722,29 @@ mod tests {
 
     #[test]
     fn sharded_prefix_then_sequential_suffix_matches_pure_sequential() {
+        // A second kick once the first run has drained: every relay
+        // fires a timer that sends to its peer.
+        let kick = |k: &mut Kernel<u32>| {
+            let at = k.now() + 2;
+            for i in 0..6 {
+                k.schedule_timer(at, i, i as u64);
+            }
+        };
         let mut seq = build_relay_ring(6, 30);
-        let seq_report = seq.run();
+        let first = seq.run();
+        kick(&mut seq);
+        let second = seq.run();
 
         let mut par = build_relay_ring(6, 30);
-        let schedule = parity_schedule(6);
-        let mid = par.run_sharded(
-            &schedule,
-            Some(SimTime::from_ticks(9)),
-            None,
-            None,
-            |_| {},
-            None,
-        );
-        assert_eq!(mid.stop, StopReason::TimeLimit);
-        // Leftovers were re-merged with their exact (time, seq) identities,
-        // so a plain sequential continuation must land on the same run.
+        let mid = par.run_sharded(&parity_schedule(6), None, |_| {}, None);
+        kick(&mut par);
         let rest = par.run();
-        assert_eq!(
-            seq_report.events_processed,
-            mid.events_processed + rest.events_processed
-        );
-        assert_eq!(seq_report.end_time, rest.end_time);
+        assert_eq!(first, mid);
+        assert_eq!(second, rest);
         assert_eq!(observables(&seq), observables(&par));
+        // The sharded run handed its seq counter back, so the sequential
+        // phase numbered its events as a purely sequential kernel did.
+        assert_eq!(seq.queue.next_seq(), par.queue.next_seq());
     }
 
     #[test]
@@ -812,8 +754,6 @@ mod tests {
         let mut seen = 0u64;
         let report = par.run_sharded(
             &schedule,
-            None,
-            None,
             None,
             |order: &[u32]| {
                 seen += order.len() as u64;
@@ -835,8 +775,6 @@ mod tests {
         let tap_in_hook = tap.clone();
         par.run_sharded(
             &schedule,
-            None,
-            None,
             Some(&tap),
             move |_| {
                 // At the barrier the window is over: the tap must be reset.
@@ -853,7 +791,7 @@ mod tests {
         seq.run();
         let mut par = build_relay_ring(8, 20);
         let schedule = parity_schedule(8).with_misordered_merge();
-        par.run_sharded(&schedule, None, None, None, |_| {}, None);
+        par.run_sharded(&schedule, None, |_| {}, None);
         // The sabotage knob must be *observable* — otherwise the
         // differential suite could not certify the merge order.
         assert_ne!(observables(&seq), observables(&par));
@@ -881,31 +819,34 @@ mod tests {
         k.add_actor(Box::new(Bad));
         k.add_actor(Box::new(Sink));
         let schedule = ShardSchedule::new(vec![0, 1], 2);
-        k.run_sharded(&schedule, None, None, None, |_| {}, None);
+        k.run_sharded(&schedule, None, |_| {}, None);
     }
 
     #[test]
-    fn actors_beyond_schedule_run_on_global_slot() {
-        let mut seq = build_relay_ring(4, 10);
-        // A late monitor actor outside the shard map.
-        seq.add_actor(Box::new(Relay {
+    #[should_panic(expected = "outside the shard map")]
+    fn an_actor_outside_the_map_is_refused() {
+        let mut k = build_relay_ring(4, 10);
+        // A late monitor actor beyond the four the schedule maps.
+        k.add_actor(Box::new(Relay {
             peer: 0,
             hops_left: 0,
         }));
-        seq.schedule_timer(SimTime::from_ticks(1), 4, 77);
-        let seq_report = seq.run();
+        k.run_sharded(&parity_schedule(4), None, |_| {}, None);
+    }
 
-        let mut par = build_relay_ring(4, 10);
-        par.add_actor(Box::new(Relay {
-            peer: 0,
-            hops_left: 0,
-        }));
-        par.schedule_timer(SimTime::from_ticks(1), 4, 77);
-        // Schedule only covers the first four actors.
-        let schedule = parity_schedule(4);
-        let par_report = par.run_sharded(&schedule, None, None, None, |_| {}, None);
-        assert_eq!(seq_report, par_report);
-        assert_eq!(observables(&seq), observables(&par));
+    #[test]
+    #[should_panic(expected = "requested stop()")]
+    fn a_stop_request_is_refused() {
+        struct Stopper;
+        impl Actor<u32> for Stopper {
+            fn on_message(&mut self, ctx: &mut Context<'_, u32>, _: ActorId, _: u32) {
+                ctx.stop();
+            }
+        }
+        let mut k: Kernel<u32> = Kernel::new(1);
+        k.add_actor(Box::new(Stopper));
+        k.schedule_message(SimTime::from_ticks(1), 0, 0, 0);
+        k.run_sharded(&ShardSchedule::new(vec![0], 1), None, |_| {}, None);
     }
 
     #[test]
@@ -913,18 +854,18 @@ mod tests {
         let mut par = build_relay_ring(8, 20);
         let schedule = parity_schedule(8);
         let mut obs = ShardObs::new(2);
-        let report = par.run_sharded(&schedule, None, None, None, |_| {}, Some(&mut obs));
-        // Exact accounting: per-slot sums equal the kernel's own total.
+        let report = par.run_sharded(&schedule, None, |_| {}, Some(&mut obs));
+        // Exact accounting: per-shard sums equal the kernel's own total.
         assert_eq!(obs.total_events(), report.events_processed);
         // The relay ring alternates parities, so every send is
         // cross-shard: staged and applied totals match and are nonzero.
-        let staged: u64 = (0..obs.slot_count()).map(|s| obs.cross_staged(s)).sum();
+        let staged: u64 = (0..2).map(|s| obs.cross_staged(s)).sum();
         assert_eq!(staged, obs.cross_total());
         assert!(obs.cross_total() > 0);
         assert!(obs.windows() > 0);
         // Observing changes no observable: a blind run is bit-identical.
         let mut blind = build_relay_ring(8, 20);
-        let blind_report = blind.run_sharded(&schedule, None, None, None, |_| {}, None);
+        let blind_report = blind.run_sharded(&schedule, None, |_| {}, None);
         assert_eq!(report, blind_report);
         assert_eq!(observables(&par), observables(&blind));
     }
@@ -934,29 +875,19 @@ mod tests {
         let mut par = build_relay_ring(8, 20);
         let schedule = parity_schedule(8);
         let mut obs = ShardObs::new(2).with_undercount_tap();
-        let report = par.run_sharded(&schedule, None, None, None, |_| {}, Some(&mut obs));
+        let report = par.run_sharded(&schedule, None, |_| {}, Some(&mut obs));
         assert!(obs.total_events() < report.events_processed);
-    }
-
-    #[test]
-    fn event_budget_stops_at_window_granularity() {
-        let mut par = build_relay_ring(8, 50);
-        let schedule = parity_schedule(8);
-        let report = par.run_sharded(&schedule, None, Some(10), None, |_| {}, None);
-        assert_eq!(report.stop, StopReason::EventLimit);
-        assert!(report.events_processed >= 10);
-        assert!(par.pending_events() > 0);
     }
 
     #[test]
     fn cross_applied_matches_traced_cross_shard_dispatches() {
         // Ring neighbours pair up in shards, so some sends stay inside a
-        // shard; actor 7 sits on the global slot.
-        let map = vec![0, 0, 1, 1, 2, 2, 3, GLOBAL_SHARD];
+        // shard.
+        let map = vec![0, 0, 1, 1, 2, 2, 3, 3];
         let schedule = ShardSchedule::new(map.clone(), 4);
         let mut par = build_relay_ring(8, 20);
         let mut obs = ShardObs::new(4);
-        let report = par.run_sharded(&schedule, None, None, None, |_| {}, Some(&mut obs));
+        let report = par.run_sharded(&schedule, None, |_| {}, Some(&mut obs));
         assert_eq!(report.stop, StopReason::QueueEmpty);
         let mut applied = [0u64; 4];
         let mut inside = 0;
@@ -964,7 +895,7 @@ mod tests {
             let (from, to) = (map[e.a], map[e.target]);
             if from == to {
                 inside += 1;
-            } else if from != GLOBAL_SHARD && to != GLOBAL_SHARD {
+            } else {
                 applied[to as usize] += 1;
             }
         }
@@ -978,10 +909,10 @@ mod tests {
     }
 
     /// Spends its message's (or timer tag's) remaining depth on delay-0
-    /// sends to actors on its own slot, one delayed send to any actor,
+    /// sends to actors on its own shard, one delayed send to any actor,
     /// and sometimes a timer, all drawn from its rng.
     struct Fanout {
-        same_slot: Vec<usize>,
+        same_shard: Vec<usize>,
         actors: usize,
         fan: u64,
     }
@@ -996,8 +927,8 @@ mod tests {
                 return;
             }
             for _ in 0..=ctx.rng().bounded_u64(self.fan) {
-                let k = ctx.rng().bounded_u64(self.same_slot.len() as u64) as usize;
-                ctx.send(self.same_slot[k], SimTime::ZERO, depth - 1);
+                let k = ctx.rng().bounded_u64(self.same_shard.len() as u64) as usize;
+                ctx.send(self.same_shard[k], SimTime::ZERO, depth - 1);
             }
             let to = ctx.rng().bounded_u64(self.actors as u64) as usize;
             let delay = 1 + ctx.rng().bounded_u64(3);
@@ -1027,33 +958,23 @@ mod tests {
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(32))]
 
-        /// Random same-tick cascades on random shard maps, some actors on
-        /// the global slot (by the map or beyond it): with one lane and
-        /// with several, the sharded run equals the sequential one.
+        /// Random same-tick cascades on random shard maps: with one lane
+        /// and with several, the sharded run equals the sequential one.
         #[test]
         fn random_cascades_match_sequential(
-            mapped in 1usize..10,
-            unmapped in 0usize..3,
+            actors in 1usize..10,
             shards in 1u32..5,
             draws in prop::collection::vec(0u32..1000, 9..10),
             fan in 1u64..3,
             workers in 2usize..6,
             seed in 0u64..1000,
         ) {
-            let map: Vec<u32> = draws[..mapped]
-                .iter()
-                .map(|&d| match d % (shards + 1) {
-                    s if s == shards => GLOBAL_SHARD,
-                    s => s,
-                })
-                .collect();
-            let actors = mapped + unmapped;
-            let slot = |i: usize| map.get(i).copied().unwrap_or(GLOBAL_SHARD);
+            let map: Vec<u32> = draws[..actors].iter().map(|&d| d % shards).collect();
             let build = || {
                 let mut k: Kernel<u32> = Kernel::new(seed);
                 for i in 0..actors {
                     k.add_actor(Box::new(Fanout {
-                        same_slot: (0..actors).filter(|&j| slot(j) == slot(i)).collect(),
+                        same_shard: (0..actors).filter(|&j| map[j] == map[i]).collect(),
                         actors,
                         fan,
                     }));
@@ -1067,14 +988,8 @@ mod tests {
             let schedule = ShardSchedule::new(map.clone(), shards);
             for lanes in [1, workers] {
                 let mut par = build();
-                let par_report = par.run_sharded(
-                    &schedule.clone().with_workers(lanes),
-                    None,
-                    None,
-                    None,
-                    |_| {},
-                    None,
-                );
+                let par_report =
+                    par.run_sharded(&schedule.clone().with_workers(lanes), None, |_| {}, None);
                 prop_assert_eq!(seq_report, par_report, "lanes={}", lanes);
                 prop_assert_eq!(seq.now(), par.now(), "lanes={}", lanes);
                 prop_assert!(observables(&seq) == observables(&par), "lanes={}", lanes);

@@ -3,7 +3,7 @@
 //! The kernel's own metrics are two global histograms, so load skew
 //! across quadrants and epoch-barrier stalls — the blockers ahead of true
 //! OS-thread workers — would otherwise stay invisible. [`ShardObs`] holds
-//! fixed per-slot arrays the sharded scheduler fills while it runs:
+//! fixed per-shard arrays the sharded scheduler fills while it runs:
 //! events dispatched, cross-shard events staged (when a dispatch pushes
 //! them) and applied (when the barrier's mailbox exchange enters them
 //! into their destination queue), barrier-stall units, and per-lane
@@ -12,18 +12,16 @@
 //! trace, or metrics — the bit-identical-observables contract of
 //! [`crate::shard`] is untouched.
 //!
-//! Barrier-stall attribution: within one window every slot dispatches
+//! Barrier-stall attribution: within one window every shard dispatches
 //! independently and the epoch barrier waits for the straggler. With
 //! deterministic lanes the wait is virtual, so the stall charged to a
-//! slot is the skew proxy `straggler_events − own_events` — how many
+//! shard is the skew proxy `straggler_events − own_events` — how many
 //! dispatches the busiest shard performed while this shard's window was
 //! already drained. Summed over windows it ranks exactly the quadrants
 //! that would idle real OS threads.
 
-/// Per-slot dispatch accounting filled by
-/// [`Kernel::run_sharded`](crate::kernel::Kernel); slots are the
-/// shards `0..shard_count` plus the global pseudo-shard at index
-/// `shard_count`.
+/// Per-shard dispatch accounting filled by
+/// [`Kernel::run_sharded`](crate::kernel::Kernel).
 #[derive(Debug, Clone)]
 pub struct ShardObs {
     shard_count: u32,
@@ -33,26 +31,26 @@ pub struct ShardObs {
     barrier_stall: Vec<u64>,
     depth_max: Vec<u64>,
     depth_sum: Vec<u64>,
-    /// Scratch: this window's per-slot dispatch counts.
+    /// Scratch: this window's per-shard dispatch counts.
     window_events: Vec<u64>,
     windows: u64,
     undercount: bool,
 }
 
 impl ShardObs {
-    /// Accounting arrays for `shard_count` shards (plus the global slot).
-    /// All storage is allocated here; recording is allocation-free.
+    /// Accounting arrays for `shard_count` shards. All storage is
+    /// allocated here; recording is allocation-free.
     pub fn new(shard_count: u32) -> Self {
-        let slots = shard_count as usize + 1;
+        let n = shard_count as usize;
         ShardObs {
             shard_count,
-            events: vec![0; slots],
-            cross_staged: vec![0; slots],
-            cross_applied: vec![0; slots],
-            barrier_stall: vec![0; slots],
-            depth_max: vec![0; slots],
-            depth_sum: vec![0; slots],
-            window_events: vec![0; slots],
+            events: vec![0; n],
+            cross_staged: vec![0; n],
+            cross_applied: vec![0; n],
+            barrier_stall: vec![0; n],
+            depth_max: vec![0; n],
+            depth_sum: vec![0; n],
+            window_events: vec![0; n],
             windows: 0,
             undercount: false,
         }
@@ -67,14 +65,9 @@ impl ShardObs {
         self
     }
 
-    /// Shard count this accounting covers (excluding the global slot).
+    /// Shard count this accounting covers.
     pub fn shard_count(&self) -> u32 {
         self.shard_count
-    }
-
-    /// Number of processing slots: one per shard plus the global slot.
-    pub fn slot_count(&self) -> usize {
-        self.shard_count as usize + 1
     }
 
     /// Barrier windows completed.
@@ -82,105 +75,84 @@ impl ShardObs {
         self.windows
     }
 
-    /// Events dispatched on `slot`.
-    pub fn events(&self, slot: usize) -> u64 {
-        self.events[slot]
+    /// Events dispatched on `shard`.
+    pub fn events(&self, shard: usize) -> u64 {
+        self.events[shard]
     }
 
-    /// Sum of per-slot event counters (the quantity TC010 holds to the
+    /// Sum of per-shard event counters (the quantity TC010 holds to the
     /// kernel's independent dispatch total).
     pub fn total_events(&self) -> u64 {
         self.events.iter().sum()
     }
 
-    /// Cross-shard events staged *from* `slot` (outgoing).
-    pub fn cross_staged(&self, slot: usize) -> u64 {
-        self.cross_staged[slot]
+    /// Cross-shard events staged *from* `shard` (outgoing).
+    pub fn cross_staged(&self, shard: usize) -> u64 {
+        self.cross_staged[shard]
     }
 
-    /// Cross-shard events applied *into* `slot` (incoming).
-    pub fn cross_applied(&self, slot: usize) -> u64 {
-        self.cross_applied[slot]
+    /// Cross-shard events applied *into* `shard` (incoming).
+    pub fn cross_applied(&self, shard: usize) -> u64 {
+        self.cross_applied[shard]
     }
 
-    /// Total cross-shard events (shard-to-shard; global-slot traffic is
-    /// not counted — the certificate's closed form covers only the
-    /// quadrant boundary).
+    /// Total cross-shard events applied.
     pub fn cross_total(&self) -> u64 {
         self.cross_applied.iter().sum()
     }
 
-    /// Barrier-stall units charged to `slot` (see the module docs).
-    pub fn barrier_stall(&self, slot: usize) -> u64 {
-        self.barrier_stall[slot]
+    /// Barrier-stall units charged to `shard` (see the module docs).
+    pub fn barrier_stall(&self, shard: usize) -> u64 {
+        self.barrier_stall[shard]
     }
 
-    /// Deepest post-barrier queue observed on `slot`'s lane.
-    pub fn depth_max(&self, slot: usize) -> u64 {
-        self.depth_max[slot]
+    /// Deepest post-barrier queue observed on `shard`'s lane.
+    pub fn depth_max(&self, shard: usize) -> u64 {
+        self.depth_max[shard]
     }
 
-    /// Sum of post-barrier queue depths on `slot` (divide by
+    /// Sum of post-barrier queue depths on `shard` (divide by
     /// [`ShardObs::windows`] for the mean).
-    pub fn depth_sum(&self, slot: usize) -> u64 {
-        self.depth_sum[slot]
+    pub fn depth_sum(&self, shard: usize) -> u64 {
+        self.depth_sum[shard]
     }
 
-    /// Records one dispatch on `slot` (in canonical barrier order).
-    pub(crate) fn note_dispatch(&mut self, slot: usize) {
-        if !(self.undercount && slot == 0 && self.window_events[0] == 0) {
-            self.events[slot] += 1;
+    /// Records one dispatch on `shard` (in canonical barrier order).
+    pub(crate) fn note_dispatch(&mut self, shard: usize) {
+        if !(self.undercount && shard == 0 && self.window_events[0] == 0) {
+            self.events[shard] += 1;
         }
-        self.window_events[slot] += 1;
+        self.window_events[shard] += 1;
     }
 
-    /// Records one cross-shard event staged from `from` toward `to`, at
-    /// dispatch. Only shard-to-shard traffic counts; the global
-    /// pseudo-slot is outside the certified boundary geometry.
-    pub(crate) fn note_staged(&mut self, from: usize, to: usize) {
-        if self.is_shard_pair(from, to) {
-            self.cross_staged[from] += 1;
-        }
+    /// Records one cross-shard event staged from `from`, at dispatch.
+    pub(crate) fn note_staged(&mut self, from: usize) {
+        self.cross_staged[from] += 1;
     }
 
-    /// Records one cross-shard event from `from` entering `to`'s queue
-    /// at the barrier's mailbox exchange. Counted apart from
+    /// Records one cross-shard event entering `to`'s queue at the
+    /// barrier's mailbox exchange. Counted apart from
     /// [`ShardObs::note_staged`], so an event the exchange loses or
     /// duplicates unbalances the two totals.
-    pub(crate) fn note_applied(&mut self, from: usize, to: usize) {
-        if self.is_shard_pair(from, to) {
-            self.cross_applied[to] += 1;
-        }
+    pub(crate) fn note_applied(&mut self, to: usize) {
+        self.cross_applied[to] += 1;
     }
 
-    fn is_shard_pair(&self, from: usize, to: usize) -> bool {
-        let shards = self.shard_count as usize;
-        from < shards && to < shards
-    }
-
-    /// Records `slot`'s post-exchange queue depth for this window.
-    pub(crate) fn note_depth(&mut self, slot: usize, depth: u64) {
-        if depth > self.depth_max[slot] {
-            self.depth_max[slot] = depth;
+    /// Records `shard`'s post-exchange queue depth for this window.
+    pub(crate) fn note_depth(&mut self, shard: usize, depth: u64) {
+        if depth > self.depth_max[shard] {
+            self.depth_max[shard] = depth;
         }
-        self.depth_sum[slot] += depth;
+        self.depth_sum[shard] += depth;
     }
 
     /// Closes one window: charges barrier stall against the straggler and
     /// resets the scratch counters.
     pub(crate) fn end_window(&mut self) {
-        let shards = self.shard_count as usize;
-        let straggler = self.window_events[..shards]
-            .iter()
-            .copied()
-            .max()
-            .unwrap_or(0);
-        for slot in 0..self.slot_count() {
-            let own = self.window_events[slot];
-            if slot < shards {
-                self.barrier_stall[slot] += straggler - own;
-            }
-            self.window_events[slot] = 0;
+        let straggler = self.window_events.iter().copied().max().unwrap_or(0);
+        for (stall, own) in self.barrier_stall.iter_mut().zip(&mut self.window_events) {
+            *stall += straggler - *own;
+            *own = 0;
         }
         self.windows += 1;
     }
@@ -198,8 +170,8 @@ mod tests {
             obs.note_dispatch(0);
         }
         obs.note_dispatch(1);
-        obs.note_staged(0, 1);
-        obs.note_applied(0, 1);
+        obs.note_staged(0);
+        obs.note_applied(1);
         obs.note_depth(0, 5);
         obs.note_depth(1, 2);
         obs.end_window();
@@ -217,20 +189,14 @@ mod tests {
     }
 
     #[test]
-    fn global_slot_traffic_is_not_cross_shard() {
+    fn staging_alone_applies_nothing() {
         let mut obs = ShardObs::new(2);
-        for (from, to) in [(0, 2), (2, 1)] {
-            // To, then from, the global slot.
-            obs.note_staged(from, to);
-            obs.note_applied(from, to);
-        }
-        assert_eq!(obs.cross_staged(0) + obs.cross_staged(1), 0);
-        assert_eq!(obs.cross_total(), 0);
-        // Staging alone applies nothing: the barrier's exchange does.
-        obs.note_staged(1, 0);
+        // The barrier's exchange applies what a dispatch staged.
+        obs.note_staged(1);
         assert_eq!(obs.cross_staged(1), 1);
         assert_eq!(obs.cross_total(), 0);
-        obs.note_applied(1, 0);
+        obs.note_applied(0);
+        assert_eq!(obs.cross_applied(0), 1);
         assert_eq!(obs.cross_total(), 1);
     }
 
