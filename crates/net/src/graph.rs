@@ -15,7 +15,9 @@ use std::collections::VecDeque;
 #[derive(Debug, Clone)]
 pub struct UnitDiskGraph {
     range: f64,
-    adjacency: Vec<Vec<usize>>,
+    /// `targets[offsets[i]..offsets[i + 1]]` are the neighbors of `i`.
+    offsets: Vec<usize>,
+    targets: Vec<usize>,
     edge_count: usize,
 }
 
@@ -24,7 +26,9 @@ impl UnitDiskGraph {
     pub fn build(positions: &[Point], range: f64) -> Self {
         assert!(range > 0.0 && range.is_finite(), "range must be positive");
         let n = positions.len();
-        let mut adjacency = vec![Vec::new(); n];
+        let mut offsets = Vec::with_capacity(n + 1);
+        offsets.push(0);
+        let mut targets = Vec::new();
         let mut edge_count = 0;
 
         if n > 0 {
@@ -45,29 +49,30 @@ impl UnitDiskGraph {
             let range_sq = range * range;
             for (i, &p) in positions.iter().enumerate() {
                 let (bx, by) = bin(p);
+                let start = targets.len();
                 for dx in -1..=1 {
                     for dy in -1..=1 {
                         let Some(cands) = buckets.get(&(bx + dx, by + dy)) else {
                             continue;
                         };
                         for &j in cands {
-                            if j > i && p.distance_sq(positions[j]) <= range_sq {
-                                adjacency[i].push(j);
-                                adjacency[j].push(i);
-                                edge_count += 1;
+                            if j != i && p.distance_sq(positions[j]) <= range_sq {
+                                targets.push(j);
+                                edge_count += usize::from(j > i);
                             }
                         }
                     }
                 }
+                targets[start..].sort_unstable();
+                offsets.push(targets.len());
             }
-            for adj in &mut adjacency {
-                adj.sort_unstable();
-            }
+            targets.shrink_to_fit();
         }
 
         UnitDiskGraph {
             range,
-            adjacency,
+            offsets,
+            targets,
             edge_count,
         }
     }
@@ -79,7 +84,7 @@ impl UnitDiskGraph {
 
     /// Number of vertices.
     pub fn node_count(&self) -> usize {
-        self.adjacency.len()
+        self.offsets.len() - 1
     }
 
     /// Number of undirected edges.
@@ -89,17 +94,17 @@ impl UnitDiskGraph {
 
     /// Radio neighbors of `i`, sorted ascending.
     pub fn neighbors(&self, i: usize) -> &[usize] {
-        &self.adjacency[i]
+        &self.targets[self.offsets[i]..self.offsets[i + 1]]
     }
 
     /// Degree of `i`.
     pub fn degree(&self, i: usize) -> usize {
-        self.adjacency[i].len()
+        self.offsets[i + 1] - self.offsets[i]
     }
 
     /// Whether `i` and `j` are radio neighbors.
     pub fn are_neighbors(&self, i: usize, j: usize) -> bool {
-        self.adjacency[i].binary_search(&j).is_ok()
+        self.neighbors(i).binary_search(&j).is_ok()
     }
 
     /// BFS hop distance from `src` to every vertex (`None` = unreachable).
@@ -122,7 +127,7 @@ impl UnitDiskGraph {
         let mut queue = VecDeque::from([src]);
         while let Some(u) = queue.pop_front() {
             let du = dist[u].expect("queued vertex must have a distance");
-            for &v in &self.adjacency[u] {
+            for &v in self.neighbors(u) {
                 if dist[v].is_none() && allowed(v) {
                     dist[v] = Some(du + 1);
                     queue.push_back(v);
@@ -187,7 +192,7 @@ impl UnitDiskGraph {
             seen[start] = true;
             while let Some(u) = queue.pop_front() {
                 comp.push(u);
-                for &v in &self.adjacency[u] {
+                for &v in self.neighbors(u) {
                     if !seen[v] {
                         seen[v] = true;
                         queue.push_back(v);

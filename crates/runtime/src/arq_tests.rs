@@ -3,8 +3,8 @@
 //! against a peer that died with the packet in the air.
 
 use crate::messages::{AppEnvelope, RtMsg};
-use crate::node::{ArqConfig, Phase, RtNode, RtShared};
-use std::cell::RefCell;
+use crate::node::{ArqConfig, ElectionPolicy, Phase, RtNode, RtShared};
+use std::cell::{Cell, RefCell};
 use std::rc::Rc;
 use wsn_core::{GridCoord, NodeApi, NodeProgram, VirtualGrid};
 use wsn_net::{
@@ -21,7 +21,7 @@ impl NodeProgram<f64> for CountReceives {
 }
 
 /// Node 0 is a follower whose spanning-tree parent is node 1, the cell
-/// leader running [`CountReceives`]. Both use `cfg` for ARQ.
+/// leader running [`CountReceives`]. The runtime uses `cfg` for ARQ.
 fn two_node_arq(cfg: ArqConfig) -> (Kernel<RtMsg<f64>>, SharedMedium) {
     let pts = [Point::new(0.2, 0.5), Point::new(0.8, 0.5)];
     let graph = UnitDiskGraph::build(&pts, 1.0);
@@ -36,6 +36,11 @@ fn two_node_arq(cfg: ArqConfig) -> (Kernel<RtMsg<f64>>, SharedMedium) {
     let shared = Rc::new(RtShared::<f64> {
         grid: VirtualGrid::new(1),
         field: Box::new(|_| 0.0),
+        cells: vec![cell; pts.len()],
+        control_units: 1,
+        election_policy: Cell::new(ElectionPolicy::default()),
+        arq: Cell::new(Some(cfg)),
+        heartbeat: Cell::new(None),
         exfil: RefCell::new(Vec::new()),
         tap: RefCell::new(None),
         staged_exfil: RefCell::new(Vec::new()),
@@ -47,10 +52,8 @@ fn two_node_arq(cfg: ArqConfig) -> (Kernel<RtMsg<f64>>, SharedMedium) {
             cell,
             pt,
             Point::new(0.5, 0.5),
-            vec![(1 - i, cell)],
             medium.clone(),
             shared.clone(),
-            1,
         );
         let a = k.add_actor(Box::new(node));
         medium.borrow_mut().bind_actor(i, a);
@@ -58,11 +61,9 @@ fn two_node_arq(cfg: ArqConfig) -> (Kernel<RtMsg<f64>>, SharedMedium) {
     let follower = k.actor_mut::<RtNode<f64>>(0).unwrap();
     follower.phase = Phase::App;
     follower.parent_to_leader = Some(1);
-    follower.arq = Some(cfg);
     let leader = k.actor_mut::<RtNode<f64>>(1).unwrap();
     leader.phase = Phase::App;
     leader.ldr = true;
-    leader.arq = Some(cfg);
     leader.program = Some(Box::new(CountReceives));
     (k, medium)
 }

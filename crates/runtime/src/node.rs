@@ -83,10 +83,31 @@ struct PendingHop<P> {
     retries_left: u32,
 }
 
+/// What only hop-by-hop ARQ and heartbeats keep; a node allocates it the
+/// first time either needs it.
+struct SideState<P> {
+    pending_arq: HashMap<u64, PendingHop<P>>,
+    seen_arq: HashSet<(usize, u64)>,
+    /// Highest heartbeat seq seen per attested leader (flood dedup).
+    hb_last_seq: HashMap<usize, u64>,
+}
+
 /// State shared by all node actors of one runtime instance.
 pub(crate) struct RtShared<P> {
     pub grid: VirtualGrid,
     pub field: Box<dyn Fn(GridCoord) -> f64>,
+    /// The cell of every node, by node id. With the medium's graph it
+    /// gives each node its one-hop neighbors and their cells (neighbor
+    /// discovery is assumed complete, as in the paper).
+    pub cells: Vec<GridCoord>,
+    /// Size of a protocol control message in data units.
+    pub control_units: u64,
+    /// How every node scores itself in the election.
+    pub election_policy: Cell<ElectionPolicy>,
+    /// Hop-by-hop ARQ, when enabled.
+    pub arq: Cell<Option<ArqConfig>>,
+    /// Leader-liveness beaconing, when enabled.
+    pub heartbeat: Cell<Option<HeartbeatConfig>>,
     pub exfil: RefCell<Vec<Exfiltrated<P>>>,
     /// Sharded-scheduler order tap: while it holds a window position,
     /// exfiltrations are staged under that position and appended to
@@ -183,21 +204,14 @@ pub struct RtNode<P: Clone + 'static> {
     pub cell: GridCoord,
     pub(crate) position: Point,
     pub(crate) cell_center: Point,
-    /// One-hop neighbors with their cells (neighbor discovery is assumed
-    /// complete, as in the paper).
-    pub(crate) neighbors: Vec<(usize, GridCoord)>,
     pub(crate) medium: SharedMedium,
     pub(crate) shared: Rc<RtShared<P>>,
-    /// Size of a protocol control message in data units.
-    pub(crate) control_units: u64,
     /// Current phase.
     pub phase: Phase,
 
     /// Routing table `rtab: DIR → next-hop physical node` (§5.1).
     pub rtab: [Option<usize>; 4],
 
-    /// How this node scores itself in the election.
-    pub election_policy: ElectionPolicy,
     /// `TRUE` while this node believes it is its cell's leader (§5.2).
     pub ldr: bool,
     pub(crate) best: (f64, usize),
@@ -216,19 +230,13 @@ pub struct RtNode<P: Clone + 'static> {
     pub(crate) sample_sum: f64,
     pub(crate) sample_count: u64,
 
-    /// Hop-by-hop ARQ, when enabled.
-    pub(crate) arq: Option<ArqConfig>,
     next_arq_seq: u64,
-    pending_arq: HashMap<u64, PendingHop<P>>,
-    seen_arq: HashSet<(usize, u64)>,
+    /// ARQ and heartbeat bookkeeping, once either has run here.
+    side: Option<Box<SideState<P>>>,
 
-    /// Leader-liveness beaconing, when enabled.
-    pub(crate) heartbeat: Option<HeartbeatConfig>,
     /// When a follower's leader lease runs out (None for leaders and
     /// before the application phase starts).
     pub lease_expires: Option<SimTime>,
-    /// Highest heartbeat seq seen per attested leader (flood dedup).
-    hb_last_seq: HashMap<usize, u64>,
     /// This node's own beacon counter (monotone across heals).
     hb_seq: u64,
 
@@ -250,17 +258,17 @@ pub struct RtNode<P: Clone + 'static> {
     cur_cause: u64,
 }
 
+// A deployment holds one node per sensor, so its size is pinned.
+const _: () = assert!(std::mem::size_of::<RtNode<u64>>() == 344);
+
 impl<P: Clone + 'static> RtNode<P> {
-    #[allow(clippy::too_many_arguments)]
     pub(crate) fn new(
         id: usize,
         cell: GridCoord,
         position: Point,
         cell_center: Point,
-        neighbors: Vec<(usize, GridCoord)>,
         medium: SharedMedium,
         shared: Rc<RtShared<P>>,
-        control_units: u64,
     ) -> Self {
         let delta = position.distance(cell_center);
         RtNode {
@@ -268,13 +276,10 @@ impl<P: Clone + 'static> RtNode<P> {
             cell,
             position,
             cell_center,
-            neighbors,
             medium,
             shared,
-            control_units,
             phase: Phase::Idle,
             rtab: [None; 4],
-            election_policy: ElectionPolicy::default(),
             ldr: false,
             best: (delta, id),
             leader: None,
@@ -284,13 +289,9 @@ impl<P: Clone + 'static> RtNode<P> {
             noise: 0.0,
             sample_sum: 0.0,
             sample_count: 0,
-            arq: None,
             next_arq_seq: 0,
-            pending_arq: HashMap::new(),
-            seen_arq: HashSet::new(),
-            heartbeat: None,
+            side: None,
             lease_expires: None,
-            hb_last_seq: HashMap::new(),
             hb_seq: 0,
             app_round: 0,
             next_msg_id: 0,
@@ -311,9 +312,20 @@ impl<P: Clone + 'static> RtNode<P> {
         self.position.distance(self.cell_center)
     }
 
+    /// The ARQ and heartbeat bookkeeping, allocated on first use.
+    fn side(&mut self) -> &mut SideState<P> {
+        self.side.get_or_insert_with(|| {
+            Box::new(SideState {
+                pending_arq: HashMap::new(),
+                seen_arq: HashSet::new(),
+                hb_last_seq: HashMap::new(),
+            })
+        })
+    }
+
     /// This node's election key under its policy (smaller wins).
     fn election_key(&self) -> f64 {
-        match self.election_policy {
+        match self.shared.election_policy.get() {
             ElectionPolicy::ClosestToCenter => self.delta(),
             ElectionPolicy::MaxResidualEnergy => {
                 // Minimizing consumption maximizes residual, and works for
@@ -330,13 +342,15 @@ impl<P: Clone + 'static> RtNode<P> {
     /// next round re-inserts into already-sized tables.
     pub fn prune_dedup_state(&mut self) {
         self.app_seen.clear();
-        self.seen_arq.clear();
+        if let Some(side) = &mut self.side {
+            side.seen_arq.clear();
+        }
     }
 
     /// Entries in the deduplication sets.
     #[cfg(test)]
     pub(crate) fn dedup_entries(&self) -> usize {
-        self.app_seen.len() + self.seen_arq.len()
+        self.app_seen.len() + self.side.as_ref().map_or(0, |side| side.seen_arq.len())
     }
 
     /// Clears all protocol-derived state (routing table, election,
@@ -350,15 +364,17 @@ impl<P: Clone + 'static> RtNode<P> {
         self.parent_to_leader = None;
         self.hops_to_leader = None;
         self.phase = Phase::Idle;
-        self.pending_arq.clear();
-        self.seen_arq.clear();
+        if let Some(side) = &mut self.side {
+            side.pending_arq.clear();
+            side.seen_arq.clear();
+            side.hb_last_seq.clear();
+        }
         self.sample_sum = 0.0;
         self.sample_count = 0;
         // Liveness state resets with the protocols; `app_round`,
         // `next_msg_id`, and `hb_seq` stay monotone so stale traffic from
         // the previous epoch can never alias fresh traffic.
         self.lease_expires = None;
-        self.hb_last_seq.clear();
         self.app_seen.clear();
         self.cur_cause = 0;
     }
@@ -382,7 +398,7 @@ impl<P: Clone + 'static> RtNode<P> {
         self.medium
             .clone()
             .borrow_mut()
-            .broadcast(ctx, self.id, self.control_units, msg);
+            .broadcast(ctx, self.id, self.shared.control_units, msg);
     }
 
     fn broadcast_delta(&mut self, ctx: &mut Context<'_, RtMsg<P>>) {
@@ -395,7 +411,7 @@ impl<P: Clone + 'static> RtNode<P> {
         self.medium
             .clone()
             .borrow_mut()
-            .broadcast(ctx, self.id, self.control_units, msg);
+            .broadcast(ctx, self.id, self.shared.control_units, msg);
     }
 
     fn broadcast_announce(&mut self, ctx: &mut Context<'_, RtMsg<P>>) {
@@ -412,7 +428,7 @@ impl<P: Clone + 'static> RtNode<P> {
         self.medium
             .clone()
             .borrow_mut()
-            .broadcast(ctx, self.id, self.control_units, msg);
+            .broadcast(ctx, self.id, self.shared.control_units, msg);
     }
 
     fn start_topology_emulation(&mut self, ctx: &mut Context<'_, RtMsg<P>>) {
@@ -423,15 +439,15 @@ impl<P: Clone + 'static> RtNode<P> {
         // wins for determinism.
         let medium = self.medium.clone();
         let medium = medium.borrow();
+        let neighbors = medium.graph().neighbors(self.id);
         for d in Direction::ALL {
             let Some(adj) = self.shared.grid.neighbor(self.cell, d) else {
                 continue;
             };
-            let direct = self
-                .neighbors
+            let direct = neighbors
                 .iter()
-                .filter(|&&(n, c)| c == adj && medium.is_alive(n))
-                .map(|&(n, _)| n)
+                .copied()
+                .filter(|&n| self.shared.cells[n] == adj && medium.is_alive(n))
                 .min();
             if direct.is_some() {
                 ctx.stats().incr(FILL_COUNTERS[dir_idx(d)]);
@@ -574,7 +590,7 @@ impl<P: Clone + 'static> RtNode<P> {
                 units,
             );
         }
-        match self.arq {
+        match self.shared.arq.get() {
             None => {
                 self.medium
                     .clone()
@@ -595,7 +611,7 @@ impl<P: Clone + 'static> RtNode<P> {
                         env: env.clone(),
                     },
                 );
-                self.pending_arq.insert(
+                self.side().pending_arq.insert(
                     seq,
                     PendingHop {
                         to,
@@ -609,12 +625,15 @@ impl<P: Clone + 'static> RtNode<P> {
     }
 
     fn on_arq_timeout(&mut self, ctx: &mut Context<'_, RtMsg<P>>, seq: u64) {
-        let Some(cfg) = self.arq else { return };
-        let (to, env) = match self.pending_arq.get_mut(&seq) {
+        let Some(cfg) = self.shared.arq.get() else {
+            return;
+        };
+        let pending_arq = &mut self.side().pending_arq;
+        let (to, env) = match pending_arq.get_mut(&seq) {
             None => return, // acknowledged in the meantime
             Some(pending) => {
                 if pending.retries_left == 0 {
-                    self.pending_arq.remove(&seq);
+                    pending_arq.remove(&seq);
                     ctx.stats().incr("rt.arq_gave_up");
                     return;
                 }
@@ -637,7 +656,7 @@ impl<P: Clone + 'static> RtNode<P> {
                 units,
             );
             env.stamp = stamp;
-            if let Some(pending) = self.pending_arq.get_mut(&seq) {
+            if let Some(pending) = self.side().pending_arq.get_mut(&seq) {
                 pending.env.stamp = stamp;
             }
         }
@@ -673,7 +692,7 @@ impl<P: Clone + 'static> RtNode<P> {
             units,
             RtMsg::Ack { seq, from: self.id },
         );
-        if !self.seen_arq.insert((hop_sender, seq)) {
+        if !self.side().seen_arq.insert((hop_sender, seq)) {
             ctx.stats().incr("rt.arq_dup");
             return;
         }
@@ -820,7 +839,7 @@ impl<P: Clone + 'static> RtNode<P> {
                 .borrow_mut()
                 .record_local(self.id, ctx.now(), 0, "app.start");
         }
-        if let Some(hb) = self.heartbeat {
+        if let Some(hb) = self.shared.heartbeat.get() {
             if self.ldr {
                 self.lease_expires = None;
                 ctx.set_timer(hb.period_ticks, TAG_HEARTBEAT);
@@ -839,7 +858,9 @@ impl<P: Clone + 'static> RtNode<P> {
     }
 
     fn beat(&mut self, ctx: &mut Context<'_, RtMsg<P>>) {
-        let Some(hb) = self.heartbeat else { return };
+        let Some(hb) = self.shared.heartbeat.get() else {
+            return;
+        };
         if self.phase != Phase::App || !self.ldr {
             // Superseded (a heal demoted us); let the timer chain die.
             return;
@@ -854,7 +875,7 @@ impl<P: Clone + 'static> RtNode<P> {
         self.medium
             .clone()
             .borrow_mut()
-            .broadcast(ctx, self.id, self.control_units, msg);
+            .broadcast(ctx, self.id, self.shared.control_units, msg);
         ctx.set_timer(hb.period_ticks, TAG_HEARTBEAT);
     }
 
@@ -875,13 +896,13 @@ impl<P: Clone + 'static> RtNode<P> {
             ctx.stats().incr("hb.suppressed");
             return;
         }
-        let last = self.hb_last_seq.entry(leader).or_insert(0);
+        let last = self.side().hb_last_seq.entry(leader).or_insert(0);
         if seq <= *last {
             ctx.stats().incr("hb.dup");
             return;
         }
         *last = seq;
-        if let (Some(hb), false) = (self.heartbeat, self.ldr) {
+        if let (Some(hb), false) = (self.shared.heartbeat.get(), self.ldr) {
             self.lease_expires = Some(ctx.now() + hb.lease_ticks);
             ctx.stats().incr("hb.renewed");
         }
@@ -895,7 +916,7 @@ impl<P: Clone + 'static> RtNode<P> {
         self.medium
             .clone()
             .borrow_mut()
-            .broadcast(ctx, self.id, self.control_units, msg);
+            .broadcast(ctx, self.id, self.shared.control_units, msg);
     }
 }
 
@@ -951,7 +972,9 @@ impl<P: Clone + 'static> Actor<RtMsg<P>> for RtNode<P> {
                 env,
             } => self.on_app_arq(ctx, seq, hop_sender, env),
             RtMsg::Ack { seq, from: _ } => {
-                self.pending_arq.remove(&seq);
+                if let Some(side) = &mut self.side {
+                    side.pending_arq.remove(&seq);
+                }
             }
             RtMsg::Sample {
                 sender_cell,

@@ -21,7 +21,7 @@ use crate::node::{
     dir_idx, ArqConfig, ElectionPolicy, HeartbeatConfig, RtNode, RtShared, TAG_ANNOUNCE, TAG_APP,
     TAG_BIND, TAG_SAMPLE, TAG_TOPO,
 };
-use std::cell::RefCell;
+use std::cell::{Cell, RefCell};
 use std::collections::HashMap;
 use std::rc::Rc;
 use wsn_core::ShardPlan;
@@ -300,6 +300,11 @@ impl<P: Clone + 'static> PhysicalRuntime<P> {
         let shared = Rc::new(RtShared {
             grid,
             field: Box::new(field),
+            cells: (0..n).map(|i| deployment.cell_of_node(i)).collect(),
+            control_units,
+            election_policy: Cell::new(ElectionPolicy::default()),
+            arq: Cell::new(None),
+            heartbeat: Cell::new(None),
             exfil: RefCell::new(Vec::new()),
             tap: RefCell::new(None),
             staged_exfil: RefCell::new(Vec::new()),
@@ -308,24 +313,14 @@ impl<P: Clone + 'static> PhysicalRuntime<P> {
         let mut kernel: Kernel<RtMsg<P>> = Kernel::new(seed);
         let mut actors = Vec::with_capacity(n);
         for i in 0..n {
-            let cell = deployment.cell_of_node(i);
-            let neighbors = {
-                let m = medium.borrow();
-                m.graph()
-                    .neighbors(i)
-                    .iter()
-                    .map(|&j| (j, deployment.cell_of_node(j)))
-                    .collect()
-            };
+            let cell = shared.cells[i];
             let node = RtNode::new(
                 i,
                 cell,
                 deployment.position(i),
                 deployment.grid().cell_center(cell),
-                neighbors,
                 medium.clone(),
                 shared.clone(),
-                control_units,
             );
             let a = kernel.add_actor(Box::new(node));
             medium.borrow_mut().bind_actor(i, a);
@@ -501,25 +496,16 @@ impl<P: Clone + 'static> PhysicalRuntime<P> {
     /// Sets the leader-election policy on every node (takes effect at the
     /// next binding run or refresh).
     pub fn set_election_policy(&mut self, policy: ElectionPolicy) {
-        for &a in &self.actors {
-            if let Some(node) = self.kernel.actor_mut::<RtNode<P>>(a) {
-                node.election_policy = policy;
-            }
-        }
+        self.shared.election_policy.set(policy);
     }
 
     /// Enables hop-by-hop ARQ (ack + retransmit) for application traffic
     /// on every node — the liveness extension EXP-12 motivates.
     pub fn enable_arq(&mut self, max_retries: u32, timeout_ticks: u64) {
-        let cfg = ArqConfig {
+        self.shared.arq.set(Some(ArqConfig {
             max_retries,
             timeout_ticks,
-        };
-        for &a in &self.actors {
-            if let Some(node) = self.kernel.actor_mut::<RtNode<P>>(a) {
-                node.arq = Some(cfg);
-            }
-        }
+        }));
     }
 
     /// Kernel statistics.
@@ -637,32 +623,36 @@ impl<P: Clone + 'static> PhysicalRuntime<P> {
         self.events_total += election.events_processed + run.events_processed;
         self.span_close(election.events_processed + run.events_processed);
 
-        let mut leaders: HashMap<GridCoord, Vec<usize>> = HashMap::new();
-        for &i in &self.live_nodes() {
-            let node = self.node(i);
-            if node.ldr {
-                leaders.entry(node.cell).or_default().push(i);
+        // One pass over the cells' live nodes: a cell binds when exactly
+        // one of them leads.
+        let mut leaders = HashMap::with_capacity(self.grid.node_count());
+        let (mut unique, mut tree_complete) = (true, true);
+        let medium = self.medium.borrow();
+        for cell in self.grid.nodes() {
+            let (mut leader, mut count, mut live) = (None, 0, false);
+            for &i in self.deployment.nodes_in_cell(cell) {
+                if !medium.is_alive(i) {
+                    continue;
+                }
+                let node = self.node(i);
+                live = true;
+                tree_complete &= node.leader.is_some();
+                if node.ldr {
+                    leader = Some(i);
+                    count += 1;
+                }
+            }
+            match leader {
+                Some(i) if count == 1 => {
+                    leaders.insert(cell, i);
+                }
+                _ => unique &= !live,
             }
         }
-        let cells: Vec<GridCoord> = self.grid.nodes().collect();
-        let unique = cells.iter().all(|c| {
-            leaders.get(c).map(Vec::len) == Some(1)
-                || self
-                    .deployment
-                    .nodes_in_cell(*c)
-                    .iter()
-                    .all(|&i| !self.medium.borrow().is_alive(i))
-        });
-        let tree_complete = self
-            .live_nodes()
-            .iter()
-            .all(|&i| self.node(i).leader.is_some());
+        drop(medium);
         let report = BindReport {
             elapsed_ticks: run.end_time - start,
-            leaders: leaders
-                .into_iter()
-                .filter_map(|(c, v)| (v.len() == 1).then(|| (c, v[0])))
-                .collect(),
+            leaders,
             unique,
             tree_complete,
             delta_broadcasts: self.kernel.stats().counter("bind.broadcast") - d0,
@@ -1154,11 +1144,7 @@ impl<P: Clone + 'static> PhysicalRuntime<P> {
     /// Enables leader heartbeats and follower leases on every node
     /// (effective from the next application start).
     pub fn set_heartbeat(&mut self, cfg: HeartbeatConfig) {
-        for &a in &self.actors {
-            if let Some(node) = self.kernel.actor_mut::<RtNode<P>>(a) {
-                node.heartbeat = Some(cfg);
-            }
-        }
+        self.shared.heartbeat.set(Some(cfg));
     }
 
     /// Live followers in the application phase whose leader lease has

@@ -12,7 +12,15 @@
 //! first, and each tick is a FIFO chain of fixed-size key chunks. A
 //! fresh sequence number is always the largest so far, so FIFO order
 //! within a tick is `(time, seq)` order, and a pop is a read at the head
-//! of the earliest tick. Every queue of a kernel draws its chunks from
+//! of the earliest tick.
+//!
+//! A broadcast is queued as one key plus 4 bytes per further receiver:
+//! a run of consecutive messages of one dispatch with one sender,
+//! payload slot and tick takes consecutive seqs and one key, and its
+//! further receivers wait as `u32`s in a second FIFO chain on the same
+//! tick. A pop hands the run out one receiver at a time, each with the
+//! next seq, so it returns exactly the keys single sends would have
+//! queued. Every queue of a kernel draws its chunks of both kinds from
 //! one `KeyPool`, and neither the pool nor the slab ever shrinks, so a
 //! warm kernel queues and dispatches without allocating.
 
@@ -41,6 +49,13 @@ pub(crate) const TIMER: u32 = u32::MAX;
 /// Keys per chunk of a tick's FIFO chain.
 const CHUNK: usize = 64;
 
+/// Receivers per chunk of a tick's receiver chain.
+const RECEIVER_CHUNK: usize = 256;
+
+/// The bits of a message key's `data` that hold its slab slot; the bits
+/// above count the further receivers of a queued run.
+const SLOT_BITS: u64 = u32::MAX as u64;
+
 /// A queued event.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub(crate) struct Key {
@@ -56,7 +71,9 @@ pub(crate) struct Key {
     pub(crate) target: u32,
     /// Sending actor, or [`TIMER`].
     pub(crate) from: u32,
-    /// The payload's slab slot for a message, the tag for a timer.
+    /// The payload's slab slot for a message, the tag for a timer. While
+    /// a message key heads a queued run, its upper half counts the run's
+    /// further receivers; a popped key never carries that count.
     pub(crate) data: u64,
 }
 
@@ -101,45 +118,160 @@ impl Key {
     pub(crate) fn sender(&self) -> Option<usize> {
         (self.from != TIMER).then_some(self.from as usize)
     }
+
+    /// Receivers of this queued key's run after its own target.
+    fn further(&self) -> u64 {
+        if self.from == TIMER {
+            0
+        } else {
+            self.data >> 32
+        }
+    }
+
+    /// Whether `other`, pushed right after this message in one
+    /// dispatch, joins its run: the same sender, payload slot and tick.
+    /// A timer joins no run, since its tag may equal a slot number.
+    fn runs_with(&self, other: &Key) -> bool {
+        self.from != TIMER
+            && other.from == self.from
+            && other.data == self.data
+            && other.time == self.time
+            && other.enqueued_at == self.enqueued_at
+    }
 }
 
-/// Key chunks shared by every queue of one kernel. A queue takes a chunk
-/// when a tick outgrows its tail and gives it back once its last key
-/// pops; the pool never shrinks.
-#[derive(Debug, Default)]
-pub(crate) struct KeyPool {
-    keys: Vec<[Key; CHUNK]>,
-    /// The chunk after each chunk in its tick's chain.
+/// Fixed-size chunks of `T`, each linked to the next chunk of its chain.
+#[derive(Debug)]
+struct Chunks<T, const N: usize> {
+    items: Vec<[T; N]>,
     next: Vec<u32>,
     free: Vec<u32>,
 }
 
-impl KeyPool {
-    fn take(&mut self) -> u32 {
+impl<T, const N: usize> Default for Chunks<T, N> {
+    fn default() -> Self {
+        Chunks {
+            items: Vec::new(),
+            next: Vec::new(),
+            free: Vec::new(),
+        }
+    }
+}
+
+impl<T: Copy, const N: usize> Chunks<T, N> {
+    fn take(&mut self, fill: T) -> u32 {
         self.free.pop().unwrap_or_else(|| {
-            let chunk = u32::try_from(self.keys.len()).expect("key pool outgrew u32 chunks");
-            self.keys.push([Key::DUMMY; CHUNK]);
+            let chunk = u32::try_from(self.items.len()).expect("chunk pool outgrew u32 chunks");
+            self.items.push([fill; N]);
             self.next.push(0);
             chunk
         })
     }
-
-    /// Chunks the pool owns, in use or free.
-    #[cfg(test)]
-    pub(crate) fn chunks(&self) -> usize {
-        self.keys.len()
-    }
 }
 
-/// One pending tick: a FIFO chain of chunks from `head` to `tail`, whose
-/// live keys run from `head[start]` to `tail[end - 1]`.
+/// A FIFO chain of chunks from `head` to `tail`, whose items run from
+/// `head[start]` to `tail[end - 1]`; `start` is always below `N`.
 #[derive(Debug, Clone, Copy)]
-struct Bucket {
-    time: SimTime,
+struct Chain {
     head: u32,
     tail: u32,
     start: u32,
     end: u32,
+}
+
+impl Chain {
+    /// An empty chain on a fresh chunk.
+    fn new<T: Copy, const N: usize>(chunks: &mut Chunks<T, N>, fill: T) -> Chain {
+        let chunk = chunks.take(fill);
+        Chain {
+            head: chunk,
+            tail: chunk,
+            start: 0,
+            end: 0,
+        }
+    }
+
+    fn is_empty(&self) -> bool {
+        self.head == self.tail && self.start == self.end
+    }
+
+    /// Where the first item lives.
+    fn front(&self) -> (usize, usize) {
+        (self.head as usize, self.start as usize)
+    }
+
+    /// The last item; the chain must not be empty.
+    fn back<T: Copy, const N: usize>(&self, chunks: &Chunks<T, N>) -> T {
+        chunks.items[self.tail as usize][self.end as usize - 1]
+    }
+
+    fn push<T: Copy, const N: usize>(&mut self, chunks: &mut Chunks<T, N>, item: T) {
+        if self.end as usize == N {
+            let chunk = chunks.take(item);
+            chunks.next[self.tail as usize] = chunk;
+            self.tail = chunk;
+            self.end = 0;
+        }
+        chunks.items[self.tail as usize][self.end as usize] = item;
+        self.end += 1;
+    }
+
+    /// Removes the first item; the chain must not be empty. A chunk is
+    /// returned once its last item pops, except the tail, which an
+    /// emptied chain reuses from its front.
+    fn pop<T: Copy, const N: usize>(&mut self, chunks: &mut Chunks<T, N>) -> T {
+        let item = chunks.items[self.head as usize][self.start as usize];
+        self.start += 1;
+        if self.start as usize == N {
+            if self.head == self.tail {
+                self.end = 0;
+            } else {
+                chunks.free.push(self.head);
+                self.head = chunks.next[self.head as usize];
+            }
+            self.start = 0;
+        }
+        item
+    }
+}
+
+/// Key and receiver chunks shared by every queue of one kernel. A queue
+/// takes a chunk when a tick outgrows its tail and gives it back once
+/// its last item pops; the pool never shrinks.
+#[derive(Debug, Default)]
+pub(crate) struct KeyPool {
+    keys: Chunks<Key, CHUNK>,
+    receivers: Chunks<u32, RECEIVER_CHUNK>,
+}
+
+impl KeyPool {
+    /// Key chunks the pool owns, in use or free.
+    #[cfg(test)]
+    pub(crate) fn chunks(&self) -> usize {
+        self.keys.items.len()
+    }
+
+    /// Receiver chunks the pool owns, in use or free.
+    #[cfg(test)]
+    pub(crate) fn receiver_chunks(&self) -> usize {
+        self.receivers.items.len()
+    }
+
+    /// Whether every chunk of both kinds is back in the pool.
+    #[cfg(test)]
+    pub(crate) fn all_free(&self) -> bool {
+        self.keys.free.len() == self.keys.items.len()
+            && self.receivers.free.len() == self.receivers.items.len()
+    }
+}
+
+/// One pending tick: its chain of keys and, once a run is queued on it,
+/// the chain of the runs' further receivers, in key order.
+#[derive(Debug, Clone, Copy)]
+struct Bucket {
+    time: SimTime,
+    keys: Chain,
+    receivers: Option<Chain>,
 }
 
 /// Pending events ordered by `(time, seq)`: per-tick FIFO buckets of
@@ -148,6 +280,7 @@ struct Bucket {
 pub(crate) struct EventQueue {
     /// Pending ticks, latest first, so the earliest is the last.
     ticks: Vec<Bucket>,
+    /// Pending events, each receiver of a run counted.
     len: usize,
     next_seq: u64,
 }
@@ -167,7 +300,26 @@ impl EventQueue {
     pub(crate) fn push(&mut self, pool: &mut KeyPool, mut key: Key) {
         key.seq = self.next_seq;
         self.next_seq += 1;
-        self.push_scheduled(pool, key);
+        self.enqueue(pool, key, &[]);
+    }
+
+    /// Queues a dispatch's pushes in push order, each with the next
+    /// sequence number, and empties `outbox`. Each run of consecutive
+    /// messages with one sender, payload slot and tick, which is what a
+    /// broadcast's shared sends make, takes one key.
+    pub(crate) fn push_outbox(&mut self, pool: &mut KeyPool, outbox: &mut Vec<Key>) {
+        let mut rest = &outbox[..];
+        while let Some((&first, tail)) = rest.split_first() {
+            let n = tail.iter().take_while(|k| first.runs_with(k)).count();
+            let key = Key {
+                seq: self.next_seq,
+                ..first
+            };
+            self.next_seq += 1 + n as u64;
+            self.enqueue(pool, key, &tail[..n]);
+            rest = &tail[n..];
+        }
+        outbox.clear();
     }
 
     /// Queues an already-sequenced key without assigning a fresh seq.
@@ -175,55 +327,78 @@ impl EventQueue {
     /// the per-shard queues this way; it hands each tick its keys in
     /// ascending seq, which keeps every bucket in `(time, seq)` order.
     pub(crate) fn push_scheduled(&mut self, pool: &mut KeyPool, key: Key) {
-        self.len += 1;
-        match self.ticks.binary_search_by(|b| key.time.cmp(&b.time)) {
+        self.enqueue(pool, key, &[]);
+    }
+
+    /// Queues `key` and, as its run's further receivers, the targets of
+    /// `further`, which take the seqs after `key.seq`.
+    fn enqueue(&mut self, pool: &mut KeyPool, mut key: Key, further: &[Key]) {
+        self.len += 1 + further.len();
+        let b = match self.ticks.binary_search_by(|b| key.time.cmp(&b.time)) {
             Ok(i) => {
                 let b = &mut self.ticks[i];
                 debug_assert!(
-                    pool.keys[b.tail as usize][b.end as usize - 1].seq < key.seq,
+                    {
+                        let last = b.keys.back(&pool.keys);
+                        last.seq + last.further() < key.seq
+                    },
                     "key queued out of seq order at tick {}",
                     key.time.ticks()
                 );
-                if b.end as usize == CHUNK {
-                    let chunk = pool.take();
-                    pool.next[b.tail as usize] = chunk;
-                    b.tail = chunk;
-                    b.end = 0;
-                }
-                pool.keys[b.tail as usize][b.end as usize] = key;
-                b.end += 1;
+                b
             }
             Err(at) => {
-                let chunk = pool.take();
-                pool.keys[chunk as usize][0] = key;
                 let bucket = Bucket {
                     time: key.time,
-                    head: chunk,
-                    tail: chunk,
-                    start: 0,
-                    end: 1,
+                    keys: Chain::new(&mut pool.keys, Key::DUMMY),
+                    receivers: None,
                 };
                 self.ticks.insert(at, bucket);
+                &mut self.ticks[at]
+            }
+        };
+        if !further.is_empty() {
+            let count = u32::try_from(further.len()).expect("a run outgrew u32 receivers");
+            key.data |= u64::from(count) << 32;
+            let receivers = b
+                .receivers
+                .get_or_insert_with(|| Chain::new(&mut pool.receivers, 0));
+            for k in further {
+                receivers.push(&mut pool.receivers, k.target);
             }
         }
+        b.keys.push(&mut pool.keys, key);
     }
 
-    /// Removes and returns the earliest pending key.
+    /// Removes and returns the earliest pending key. A run at the head
+    /// hands out its first receiver and stays queued, with its next
+    /// receiver and seq in its place.
     pub(crate) fn pop(&mut self, pool: &mut KeyPool) -> Option<Key> {
         let b = self.ticks.last_mut()?;
-        let key = pool.keys[b.head as usize][b.start as usize];
-        b.start += 1;
-        if b.head == b.tail {
-            if b.start == b.end {
-                pool.free.push(b.head);
-                self.ticks.pop();
-            }
-        } else if b.start as usize == CHUNK {
-            pool.free.push(b.head);
-            b.head = pool.next[b.head as usize];
-            b.start = 0;
-        }
         self.len -= 1;
+        let (chunk, at) = b.keys.front();
+        let key = pool.keys.items[chunk][at];
+        if key.further() > 0 {
+            let receivers = b.receivers.as_mut().expect("a queued run has receivers");
+            let next = receivers.pop(&mut pool.receivers);
+            let head = &mut pool.keys.items[chunk][at];
+            head.seq += 1;
+            head.target = next;
+            head.data -= 1 << 32;
+            return Some(Key {
+                data: key.data & SLOT_BITS,
+                ..key
+            });
+        }
+        b.keys.pop(&mut pool.keys);
+        if b.keys.is_empty() {
+            pool.keys.free.push(b.keys.head);
+            if let Some(receivers) = b.receivers {
+                debug_assert!(receivers.is_empty(), "receivers outlived their runs");
+                pool.receivers.free.push(receivers.head);
+            }
+            self.ticks.pop();
+        }
         Some(key)
     }
 
@@ -492,17 +667,56 @@ mod tests {
 mod proptests {
     use super::*;
     use proptest::prelude::*;
-    use std::collections::BTreeSet;
+    use std::collections::BTreeMap;
+
+    /// Every pending key by `(time, seq)`, as a pop must return it.
+    type Model = BTreeMap<(SimTime, u64), Key>;
 
     /// Queues a timer at `at` and records it in `model`.
-    fn push(
+    fn push(q: &mut EventQueue, pool: &mut KeyPool, model: &mut Model, at: SimTime) {
+        let key = Key::new(at, at, 0, TIMER, 0);
+        model.insert(
+            (at, q.next_seq()),
+            Key {
+                seq: q.next_seq(),
+                ..key
+            },
+        );
+        q.push(pool, key);
+    }
+
+    /// Queues a dispatch's outbox at `now` the way the kernel does, and
+    /// records every key in `model` with the seq it takes: a run of up to
+    /// 39 receivers sharing a slot and a tick, a timer whose tag equals
+    /// that slot, the same payload split across a later tick (as delivery
+    /// chaos makes), a second run back on the first tick, a run of
+    /// another sender with the same slot, and a unicast. The first tick
+    /// may be `now`, the tick being popped.
+    fn push_outbox(
         q: &mut EventQueue,
         pool: &mut KeyPool,
-        model: &mut BTreeSet<(SimTime, u64)>,
-        at: SimTime,
+        model: &mut Model,
+        now: SimTime,
+        arg: u64,
     ) {
-        model.insert((at, q.next_seq()));
-        q.push(pool, Key::new(at, at, 0, TIMER, 0));
+        let (slot, from) = (arg % 4, (arg % 3) as u32);
+        let at = now + arg % 3;
+        let later = at + 1 + arg % 2;
+        let run = |time: SimTime, targets: std::ops::Range<u32>, from: u32| {
+            targets.map(move |t| Key::new(time, now, t, from, slot))
+        };
+        let mut outbox: Vec<Key> = run(at, 0..(arg % 40) as u32, from).collect();
+        outbox.push(Key::new(at, now, 99, TIMER, slot));
+        outbox.extend(run(later, 100..102, from));
+        outbox.extend(run(at, 200..203, from));
+        outbox.extend(run(at, 300..302, from + 1));
+        outbox.push(Key::new(at, now, 400, from, slot + 1));
+        for (i, &k) in outbox.iter().enumerate() {
+            let seq = q.next_seq() + i as u64;
+            model.insert((k.time, seq), Key { seq, ..k });
+        }
+        q.push_outbox(pool, &mut outbox);
+        assert!(outbox.is_empty());
     }
 
     proptest! {
@@ -542,38 +756,40 @@ mod proptests {
 
         /// Random pushes at or after the clock, pops, same-tick cascades
         /// (a pop that pushes up to 99 keys at its own tick, across chunk
-        /// boundaries), and round trips of every pending key through a
-        /// second queue in (time, seq) order, as the sharded scheduler
-        /// moves them: the queue pops exactly what a
-        /// `BTreeSet<(time, seq)>` model pops, and returns every chunk.
+        /// boundaries), whole outboxes queued as a dispatch queues them
+        /// (runs, split runs, a unicast and a timer), and round trips of
+        /// every pending key through a second queue in (time, seq) order,
+        /// as the sharded scheduler moves them: every pop returns exactly
+        /// the key a `BTreeMap<(time, seq), Key>` model pops, and every
+        /// key chunk and receiver chunk returns to the pool.
         #[test]
         fn matches_an_ordered_set_model(
-            ops in prop::collection::vec((0u8..10, 0u64..300), 0..400),
+            ops in prop::collection::vec((0u8..12, 0u64..300), 0..400),
         ) {
             let mut pool = KeyPool::default();
             let (mut q, mut side) = (EventQueue::default(), EventQueue::default());
-            let mut model = BTreeSet::new();
+            let mut model = Model::new();
             let mut now = SimTime::ZERO;
             for (op, arg) in ops {
                 match op {
                     0..=4 => push(&mut q, &mut pool, &mut model, now + arg % 12),
                     5..=6 => {
-                        let got = q.pop(&mut pool).map(|k| (k.time, k.seq));
-                        prop_assert_eq!(got, model.pop_first());
-                        if let Some((t, _)) = got {
-                            now = t;
+                        let got = q.pop(&mut pool);
+                        prop_assert_eq!(got, model.pop_first().map(|(_, k)| k));
+                        if let Some(k) = got {
+                            now = k.time;
                         }
                     }
                     7..=8 => {
                         if let Some(k) = q.pop(&mut pool) {
-                            prop_assert_eq!(Some((k.time, k.seq)), model.pop_first());
+                            prop_assert_eq!(Some(k), model.pop_first().map(|(_, k)| k));
                             now = k.time;
                             for _ in 0..arg % 100 {
                                 push(&mut q, &mut pool, &mut model, now);
                             }
                         }
                     }
-                    _ => {
+                    9 => {
                         while let Some(k) = q.pop(&mut pool) {
                             side.push_scheduled(&mut pool, k);
                         }
@@ -581,15 +797,16 @@ mod proptests {
                             q.push_scheduled(&mut pool, k);
                         }
                     }
+                    _ => push_outbox(&mut q, &mut pool, &mut model, now, arg),
                 }
                 prop_assert_eq!(q.len(), model.len());
-                prop_assert_eq!(q.peek_time(), model.first().map(|&(t, _)| t));
+                prop_assert_eq!(q.peek_time(), model.first_key_value().map(|(&(t, _), _)| t));
             }
             while let Some(k) = q.pop(&mut pool) {
-                prop_assert_eq!(Some((k.time, k.seq)), model.pop_first());
+                prop_assert_eq!(Some(k), model.pop_first().map(|(_, k)| k));
             }
             prop_assert!(model.is_empty());
-            prop_assert_eq!(pool.free.len(), pool.chunks());
+            prop_assert!(pool.all_free());
         }
     }
 }

@@ -72,8 +72,6 @@ pub trait Actor<M: Payload>: Any {
 pub enum StopReason {
     /// No events remained.
     QueueEmpty,
-    /// An actor called [`Context::stop`].
-    Stopped,
     /// The `until` horizon was reached.
     TimeLimit,
     /// The event budget was exhausted (likely a livelock — investigate).
@@ -103,7 +101,6 @@ pub struct Context<'a, M: Payload> {
     /// Where order-sensitive statistics wait for the barrier inside a
     /// sharded window; `None` on the sequential path.
     staged_stats: Option<&'a mut StagedStats>,
-    stop_requested: &'a mut bool,
     actor_count: usize,
 }
 
@@ -154,7 +151,8 @@ impl<'a, M: Payload> Context<'a, M> {
     }
 
     /// Sends the shared payload `msg` to `to`, arriving `delay` ticks
-    /// from now.
+    /// from now. Consecutive sends of one payload at one delay are
+    /// queued as one key plus 4 bytes per further receiver.
     pub fn send_shared(&mut self, to: ActorId, delay: SimTime, msg: &Shared<'_>) {
         assert!(to < self.actor_count, "send to unknown actor {to}");
         self.slab.add_ref(msg.slot);
@@ -181,11 +179,6 @@ impl<'a, M: Payload> Context<'a, M> {
         self.push(self.self_id, delay_ticks, TIMER, tag);
     }
 
-    /// Requests that the run loop return after this event.
-    pub fn stop(&mut self) {
-        *self.stop_requested = true;
-    }
-
     /// This actor's private deterministic RNG stream.
     pub fn rng(&mut self) -> &mut DetRng {
         self.rng
@@ -210,7 +203,8 @@ pub struct Kernel<M: Payload> {
     actors: Vec<Option<Box<dyn Actor<M>>>>,
     rngs: Vec<DetRng>,
     pub(crate) queue: EventQueue,
-    /// The key chunks of the global queue and of every shard queue.
+    /// The key and receiver chunks of the global queue and of every
+    /// shard queue.
     pub(crate) pool: KeyPool,
     /// The payloads of every queued message.
     pub(crate) slab: Slab<M>,
@@ -388,11 +382,8 @@ impl<M: Payload> Kernel<M> {
     fn start_actor(&mut self, id: ActorId) {
         let mut outbox = std::mem::take(&mut self.outbox_scratch);
         outbox.clear();
-        let mut stop = false;
-        self.dispatch(id, None, &mut outbox, None, &mut stop);
-        for key in outbox.drain(..) {
-            self.queue.push(&mut self.pool, key);
-        }
+        self.dispatch(id, None, &mut outbox, None);
+        self.queue.push_outbox(&mut self.pool, &mut outbox);
         self.outbox_scratch = outbox;
     }
 
@@ -406,7 +397,6 @@ impl<M: Payload> Kernel<M> {
         event: Option<EventKind<M>>,
         outbox: &mut Vec<Key>,
         staged_stats: Option<&mut StagedStats>,
-        stop: &mut bool,
     ) {
         let actor_count = self.actors.len();
         let mut actor = self.actors[target]
@@ -420,7 +410,6 @@ impl<M: Payload> Kernel<M> {
             rng: &mut self.rngs[target],
             stats: &mut self.stats,
             staged_stats,
-            stop_requested: stop,
             actor_count,
         };
         match event {
@@ -457,7 +446,6 @@ impl<M: Payload> Kernel<M> {
         let mut processed = 0u64;
         let mut outbox = std::mem::take(&mut self.outbox_scratch);
         outbox.clear();
-        let mut stop = false;
         let report = loop {
             if let Some(budget) = max_events {
                 if processed >= budget {
@@ -503,17 +491,8 @@ impl<M: Payload> Kernel<M> {
             if let Some(trace) = self.trace.as_mut() {
                 trace.push(TraceEntry::dispatch(key.time, key.target(), &event));
             }
-            self.dispatch(key.target(), Some(event), &mut outbox, None, &mut stop);
-            for key in outbox.drain(..) {
-                self.queue.push(&mut self.pool, key);
-            }
-            if stop {
-                break RunReport {
-                    events_processed: processed,
-                    end_time: self.now,
-                    stop: StopReason::Stopped,
-                };
-            }
+            self.dispatch(key.target(), Some(event), &mut outbox, None);
+            self.queue.push_outbox(&mut self.pool, &mut outbox);
         };
         self.outbox_scratch = outbox;
         self.flush_metrics_scratch();
@@ -654,27 +633,6 @@ mod tests {
         assert_eq!(report2.stop, StopReason::TimeLimit);
         let beat: &TimerBeat = k.actor(t).unwrap();
         assert_eq!(beat.fired, vec![10, 20, 30, 40, 50]);
-    }
-
-    struct Stopper;
-    impl Actor<u32> for Stopper {
-        fn on_message(&mut self, ctx: &mut Context<'_, u32>, _from: ActorId, msg: u32) {
-            if msg == 99 {
-                ctx.stop();
-            }
-        }
-    }
-
-    #[test]
-    fn stop_request_halts_loop() {
-        let mut k: Kernel<u32> = Kernel::new(1);
-        let s = k.add_actor(Box::new(Stopper));
-        k.schedule_message(SimTime::from_ticks(1), 0, s, 99);
-        k.schedule_message(SimTime::from_ticks(2), 0, s, 1);
-        let report = k.run();
-        assert_eq!(report.stop, StopReason::Stopped);
-        assert_eq!(report.events_processed, 1);
-        assert_eq!(k.pending_events(), 1);
     }
 
     #[test]
@@ -877,19 +835,65 @@ mod tests {
             k.run();
         };
         round(&mut k);
-        let (slots, chunks) = (k.slab.slots(), k.pool.chunks());
+        let sizes =
+            |k: &Kernel<Counted>| (k.slab.slots(), k.pool.chunks(), k.pool.receiver_chunks());
+        let warm = sizes(&k);
         for _ in 0..1_000 {
             round(&mut k);
         }
-        assert_eq!((k.slab.slots(), k.pool.chunks()), (slots, chunks));
+        assert_eq!(sizes(&k), warm);
         assert_eq!(k.slab.live(), 0);
+    }
+
+    /// At start, sends its id to the next 15 actors, one tick later:
+    /// once as a shared payload when `shared`, else once per send.
+    struct Storm {
+        shared: bool,
+    }
+
+    impl Actor<u32> for Storm {
+        fn on_start(&mut self, ctx: &mut Context<'_, u32>) {
+            let (id, n) = (ctx.id(), ctx.actor_count());
+            let delay = SimTime::from_ticks(1);
+            let shared = self.shared.then(|| ctx.share(id as u32));
+            for to in (1..=15).map(|d| (id + d) % n) {
+                match &shared {
+                    Some(msg) => ctx.send_shared(to, delay, msg),
+                    None => ctx.send(to, delay, id as u32),
+                }
+            }
+        }
+        fn on_message(&mut self, _: &mut Context<'_, u32>, _: ActorId, _: u32) {}
+    }
+
+    #[test]
+    fn a_broadcast_storm_queues_one_key_per_broadcast() {
+        let storm = |shared| {
+            let mut k: Kernel<u32> = Kernel::new(1);
+            for _ in 0..1_000 {
+                k.add_actor(Box::new(Storm { shared }));
+            }
+            k.enable_tracing();
+            k.run();
+            assert_eq!(k.trace().len(), 15_000);
+            assert!(k.pool.all_free());
+            (k.pool.chunks(), k.trace().to_vec())
+        };
+        let (broadcast_chunks, broadcast_trace) = storm(true);
+        let (send_chunks, send_trace) = storm(false);
+        assert!(
+            broadcast_chunks <= 1_000usize.div_ceil(64) + 1,
+            "{broadcast_chunks} key chunks"
+        );
+        assert_eq!(send_chunks, 15_000usize.div_ceil(64));
+        assert_eq!(broadcast_trace, send_trace);
     }
 
     #[test]
     fn downcast_wrong_type_is_none() {
         let mut k: Kernel<u32> = Kernel::new(1);
         let a = k.add_actor(Box::new(Echo::default()));
-        assert!(k.actor::<Stopper>(a).is_none());
+        assert!(k.actor::<TimerBeat>(a).is_none());
         assert!(k.actor::<Echo>(a).is_some());
     }
 }

@@ -17,7 +17,8 @@
 //!   calendar queue), and its payload lives once in a reference-counted
 //!   slab on the kernel. [`Context::share`] stores one payload for many
 //!   sends, so a broadcast costs one payload however many receivers it
-//!   reaches.
+//!   reaches, and its sends queue as one key plus 4 bytes per further
+//!   receiver; every receiver still pops a key of its own.
 //! * Randomness comes from [`rng::DetRng`], a self-contained xoshiro256++
 //!   generator with per-actor streams derived from a single master seed.
 //!

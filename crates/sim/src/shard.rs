@@ -76,17 +76,13 @@
 //!
 //! ## Contract: what a window refuses
 //!
-//! Three things a window cannot reproduce panic with a message that names
+//! Two things a window cannot reproduce panic with a message that names
 //! them, so a run is either bit-identical to the sequential one or no run:
 //!
 //! * a cross-shard event scheduled for the *current* tick violates the
 //!   lookahead — the shard plan was wrong, not the run;
 //! * an actor outside the [`ShardSchedule`]'s map has no shard to run on,
-//!   so a kernel with one is refused before anything dispatches;
-//! * a [`Context::stop`](crate::Context::stop) request: the sequential
-//!   kernel stops right after the requesting dispatch, mid-tick, while a
-//!   window has dispatched the rest of its tick by the time the flag is
-//!   read at its end.
+//!   so a kernel with one is refused before anything dispatches.
 //!
 //! Like [`Kernel::run`], a run that dispatches one billion events without
 //! draining panics as a suspected livelock.
@@ -295,10 +291,9 @@ impl<M: Payload> Kernel<M> {
     /// # Panics
     ///
     /// On what a window cannot reproduce (the module docs' contract): an
-    /// actor outside `schedule`'s map, a cross-shard event inside the
-    /// one-tick lookahead, or a [`Context::stop`](crate::Context::stop)
-    /// request; and, like [`Kernel::run`], after one billion events
-    /// without draining.
+    /// actor outside `schedule`'s map or a cross-shard event inside the
+    /// one-tick lookahead; and, like [`Kernel::run`], after one billion
+    /// events without draining.
     pub fn run_sharded(
         &mut self,
         schedule: &ShardSchedule,
@@ -319,8 +314,9 @@ impl<M: Payload> Kernel<M> {
         bufs.queues
             .resize_with(schedule.shard_count as usize, EventQueue::default);
         // Distribute the global queue into per-shard queues, preserving
-        // every key verbatim. It pops in (time, seq) order, so each shard
-        // tick receives its keys in seq order.
+        // every key verbatim. It pops in (time, seq) order, one receiver
+        // of a run at a time, so each shard tick receives single keys in
+        // seq order; shard queues never hold a run.
         let mut pending: usize = 0;
         while let Some(key) = self.queue.pop(&mut self.pool) {
             let shard = schedule.shard_of(key.target());
@@ -363,7 +359,6 @@ impl<M: Payload> Kernel<M> {
             staged.clear();
             stats.clear();
             let mut children = 0;
-            let mut stop = false;
             for &shard in &schedule.shard_order {
                 loop {
                     // Roots first (they pop in seq order and all carry
@@ -388,13 +383,7 @@ impl<M: Payload> Kernel<M> {
                         .is_some()
                         .then(|| TraceEntry::dispatch(tick, key.target(), &event));
                     let (pushes_start, stats_start) = (pushes.len(), stats.len());
-                    self.dispatch(
-                        key.target(),
-                        Some(event),
-                        &mut outbox,
-                        Some(&mut *stats),
-                        &mut stop,
-                    );
+                    self.dispatch(key.target(), Some(event), &mut outbox, Some(&mut *stats));
                     for push in outbox.drain(..) {
                         let target_shard = schedule.shard_of(push.target());
                         if push.time == tick && target_shard == shard {
@@ -430,12 +419,6 @@ impl<M: Payload> Kernel<M> {
                 }
             }
             set_tap(None);
-            assert!(
-                !stop,
-                "sharded run refused: an actor requested stop() at tick {}, and a window \
-                 cannot stop mid-tick as the sequential kernel does",
-                tick.ticks()
-            );
             processed += recs.len() as u64;
 
             // ---- Symbolic replay: reconstruct sequential dispatch order ----
@@ -832,21 +815,6 @@ mod tests {
             hops_left: 0,
         }));
         k.run_sharded(&parity_schedule(4), None, |_| {}, None);
-    }
-
-    #[test]
-    #[should_panic(expected = "requested stop()")]
-    fn a_stop_request_is_refused() {
-        struct Stopper;
-        impl Actor<u32> for Stopper {
-            fn on_message(&mut self, ctx: &mut Context<'_, u32>, _: ActorId, _: u32) {
-                ctx.stop();
-            }
-        }
-        let mut k: Kernel<u32> = Kernel::new(1);
-        k.add_actor(Box::new(Stopper));
-        k.schedule_message(SimTime::from_ticks(1), 0, 0, 0);
-        k.run_sharded(&ShardSchedule::new(vec![0], 1), None, |_| {}, None);
     }
 
     #[test]

@@ -33,19 +33,18 @@ pub type DandcMsg = SummaryMsg<RegionSummary>;
 pub struct DandcProgram {
     threshold: f64,
     hierarchy: Hierarchy,
-    /// Received quadrant summaries, per level.
+    /// Received quadrant summaries, per level; allocated by the first
+    /// receive, since most leaders never merge.
     pieces: Vec<Vec<BoundarySummary>>,
 }
 
 impl DandcProgram {
     /// A program instance for one node of a `side × side` grid.
     pub fn new(side: u32, threshold: f64) -> Self {
-        let hierarchy = Hierarchy::new(side);
-        let levels = hierarchy.max_level() as usize + 2;
         DandcProgram {
             threshold,
-            hierarchy,
-            pieces: vec![Vec::new(); levels],
+            hierarchy: Hierarchy::new(side),
+            pieces: Vec::new(),
         }
     }
 
@@ -85,6 +84,10 @@ impl NodeProgram<DandcMsg> for DandcProgram {
         let level = msg.level as usize;
         let piece = msg.data.expect_complete().clone();
         api.compute(piece.units());
+        if self.pieces.is_empty() {
+            let levels = self.hierarchy.max_level() as usize + 2;
+            self.pieces.resize_with(levels, Vec::new);
+        }
         self.pieces[level].push(piece);
         if self.pieces[level].len() == 4 {
             let merged = merge_pieces(std::mem::take(&mut self.pieces[level]));
