@@ -263,7 +263,8 @@ pub fn shard_metrics_figure4(
 /// metric live) must stay within `threshold_pct` percent of the bare
 /// run's per-event cost, judged by the median of five interleaved
 /// bare/instrumented pairs on the same machine. Returns the rendered
-/// comparison, or it as an error when the bound is exceeded.
+/// comparison, which lists every sample in run order, or it as an error
+/// when the bound is exceeded.
 pub fn obs_gate(side: u32, volleys: u64, threshold_pct: f64) -> Result<String, String> {
     // Five sandwich samples, judged by the *median* ratio. Each sample
     // measures bare → instrumented → bare and centers the bare cost on
@@ -286,6 +287,18 @@ pub fn obs_gate(side: u32, volleys: u64, threshold_pct: f64) -> Result<String, S
         let bare_ns = (before.ns_per_event() + after.ns_per_event()) / 2.0;
         samples.push((bare_ns, instrumented));
     }
+    let listed: String = samples
+        .iter()
+        .enumerate()
+        .map(|(i, (bare_ns, instrumented))| {
+            let ns = instrumented.ns_per_event();
+            format!(
+                "  sample {}: bare {bare_ns:>8.1}, instrumented {ns:>8.1} ns/event, ratio {:.3}\n",
+                i + 1,
+                ns / bare_ns
+            )
+        })
+        .collect();
     samples.sort_by(|x, y| {
         let rx = x.1.ns_per_event() / x.0;
         let ry = y.1.ns_per_event() / y.0;
@@ -297,7 +310,8 @@ pub fn obs_gate(side: u32, volleys: u64, threshold_pct: f64) -> Result<String, S
         "obs gate: side {side}, {volleys} volleys, {} events in the measured round\n\
          \x20 bare:         {:>8.1} ns/event ({:.0} events/sec)\n\
          \x20 instrumented: {:>8.1} ns/event ({:.0} events/sec)\n\
-         \x20 telemetry overhead: {overhead:.1}% (bound {threshold_pct}%)\n",
+         \x20 telemetry overhead: {overhead:.1}% (bound {threshold_pct}%), the median of:\n\
+         {listed}",
         instrumented.events,
         bare_ns,
         1e9 / bare_ns,
@@ -525,6 +539,10 @@ mod tests {
         let report = obs_gate(4, 20, 1e9).unwrap();
         assert!(report.contains("telemetry overhead:"), "{report}");
         assert!(report.contains("instrumented:"), "{report}");
+        // Every sample is listed, not only the median.
+        for i in 1..=5 {
+            assert!(report.contains(&format!("sample {i}: bare")), "{report}");
+        }
         // A negative bound must trip deterministically (overhead >= 0).
         let err = obs_gate(4, 20, -1.0).unwrap_err();
         assert!(err.contains("exceeds"), "{err}");

@@ -58,7 +58,7 @@ pub use framelayout::{
 pub use grid::{Direction, GridCoord, VirtualGrid};
 pub use groups::Hierarchy;
 pub use metrics::{RunMetrics, CTR_DATA_UNITS, CTR_MESSAGES};
-pub use program::{NodeApi, NodeProgram, ProgramFactory};
+pub use program::{merge_milestone, NodeApi, NodeProgram, ProgramFactory, MERGE_COMPLETE_KEYS};
 pub use shard::{HopEdge, RoleFootprint, ShardPlan, SiteFootprint};
 pub use tree::{
     spanning_tree_from_positions, tree_convergecast_estimate, ConvergecastSum, TreeApi,

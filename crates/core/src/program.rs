@@ -63,19 +63,35 @@ pub trait NodeApi<P> {
         self.send(dest, units, payload);
     }
 
-    /// Bumps the platform statistic counter `name`. Programs may emit
-    /// domain counters (e.g. per-level merge completions) that the
-    /// telemetry layer picks up; platforms without a stats sink ignore the
-    /// call, so the default is a no-op.
-    fn stat_incr(&mut self, name: &str) {
-        let _ = name;
+    /// Reports that this node just completed its level-`level` quad-tree
+    /// merge (§4.3: the quorum rule fired). Platforms with a stats sink
+    /// record the instant into the level's [`MERGE_COMPLETE_KEYS`]
+    /// histogram, which the telemetry layer turns into per-level spans;
+    /// the default ignores the call.
+    fn merge_complete(&mut self, level: u8) {
+        let _ = level;
     }
+}
 
-    /// Records `value` into the platform statistic histogram `name`.
-    /// No-op by default, like [`NodeApi::stat_incr`].
-    fn stat_observe(&mut self, name: &str, value: f64) {
-        let _ = (name, value);
-    }
+macro_rules! merge_complete_keys {
+    ($($level:literal)*) => {
+        [$(concat!("merge.level", $level, ".complete")),*]
+    };
+}
+
+/// The histogram key of the merge completions at each level: entry `l` is
+/// `merge.level{l}.complete`. It covers every level a [`Hierarchy`] can
+/// have, since a `u32` grid side has at most 31 halvings.
+pub const MERGE_COMPLETE_KEYS: [&str; 32] = merge_complete_keys!(
+    0 1 2 3 4 5 6 7 8 9 10 11 12 13 14 15 16 17 18 19 20 21 22 23 24 25 26 27 28 29 30 31
+);
+
+/// The causal milestone of a level-`level` merge completion,
+/// `merge.level{level}`: its [`MERGE_COMPLETE_KEYS`] entry without
+/// `.complete`.
+pub fn merge_milestone(level: u8) -> &'static str {
+    let key = MERGE_COMPLETE_KEYS[usize::from(level)];
+    &key[..key.len() - ".complete".len()]
 }
 
 /// A reactive, event-driven node program (§4.3's programming model).
@@ -156,9 +172,20 @@ mod tests {
     #[test]
     fn default_stat_hooks_are_noops() {
         let mut api = MockApi::at(0, 0, 2);
-        api.stat_incr("merge.level1.complete");
-        api.stat_observe("merge.level1.complete_at", 3.0);
+        api.merge_complete(1);
         assert_eq!(api.computed, 0, "hooks must not charge the platform");
+        assert!(api.sends.is_empty() && api.exfiltrated.is_empty());
+    }
+
+    #[test]
+    fn merge_keys_cover_every_hierarchy_level() {
+        let deepest = Hierarchy::new(1 << 31).max_level();
+        assert_eq!(usize::from(deepest) + 1, MERGE_COMPLETE_KEYS.len());
+        for level in 0..=deepest {
+            let key = MERGE_COMPLETE_KEYS[usize::from(level)];
+            assert_eq!(key, format!("merge.level{level}.complete"));
+            assert_eq!(merge_milestone(level), format!("merge.level{level}"));
+        }
     }
 
     #[test]

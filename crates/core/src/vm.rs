@@ -13,7 +13,7 @@
 use crate::cost::CostModel;
 use crate::grid::{GridCoord, VirtualGrid};
 use crate::metrics::RunMetrics;
-use crate::program::{NodeApi, NodeProgram};
+use crate::program::{NodeApi, NodeProgram, MERGE_COMPLETE_KEYS};
 use std::cell::RefCell;
 use std::rc::Rc;
 use wsn_net::{EnergyKind, EnergyLedger};
@@ -146,12 +146,11 @@ impl<P: 'static> NodeApi<P> for VmApi<'_, '_, P> {
         self.shared.ledger.borrow().residual(idx)
     }
 
-    fn stat_incr(&mut self, name: &str) {
-        self.ctx.stats().incr(name);
-    }
-
-    fn stat_observe(&mut self, name: &str, value: f64) {
-        self.ctx.stats().observe(name, value);
+    fn merge_complete(&mut self, level: u8) {
+        let at = self.ctx.now().ticks() as f64;
+        self.ctx
+            .stats()
+            .observe(MERGE_COMPLETE_KEYS[usize::from(level)], at);
     }
 }
 

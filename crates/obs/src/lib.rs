@@ -21,10 +21,9 @@
 //!   losslessly through
 //!   [`TraceDocument::to_jsonl`] / [`TraceDocument::from_jsonl`] with a
 //!   built-in parser (no external JSON dependency).
-//! * [`render_span_forest`] / [`render_timeline`] /
-//!   [`TraceDocument::render_prometheus`] — human-readable sinks: an ASCII
-//!   span tree with durations and shares, a per-node activity timeline,
-//!   and a Prometheus-style text dump.
+//! * [`render_span_forest`] / [`render_timeline`] — human-readable sinks:
+//!   an ASCII span tree with durations and shares, and a per-node activity
+//!   timeline.
 //! * [`HbDag`] / [`extract_critical_path`] — the causal layer: a
 //!   validated happens-before DAG over a run's Lamport-stamped events,
 //!   and the exact critical path through the quad-tree merge with

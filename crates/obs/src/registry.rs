@@ -1,24 +1,19 @@
-//! Metric keys, fixed-bucket histograms, and Prometheus text.
+//! Metric keys and fixed-bucket histograms.
 //!
 //! The stack keeps its metrics in [`wsn_sim::Stats`] stores; a
-//! [`TraceDocument`] absorbs them ([`TraceDocument::absorb_stats`]), with
-//! each exact histogram re-binned into a [`FixedHistogram`] over
+//! [`TraceDocument`](crate::TraceDocument) absorbs them
+//! ([`TraceDocument::absorb_stats`](crate::TraceDocument::absorb_stats)),
+//! with each exact histogram re-binned into a [`FixedHistogram`] over
 //! [`TICK_BUCKETS`]. Fixed histograms count observations into a fixed set
-//! of upper-bound buckets (Prometheus-style `le` semantics: bucket `i`
-//! counts values `<= uppers[i]`, with an implicit `+Inf` bucket at the
-//! end).
+//! of upper-bound buckets (`le` semantics: bucket `i` counts values
+//! `<= uppers[i]`, with an implicit `+Inf` bucket at the end).
 //!
 //! ## Label dimensions
 //!
 //! Metric keys may carry label pairs after `|` separators:
 //! `shard.events|shard=3` is the metric `shard.events` with label
-//! `shard="3"` (build keys with [`labeled`]). Storage and JSONL traces
-//! keep the raw key; [`TraceDocument::render_prometheus`] splits it and
-//! emits proper exposition-format series — metric and label names
-//! sanitized to the Prometheus charset, label values escaped per the text
-//! format (`\` → `\\`, `"` → `\"`, newline → `\n`).
-
-use crate::trace::TraceDocument;
+//! `shard="3"` (build keys with [`labeled`], split them with
+//! [`split_labels`]). Storage and JSONL traces keep the raw key.
 
 /// Builds a metric key carrying label dimensions: `name|k=v|k2=v2`.
 /// Keys compare textually, so series of one metric sort together.
@@ -190,120 +185,11 @@ impl FixedHistogram {
     }
 }
 
-impl TraceDocument {
-    /// Renders every counter, gauge and histogram in the Prometheus text
-    /// exposition format, in document order. Metric names are sanitized to
-    /// the exposition charset, label-keyed series (see [`labeled`]) get
-    /// proper `{k="v"}` label sets with escaped values, and a `# TYPE`
-    /// line is emitted once per run of series that share a metric name.
-    pub fn render_prometheus(&self) -> String {
-        fn type_line(out: &mut String, typed: &mut Option<String>, name: &str, kind: &str) {
-            if typed.as_deref() != Some(name) {
-                out.push_str(&format!("# TYPE {name} {kind}\n"));
-                *typed = Some(name.to_string());
-            }
-        }
-        let mut out = String::new();
-        let mut typed: Option<String> = None;
-        for (key, value) in &self.counters {
-            let (name, labels) = split_series(key);
-            type_line(&mut out, &mut typed, &name, "counter");
-            out.push_str(&format!("{name}{labels} {value}\n"));
-        }
-        typed = None;
-        for (key, value) in &self.gauges {
-            let (name, labels) = split_series(key);
-            type_line(&mut out, &mut typed, &name, "gauge");
-            out.push_str(&format!("{name}{labels} {value}\n"));
-        }
-        typed = None;
-        for (key, h) in &self.histograms {
-            let (name, labels) = split_series(key);
-            type_line(&mut out, &mut typed, &name, "histogram");
-            let mut cumulative = 0u64;
-            for (i, &c) in h.bucket_counts().iter().enumerate() {
-                cumulative += c;
-                let le = if i < h.uppers().len() {
-                    format!("{}", h.uppers()[i])
-                } else {
-                    "+Inf".to_string()
-                };
-                let le_labels = merge_label(&labels, &format!("le=\"{le}\""));
-                out.push_str(&format!("{name}_bucket{le_labels} {cumulative}\n"));
-            }
-            out.push_str(&format!("{name}_sum{labels} {}\n", h.sum()));
-            out.push_str(&format!("{name}_count{labels} {}\n", h.count()));
-        }
-        out
-    }
-}
-
-/// Splits a raw metric key into a sanitized metric name and a rendered
-/// label block (`{k="v",...}`, or empty when the key carries no labels).
-fn split_series(key: &str) -> (String, String) {
-    let (base, labels) = split_labels(key);
-    let name = sanitize(base);
-    if labels.is_empty() {
-        return (name, String::new());
-    }
-    let rendered: Vec<String> = labels
-        .iter()
-        .map(|(k, v)| format!("{}=\"{}\"", sanitize(k), escape_label_value(v)))
-        .collect();
-    (name, format!("{{{}}}", rendered.join(",")))
-}
-
-/// Inserts `extra` (an already-rendered `k="v"` pair) into a rendered
-/// label block, opening one if the series had no labels.
-fn merge_label(labels: &str, extra: &str) -> String {
-    if labels.is_empty() {
-        format!("{{{extra}}}")
-    } else {
-        format!("{},{extra}}}", &labels[..labels.len() - 1])
-    }
-}
-
-/// Escapes a label value per the Prometheus text exposition format:
-/// backslash, double quote, and line feed have escape sequences; every
-/// other character passes through (values are free-form UTF-8).
-fn escape_label_value(value: &str) -> String {
-    let mut out = String::with_capacity(value.len());
-    for c in value.chars() {
-        match c {
-            '\\' => out.push_str("\\\\"),
-            '"' => out.push_str("\\\""),
-            '\n' => out.push_str("\\n"),
-            other => out.push(other),
-        }
-    }
-    out
-}
-
-/// Sanitizes a metric or label name to `[a-zA-Z0-9_]` (the exposition
-/// charset minus the colon, which this codebase never emits); a leading
-/// digit gets an underscore prefix so the name stays lexable.
-fn sanitize(name: &str) -> String {
-    let mut out: String = name
-        .chars()
-        .map(|c| if c.is_ascii_alphanumeric() { c } else { '_' })
-        .collect();
-    if out.chars().next().is_some_and(|c| c.is_ascii_digit()) {
-        out.insert(0, '_');
-    }
-    out
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::TraceDocument;
     use wsn_sim::Stats;
-
-    /// A document holding everything `stats` holds.
-    fn document(stats: &Stats) -> TraceDocument {
-        let mut doc = TraceDocument::new();
-        doc.absorb_stats(stats);
-        doc
-    }
 
     #[test]
     fn histogram_bucket_semantics() {
@@ -359,29 +245,12 @@ mod tests {
 
     #[test]
     fn empty_registry_reads_report_zeros_not_panics() {
-        let doc = document(&Stats::new());
+        let mut doc = TraceDocument::new();
+        doc.absorb_stats(&Stats::new());
         assert_eq!(doc.counter("never.touched"), 0);
         assert!(doc.counters.is_empty());
         assert!(doc.gauges.is_empty());
         assert!(doc.histograms.is_empty());
-        assert!(doc.render_prometheus().is_empty());
-    }
-
-    #[test]
-    fn prometheus_dump_contains_all_kinds() {
-        let mut s = Stats::new();
-        s.incr("app.messages");
-        s.set_gauge("energy.total", 1.25);
-        s.observe("latency", 3.0);
-        let text = document(&s).render_prometheus();
-        assert!(text.contains("# TYPE app_messages counter"));
-        assert!(text.contains("app_messages 1"));
-        assert!(text.contains("# TYPE energy_total gauge"));
-        assert!(text.contains("energy_total 1.25"));
-        assert!(text.contains("latency_bucket{le=\"2\"} 0"));
-        assert!(text.contains("latency_bucket{le=\"4\"} 1"));
-        assert!(text.contains("latency_bucket{le=\"+Inf\"} 1"));
-        assert!(text.contains("latency_count 1"));
     }
 
     #[test]
@@ -394,66 +263,5 @@ mod tests {
         let (bare, none) = split_labels("plain.metric");
         assert_eq!(bare, "plain.metric");
         assert!(none.is_empty());
-    }
-
-    #[test]
-    fn prometheus_renders_label_series_under_one_type_line() {
-        let mut s = Stats::new();
-        s.add(&labeled("shard.events", &[("shard", "0")]), 7);
-        s.add(&labeled("shard.events", &[("shard", "1")]), 9);
-        s.add(&labeled("shard.events", &[("shard", "2")]), 2);
-        let text = document(&s).render_prometheus();
-        assert_eq!(text.matches("# TYPE shard_events counter").count(), 1);
-        assert!(text.contains("shard_events{shard=\"0\"} 7\n"));
-        assert!(text.contains("shard_events{shard=\"1\"} 9\n"));
-        assert!(text.contains("shard_events{shard=\"2\"} 2\n"));
-    }
-
-    #[test]
-    fn prometheus_escapes_label_values() {
-        let mut s = Stats::new();
-        s.incr(&labeled("paths", &[("dir", "a\\b\"c\nd")]));
-        let text = document(&s).render_prometheus();
-        // Exposition format: \ -> \\, " -> \", newline -> the two
-        // characters `\n`. Locked byte-for-byte.
-        assert!(
-            text.contains("paths{dir=\"a\\\\b\\\"c\\nd\"} 1\n"),
-            "escaped series missing from:\n{text}"
-        );
-        assert!(!text.contains('\u{0}'));
-        // No raw newline may survive inside a label value: every line
-        // must still be a well-formed `name{...} value` or comment.
-        for line in text.lines() {
-            assert!(
-                line.starts_with('#') || line.contains(' '),
-                "malformed exposition line: {line:?}"
-            );
-        }
-    }
-
-    #[test]
-    fn prometheus_sanitizes_metric_and_label_names() {
-        let mut s = Stats::new();
-        s.set_gauge(&labeled("queue-depth.max", &[("shard-id", "2")]), 5.0);
-        s.incr("0weird");
-        let text = document(&s).render_prometheus();
-        assert!(text.contains("queue_depth_max{shard_id=\"2\"} 5\n"));
-        // A leading digit is not a valid metric-name start.
-        assert!(text.contains("_0weird 1\n"));
-    }
-
-    #[test]
-    fn prometheus_merges_le_into_histogram_label_sets() {
-        let mut doc = TraceDocument::new();
-        let mut h = FixedHistogram::new(&[1.0, 4.0]);
-        h.record(3.0);
-        h.record(9.0);
-        doc.histograms
-            .push((labeled("shard.window", &[("shard", "1")]), h));
-        let text = doc.render_prometheus();
-        assert!(text.contains("shard_window_bucket{shard=\"1\",le=\"4\"} 1\n"));
-        assert!(text.contains("shard_window_bucket{shard=\"1\",le=\"+Inf\"} 2\n"));
-        assert!(text.contains("shard_window_sum{shard=\"1\"} 12\n"));
-        assert!(text.contains("shard_window_count{shard=\"1\"} 2\n"));
     }
 }

@@ -767,4 +767,19 @@ mod tests {
         let parsed = TraceDocument::from_jsonl(&text).unwrap();
         assert_eq!(parsed.histograms, doc.histograms);
     }
+
+    #[test]
+    fn an_idle_kernel_with_metrics_on_exports_no_histogram() {
+        // Enabling metrics registers the kernel's two histograms; until
+        // an event dispatches they hold no sample and stay invisible.
+        let mut k: wsn_sim::Kernel<u32> = wsn_sim::Kernel::new(1);
+        k.enable_metrics();
+        k.run();
+        assert_eq!(k.stats().histograms().count(), 0);
+        assert!(k.stats().histogram(wsn_sim::METRIC_QUEUE_DEPTH).is_none());
+        let mut doc = TraceDocument::new();
+        doc.absorb_stats(k.stats());
+        assert!(doc.histograms.is_empty());
+        assert!(!doc.to_jsonl().contains("\"t\":\"hist\""));
+    }
 }

@@ -5,7 +5,10 @@ use crate::messages::{AppEnvelope, RtMsg};
 use std::cell::{Cell, RefCell};
 use std::collections::{HashMap, HashSet};
 use std::rc::Rc;
-use wsn_core::{Direction, Exfiltrated, GridCoord, NodeApi, NodeProgram, VirtualGrid};
+use wsn_core::{
+    merge_milestone, Direction, Exfiltrated, GridCoord, NodeApi, NodeProgram, VirtualGrid,
+    MERGE_COMPLETE_KEYS,
+};
 use wsn_net::{Point, SharedMedium};
 use wsn_sim::{Actor, ActorId, Context, SharedCausalLog, SimTime};
 
@@ -1085,28 +1088,22 @@ impl<P: Clone + 'static> NodeApi<P> for RtApi<'_, '_, P> {
         self.node.medium.borrow().ledger().residual(self.node.id)
     }
 
-    fn stat_incr(&mut self, name: &str) {
-        self.ctx.stats().incr(name);
-    }
-
-    fn stat_observe(&mut self, name: &str, value: f64) {
-        self.ctx.stats().observe(name, value);
+    fn merge_complete(&mut self, level: u8) {
+        let at = self.ctx.now().ticks() as f64;
+        self.ctx
+            .stats()
+            .observe(MERGE_COMPLETE_KEYS[usize::from(level)], at);
         if let Some(log) = &self.node.causal {
             // Quad-tree merge completions are the per-level milestones of
             // the causal chain: the merge fires when its last piece
             // arrives, so chaining to `cur_cause` (that piece's hop)
             // follows the latest — i.e. critical — input path.
-            if let Some(level) = name
-                .strip_prefix("merge.level")
-                .and_then(|s| s.strip_suffix(".complete"))
-            {
-                self.node.cur_cause = log.borrow_mut().record_local(
-                    self.node.id,
-                    self.ctx.now(),
-                    self.node.cur_cause,
-                    &format!("merge.level{level}"),
-                );
-            }
+            self.node.cur_cause = log.borrow_mut().record_local(
+                self.node.id,
+                self.ctx.now(),
+                self.node.cur_cause,
+                merge_milestone(level),
+            );
         }
     }
 }

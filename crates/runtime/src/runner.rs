@@ -22,12 +22,11 @@ use crate::node::{
     TAG_BIND, TAG_SAMPLE, TAG_TOPO,
 };
 use std::cell::{Cell, RefCell};
-use std::collections::HashMap;
 use std::rc::Rc;
 use wsn_core::ShardPlan;
 use wsn_core::{
     Direction, Exfiltrated, GridCoord, NodeProgram, ProgramFactory, RunMetrics, VirtualGrid,
-    CTR_DATA_UNITS, CTR_MESSAGES,
+    CTR_DATA_UNITS, CTR_MESSAGES, MERGE_COMPLETE_KEYS,
 };
 use wsn_net::{
     ChaosError, ChaosPlan, Deployment, EnergyKind, EnergyLedger, LinkModel, Medium, RadioModel,
@@ -58,8 +57,9 @@ pub struct TopoReport {
 pub struct BindReport {
     /// Ticks for both sub-phases.
     pub elapsed_ticks: u64,
-    /// Elected leader per cell.
-    pub leaders: HashMap<GridCoord, usize>,
+    /// Elected leader per cell, in [`VirtualGrid::index`] order; `None`
+    /// where no unique leader was elected.
+    pub leaders: Vec<Option<usize>>,
     /// Whether every cell elected exactly one leader.
     pub unique: bool,
     /// Whether every live node learned its leader and parent.
@@ -625,7 +625,7 @@ impl<P: Clone + 'static> PhysicalRuntime<P> {
 
         // One pass over the cells' live nodes: a cell binds when exactly
         // one of them leads.
-        let mut leaders = HashMap::with_capacity(self.grid.node_count());
+        let mut leaders = vec![None; self.grid.node_count()];
         let (mut unique, mut tree_complete) = (true, true);
         let medium = self.medium.borrow();
         for cell in self.grid.nodes() {
@@ -643,9 +643,7 @@ impl<P: Clone + 'static> PhysicalRuntime<P> {
                 }
             }
             match leader {
-                Some(i) if count == 1 => {
-                    leaders.insert(cell, i);
-                }
+                Some(i) if count == 1 => leaders[self.grid.index(cell)] = Some(i),
                 _ => unique &= !live,
             }
         }
@@ -658,7 +656,8 @@ impl<P: Clone + 'static> PhysicalRuntime<P> {
             delta_broadcasts: self.kernel.stats().counter("bind.broadcast") - d0,
         };
         self.tally("phase.bind.delta_broadcasts", report.delta_broadcasts);
-        self.tally("phase.bind.leaders", report.leaders.len() as u64);
+        let bound = report.leaders.iter().flatten().count();
+        self.tally("phase.bind.leaders", bound as u64);
         report
     }
 
@@ -974,38 +973,27 @@ impl<P: Clone + 'static> PhysicalRuntime<P> {
         }
     }
 
-    /// Rebuilds per-quadtree-merge-level spans from the `merge.levelK.complete`
-    /// histograms that instrumented programs (e.g. the native
-    /// divide-and-conquer program) populate through the
-    /// [`wsn_core::NodeApi`] stat hooks: a level's span runs from its first
-    /// to its last completed merge, with one event per completion. Attached
-    /// under the currently open span (the application phase).
+    /// Rebuilds per-quadtree-merge-level spans from the
+    /// `merge.levelK.complete` histograms ([`MERGE_COMPLETE_KEYS`]) that
+    /// instrumented programs (e.g. the native divide-and-conquer program)
+    /// populate through [`wsn_core::NodeApi::merge_complete`]: a level's
+    /// span runs from its first to its last completed merge, with one
+    /// event per completion. Attached in level order under the currently
+    /// open span (the application phase).
     fn attach_merge_level_spans(&mut self) {
-        let mut levels: Vec<(u32, SpanNode)> = Vec::new();
-        for (key, h) in self.kernel.stats().histograms() {
-            let Some(level) = key
-                .strip_prefix("merge.level")
-                .and_then(|rest| rest.strip_suffix(".complete"))
-                .and_then(|n| n.parse::<u32>().ok())
-            else {
+        for (level, key) in MERGE_COMPLETE_KEYS.iter().enumerate() {
+            let Some(h) = self.kernel.stats().histogram(key) else {
                 continue;
             };
             let (Some(min), Some(max)) = (h.min(), h.max()) else {
                 continue;
             };
-            levels.push((
-                level,
-                SpanNode::leaf(
-                    format!("merge-level-{level}"),
-                    SimTime::from_ticks(min as u64),
-                    SimTime::from_ticks(max as u64),
-                    h.count() as u64,
-                ),
+            self.spans.attach(SpanNode::leaf(
+                format!("merge-level-{level}"),
+                SimTime::from_ticks(min as u64),
+                SimTime::from_ticks(max as u64),
+                h.count() as u64,
             ));
-        }
-        levels.sort_by_key(|&(level, _)| level);
-        for (_, span) in levels {
-            self.spans.attach(span);
         }
     }
 

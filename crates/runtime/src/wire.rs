@@ -55,11 +55,8 @@ impl<P: WirePayload> NodeApi<P> for FramedApi<'_, P> {
     fn residual_energy(&self) -> Option<f64> {
         self.inner.residual_energy()
     }
-    fn stat_incr(&mut self, name: &str) {
-        self.inner.stat_incr(name);
-    }
-    fn stat_observe(&mut self, name: &str, value: f64) {
-        self.inner.stat_observe(name, value);
+    fn merge_complete(&mut self, level: u8) {
+        self.inner.merge_complete(level);
     }
 }
 

@@ -3,7 +3,7 @@
 use crate::event::{EventKind, EventQueue, Key, KeyPool, Slab, TIMER};
 use crate::rng::DetRng;
 use crate::shard::ShardBuffers;
-use crate::stats::{StagedStats, Stats, StatsSink};
+use crate::stats::{HistId, StagedStats, Stats, StatsSink};
 use crate::time::SimTime;
 use crate::trace::TraceEntry;
 use std::any::Any;
@@ -214,19 +214,14 @@ pub struct Kernel<M: Payload> {
     /// The dispatch log: `None` while tracing is off, else every
     /// dispatch so far.
     pub(crate) trace: Option<Vec<TraceEntry>>,
-    pub(crate) metrics: bool,
+    /// The [`METRIC_DISPATCH_LATENCY`] and [`METRIC_QUEUE_DEPTH`] slots
+    /// in `stats` while self-metrics are on.
+    pub(crate) metrics: Option<(HistId, HistId)>,
     started: bool,
     /// Dispatch staging buffer, held on the struct so repeated runs on a
     /// warm kernel reuse its capacity instead of allocating a fresh
     /// outbox per run (the no-alloc gate measures exactly this path).
     pub(crate) outbox_scratch: Vec<Key>,
-    /// Per-run self-metrics staging (dispatch latencies, queue depths):
-    /// the hot loop pushes raw observations here and
-    /// [`Kernel::flush_metrics_scratch`] folds them into the named
-    /// stats histograms at run exit — a string-keyed map lookup per
-    /// *run* instead of two per *event*, which is what keeps the
-    /// instrumented hot path inside the `obs` gate row's overhead bound.
-    pub(crate) metrics_scratch: (Vec<f64>, Vec<f64>),
     /// The sharded scheduler's queues and window buffers, kept between
     /// runs so rounds on a standing kernel reuse their capacity.
     pub(crate) shard_buffers: ShardBuffers,
@@ -245,10 +240,9 @@ impl<M: Payload> Kernel<M> {
             master_seed,
             stats: Stats::new(),
             trace: None,
-            metrics: false,
+            metrics: None,
             started: false,
             outbox_scratch: Vec::new(),
-            metrics_scratch: (Vec::new(), Vec::new()),
             shard_buffers: ShardBuffers::default(),
         }
     }
@@ -261,29 +255,20 @@ impl<M: Payload> Kernel<M> {
 
     /// Enables kernel self-metrics: each dispatched event records
     /// [`METRIC_DISPATCH_LATENCY`] and [`METRIC_QUEUE_DEPTH`] into the
-    /// stats sink. Off by default — the hot loop then pays only a bool
-    /// check. When on, the per-event cost is two vector pushes into a
-    /// capacity-retaining scratch; the named histograms materialize
-    /// when the run returns (see the `obs` gate row's overhead bound).
+    /// stats sink. Off by default — the hot loop then pays only a branch.
+    /// The two histograms are registered here, once, and each dispatch
+    /// records into them in place; they show in [`Kernel::stats`] from
+    /// the first dispatch on (see the `obs` gate row's overhead bound).
     pub fn enable_metrics(&mut self) {
-        self.metrics = true;
-    }
-
-    /// Folds the per-run metrics scratch into the named stats
-    /// histograms, in dispatch order. Every run exit point (sequential
-    /// and sharded) calls this, so [`Kernel::stats`] readers between
-    /// runs see exactly what per-event `observe` calls would have
-    /// produced — without paying a string-keyed map lookup per event.
-    pub(crate) fn flush_metrics_scratch(&mut self) {
-        self.stats
-            .observe_drain(METRIC_DISPATCH_LATENCY, &mut self.metrics_scratch.0);
-        self.stats
-            .observe_drain(METRIC_QUEUE_DEPTH, &mut self.metrics_scratch.1);
+        self.metrics = Some((
+            self.stats.histogram_id(METRIC_DISPATCH_LATENCY),
+            self.stats.histogram_id(METRIC_QUEUE_DEPTH),
+        ));
     }
 
     /// Whether kernel self-metrics are being recorded.
     pub fn metrics_enabled(&self) -> bool {
-        self.metrics
+        self.metrics.is_some()
     }
 
     /// The trace recorded so far, in dispatch order (empty unless
@@ -481,10 +466,10 @@ impl<M: Payload> Kernel<M> {
             self.now = key.time;
             processed += 1;
 
-            if self.metrics {
+            if let Some((latency_id, depth_id)) = self.metrics {
                 let latency = key.time.ticks().saturating_sub(key.enqueued_at.ticks());
-                self.metrics_scratch.0.push(latency as f64);
-                self.metrics_scratch.1.push(self.queue.len() as f64);
+                self.stats.record(latency_id, latency as f64);
+                self.stats.record(depth_id, self.queue.len() as f64);
             }
 
             let event = self.slab.event(&key);
@@ -495,7 +480,6 @@ impl<M: Payload> Kernel<M> {
             self.queue.push_outbox(&mut self.pool, &mut outbox);
         };
         self.outbox_scratch = outbox;
-        self.flush_metrics_scratch();
         report
     }
 }

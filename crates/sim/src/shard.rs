@@ -465,10 +465,10 @@ impl<M: Payload> Kernel<M> {
                 // Saturating: a misordered merge emits children before
                 // their parents.
                 pending = pending.saturating_sub(1);
-                if self.metrics {
+                if let Some((latency_id, depth_id)) = self.metrics {
                     let latency = tick.ticks().saturating_sub(rec.enqueued_at.ticks());
-                    self.metrics_scratch.0.push(latency as f64);
-                    self.metrics_scratch.1.push(pending as f64);
+                    self.stats.record(latency_id, latency as f64);
+                    self.stats.record(depth_id, pending as f64);
                 }
                 pending += rec.pushes.len();
                 if let (Some(trace), Some(entry)) = (self.trace.as_mut(), &rec.trace) {
@@ -477,7 +477,9 @@ impl<M: Payload> Kernel<M> {
                 if let Some(o) = obs.as_deref_mut() {
                     o.note_dispatch(rec.shard as usize);
                 }
-                stats.replay(rec.stats.clone(), &mut self.stats);
+                for &(id, value) in &stats[rec.stats.clone()] {
+                    self.stats.record(id, value);
+                }
             }
             barrier_hook(order);
 
@@ -499,7 +501,6 @@ impl<M: Payload> Kernel<M> {
             }
         }
         self.queue.set_next_seq(next_seq);
-        self.flush_metrics_scratch();
         self.shard_buffers = bufs;
         self.outbox_scratch = outbox;
         RunReport {

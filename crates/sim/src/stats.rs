@@ -9,17 +9,31 @@
 //! [`Stats`] is the one metric store of the stack: the kernel's run
 //! statistics, the runtime's phase telemetry and its per-shard accounting
 //! are each a [`Stats`], and a trace document absorbs any of them.
+//!
+//! Histograms live in slots that never move, so the kernel registers its
+//! own once and records each dispatch in place by slot id, and a sharded
+//! window stages its observations by id.
 
 use std::collections::BTreeMap;
-use std::ops::Range;
+use std::fmt;
 
 /// A set of named counters, gauges and histograms.
-#[derive(Debug, Default, Clone)]
+///
+/// Reads, iteration and `Debug` go in key order, whatever order the
+/// histograms were registered in; a histogram that holds no sample is
+/// invisible to all three.
+#[derive(Default, Clone)]
 pub struct Stats {
     counters: BTreeMap<String, u64>,
     gauges: BTreeMap<String, f64>,
-    histograms: BTreeMap<String, Histogram>,
+    /// The slot of every registered histogram, by key.
+    hist_ids: BTreeMap<String, HistId>,
+    hist_slots: Vec<Histogram>,
 }
+
+/// The slot of one histogram in its [`Stats`].
+#[derive(Clone, Copy)]
+pub(crate) struct HistId(usize);
 
 impl Stats {
     /// Creates an empty sink.
@@ -68,42 +82,36 @@ impl Stats {
         self.gauges.get(key).copied()
     }
 
+    /// The slot of histogram `key`, registered empty on first use. The
+    /// lookup is allocation-free once the key is registered.
+    pub(crate) fn histogram_id(&mut self, key: &str) -> HistId {
+        if let Some(&id) = self.hist_ids.get(key) {
+            return id;
+        }
+        let id = HistId(self.hist_slots.len());
+        self.hist_slots.push(Histogram::default());
+        self.hist_ids.insert(key.to_owned(), id);
+        id
+    }
+
+    /// Records `value` into the histogram in slot `id`.
+    #[inline]
+    pub(crate) fn record(&mut self, id: HistId, value: f64) {
+        self.hist_slots[id.0].record(value);
+    }
+
     /// Records `value` into the histogram `key`. The key lookup is
     /// allocation-free once the histogram exists; the record itself
     /// appends to the sample vector (amortized growth).
     pub fn observe(&mut self, key: &str, value: f64) {
-        match self.histograms.get_mut(key) {
-            Some(h) => h.record(value),
-            None => {
-                let mut h = Histogram::default();
-                h.record(value);
-                self.histograms.insert(key.to_owned(), h);
-            }
-        }
-    }
-
-    /// Drains `values` into the histogram `key` in order: one key
-    /// lookup for the whole batch instead of one per observation. The
-    /// vector keeps its capacity, so a per-run scratch buffer settles
-    /// after its first fill. This is the flush half of the kernel's
-    /// self-metrics fast path — the hot loop pushes raw observations
-    /// into plain vectors and folds them here when the run returns.
-    pub fn observe_drain(&mut self, key: &str, values: &mut Vec<f64>) {
-        if values.is_empty() {
-            return;
-        }
-        if !self.histograms.contains_key(key) {
-            self.histograms.insert(key.to_owned(), Histogram::default());
-        }
-        let h = self.histograms.get_mut(key).expect("just ensured");
-        for v in values.drain(..) {
-            h.record(v);
-        }
+        let id = self.histogram_id(key);
+        self.record(id, value);
     }
 
     /// The histogram `key`, if any value was ever observed.
     pub fn histogram(&self, key: &str) -> Option<&Histogram> {
-        self.histograms.get(key)
+        let id = self.hist_ids.get(key)?;
+        Some(&self.hist_slots[id.0]).filter(|h| h.count() > 0)
     }
 
     /// Iterates over all counters in key order.
@@ -116,9 +124,22 @@ impl Stats {
         self.gauges.iter().map(|(k, &v)| (k.as_str(), v))
     }
 
-    /// Iterates over all histograms in key order.
+    /// Iterates over all histograms that hold a sample, in key order.
     pub fn histograms(&self) -> impl Iterator<Item = (&str, &Histogram)> {
-        self.histograms.iter().map(|(k, h)| (k.as_str(), h))
+        self.hist_ids
+            .iter()
+            .map(|(k, id)| (k.as_str(), &self.hist_slots[id.0]))
+            .filter(|(_, h)| h.count() > 0)
+    }
+}
+
+impl fmt::Debug for Stats {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_struct("Stats")
+            .field("counters", &self.counters)
+            .field("gauges", &self.gauges)
+            .field("histograms", &self.histograms().collect::<BTreeMap<_, _>>())
+            .finish()
     }
 }
 
@@ -126,9 +147,9 @@ impl Stats {
 ///
 /// Counters are `u64` sums, so the order they are added in cannot show:
 /// they always go straight into the kernel's [`Stats`]. Histogram
-/// observations keep their order. Inside a sharded window they are staged,
-/// and the barrier replays them into the [`Stats`] in canonical dispatch
-/// order (see [`crate::shard`]).
+/// observations keep their order. Inside a sharded window they are staged
+/// by slot id, and the barrier replays them into the [`Stats`] in
+/// canonical dispatch order (see [`crate::shard`]).
 pub struct StatsSink<'a> {
     pub(crate) stats: &'a mut Stats,
     pub(crate) staged: Option<&'a mut StagedStats>,
@@ -151,47 +172,14 @@ impl StatsSink<'_> {
     #[inline]
     pub fn observe(&mut self, key: &str, value: f64) {
         match self.staged.as_deref_mut() {
-            Some(staged) => staged.push(key, value),
+            Some(staged) => staged.push((self.stats.histogram_id(key), value)),
             None => self.stats.observe(key, value),
         }
     }
 }
 
 /// The histogram observations of one sharded window, in staging order.
-/// Every key is copied into one shared arena, so once the buffers have
-/// grown to a window's size, staging allocates nothing.
-#[derive(Debug, Default)]
-pub(crate) struct StagedStats {
-    observations: Vec<(Range<usize>, f64)>,
-    keys: String,
-}
-
-impl StagedStats {
-    /// Number of staged observations.
-    pub(crate) fn len(&self) -> usize {
-        self.observations.len()
-    }
-
-    fn push(&mut self, key: &str, value: f64) {
-        let start = self.keys.len();
-        self.keys.push_str(key);
-        self.observations.push((start..self.keys.len(), value));
-    }
-
-    /// Records the staged observations `range` into `stats`, in staging
-    /// order.
-    pub(crate) fn replay(&self, range: Range<usize>, stats: &mut Stats) {
-        for (key, value) in &self.observations[range] {
-            stats.observe(&self.keys[key.clone()], *value);
-        }
-    }
-
-    /// Drops every staged observation and keeps the capacity.
-    pub(crate) fn clear(&mut self) {
-        self.observations.clear();
-        self.keys.clear();
-    }
-}
+pub(crate) type StagedStats = Vec<(HistId, f64)>;
 
 /// An exact histogram that stores every observation.
 ///
@@ -355,5 +343,44 @@ mod tests {
         let hists: Vec<&str> = s.histograms().map(|(k, _)| k).collect();
         assert_eq!(hists, vec!["lat"]);
         assert_eq!(s.histograms().next().unwrap().1.values(), &[3.0, 5.0]);
+    }
+
+    #[test]
+    fn a_registered_histogram_without_samples_is_invisible() {
+        let mut s = Stats::new();
+        let id = s.histogram_id("idle");
+        assert!(s.histogram("idle").is_none());
+        assert_eq!(s.histograms().count(), 0);
+        assert_eq!(format!("{s:?}"), format!("{:?}", Stats::new()));
+        s.record(id, 4.0);
+        assert_eq!(s.histogram("idle").unwrap().values(), &[4.0]);
+    }
+
+    #[test]
+    fn registration_order_never_shows() {
+        let (mut fwd, mut rev) = (Stats::new(), Stats::new());
+        for key in ["a", "m", "z"] {
+            fwd.histogram_id(key);
+        }
+        for key in ["z", "m", "a"] {
+            rev.histogram_id(key);
+        }
+        for s in [&mut fwd, &mut rev] {
+            s.incr("n");
+            s.observe("z", 1.0);
+            s.observe("a", 2.0);
+            s.observe("z", 3.0);
+        }
+        assert_eq!(format!("{fwd:?}"), format!("{rev:?}"));
+        let listed = |s: &Stats| -> Vec<(String, Vec<f64>)> {
+            s.histograms()
+                .map(|(k, h)| (k.to_owned(), h.values().to_vec()))
+                .collect()
+        };
+        assert_eq!(listed(&fwd), listed(&rev));
+        assert_eq!(
+            listed(&fwd),
+            vec![("a".into(), vec![2.0]), ("z".into(), vec![1.0, 3.0])]
+        );
     }
 }

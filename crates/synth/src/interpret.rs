@@ -11,7 +11,7 @@
 //! the scan terminates; a fuel bound turns accidental livelock into a
 //! panic instead of a hang).
 
-use crate::program::{Action, Expr, Guard, GuardedProgram, Rule};
+use crate::program::{Action, Expr, Guard, GuardedProgram};
 use std::collections::HashMap;
 use std::rc::Rc;
 use wsn_core::{GridCoord, Hierarchy, NodeApi, NodeProgram};
@@ -130,16 +130,11 @@ impl<S: SummarySemantics> SynthesizedNode<S> {
             "program synthesized for a different grid depth"
         );
         let levels = program.max_level as usize + 1;
-        let mut vars = HashMap::new();
-        for decl in &program.state {
-            let v = eval_const(&decl.init);
-            vars.insert(decl.name.clone(), v);
-        }
         SynthesizedNode {
+            vars: declared_state(&program),
             program,
             semantics,
             hierarchy,
-            vars,
             my_sub_graph: vec![None; levels + 1], // +1: recLevel can reach max+1
             msgs_received: vec![0; levels + 1],
         }
@@ -266,10 +261,10 @@ impl<S: SummarySemantics> SynthesizedNode<S> {
     }
 
     fn run_until_stable(&mut self, api: &mut dyn NodeApi<SummaryMsg<S::Data>>) {
-        let mut fuel = 16 * (self.program.max_level as u32 + 4);
+        let program = Rc::clone(&self.program);
+        let mut fuel = 16 * (program.max_level as u32 + 4);
         'scan: loop {
-            let rules: Vec<Rule> = self.program.state_rules().cloned().collect();
-            for rule in &rules {
+            for rule in program.state_rules() {
                 if self.eval_guard(&rule.guard, api, None) {
                     fuel = fuel.checked_sub(1).unwrap_or_else(|| {
                         panic!("guarded program livelocked (rule {:?})", rule.label)
@@ -283,6 +278,15 @@ impl<S: SummarySemantics> SynthesizedNode<S> {
     }
 }
 
+/// Every declared variable at its initial value.
+fn declared_state(program: &GuardedProgram) -> HashMap<String, i64> {
+    program
+        .state
+        .iter()
+        .map(|decl| (decl.name.clone(), eval_const(&decl.init)))
+        .collect()
+}
+
 fn eval_const(e: &Expr) -> i64 {
     match e {
         Expr::Int(v) => *v,
@@ -293,6 +297,11 @@ fn eval_const(e: &Expr) -> i64 {
 
 impl<S: SummarySemantics> NodeProgram<SummaryMsg<S::Data>> for SynthesizedNode<S> {
     fn on_init(&mut self, api: &mut dyn NodeApi<SummaryMsg<S::Data>>) {
+        // Each round starts from the declared state, so a standing
+        // deployment serves any number of rounds.
+        self.vars = declared_state(&self.program);
+        self.my_sub_graph.fill(None);
+        self.msgs_received.fill(0);
         // The runtime trigger: Figure 4's `start` flips true.
         assert!(
             self.vars.contains_key("start"),
@@ -308,16 +317,14 @@ impl<S: SummarySemantics> NodeProgram<SummaryMsg<S::Data>> for SynthesizedNode<S
         from: GridCoord,
         payload: SummaryMsg<S::Data>,
     ) {
-        let rules: Vec<Rule> = self.program.receive_rules().cloned().collect();
-        {
-            let incoming = Incoming {
-                sender: from,
-                level: payload.level,
-                data: &payload.data,
-            };
-            for rule in &rules {
-                self.exec_actions(&rule.actions, api, Some(&incoming));
-            }
+        let program = Rc::clone(&self.program);
+        let incoming = Incoming {
+            sender: from,
+            level: payload.level,
+            data: &payload.data,
+        };
+        for rule in program.receive_rules() {
+            self.exec_actions(&rule.actions, api, Some(&incoming));
         }
         self.run_until_stable(api);
     }

@@ -91,12 +91,9 @@ impl NodeProgram<DandcMsg> for DandcProgram {
         self.pieces[level].push(piece);
         if self.pieces[level].len() == 4 {
             let merged = merge_pieces(std::mem::take(&mut self.pieces[level]));
-            // Telemetry: the completion instant of each quadtree merge, by
-            // level. The runtime reconstructs per-level spans from these.
-            api.stat_observe(
-                &format!("merge.level{}.complete", msg.level),
-                api.now().ticks() as f64,
-            );
+            // Telemetry: the completion of each quadtree merge, by level.
+            // The runtime reconstructs per-level spans from these.
+            api.merge_complete(msg.level);
             if msg.level == self.hierarchy.max_level() {
                 api.exfiltrate(SummaryMsg {
                     sender: api.coord(),
@@ -422,6 +419,77 @@ mod tests {
         );
         let truth = label_regions(&field.threshold(5.0));
         assert_eq!(a.summary.unwrap().region_count(), truth.region_count());
+    }
+
+    #[test]
+    fn synthesized_program_serves_repeated_rounds() {
+        // Three rounds on one standing deployment equal one round on
+        // each of three fresh deployments of the same seed.
+        let side = 4u32;
+        let field = blob_field(side, 11);
+        let deployment = DeploymentSpec::per_cell(side, 2).generate(5);
+        let range = deployment.grid().range_for_adjacent_cell_reachability();
+        let bring_up = || {
+            let f = field.clone();
+            let mut rt: PhysicalRuntime<DandcMsg> = PhysicalRuntime::new(
+                deployment.clone(),
+                RadioModel::uniform(range),
+                LinkModel::ideal(),
+                None,
+                1,
+                5,
+                move |c| f.value(c),
+            );
+            rt.run_topology_emulation();
+            rt.run_binding();
+            rt.install_programs(make_factory(Implementation::Synthesized, side, 5.0));
+            rt
+        };
+        let round = |rt: &mut PhysicalRuntime<DandcMsg>| {
+            let app = rt.run_application();
+            let payloads: Vec<DandcMsg> = rt
+                .take_exfiltrated()
+                .into_iter()
+                .map(|e| e.payload)
+                .collect();
+            (app.exfil_count, app.messages, app.physical_hops, payloads)
+        };
+        let fresh: Vec<_> = (0..3).map(|_| round(&mut bring_up())).collect();
+        let mut standing = bring_up();
+        let repeated: Vec<_> = (0..3).map(|_| round(&mut standing)).collect();
+        assert_eq!(fresh[0].0, 1, "one exfiltration per round");
+        assert_eq!(repeated, fresh);
+    }
+
+    #[test]
+    fn every_merge_milestone_has_its_histogram_sample() {
+        let side = 8u32;
+        let field = blob_field(side, 3);
+        let deployment = DeploymentSpec::per_cell(side, 2).generate(9);
+        let range = deployment.grid().range_for_adjacent_cell_reachability();
+        let f = field.clone();
+        let mut rt: PhysicalRuntime<DandcMsg> = PhysicalRuntime::new(
+            deployment,
+            RadioModel::uniform(range),
+            LinkModel::ideal(),
+            None,
+            1,
+            9,
+            move |c| f.value(c),
+        );
+        rt.enable_causal_tracing();
+        rt.run_topology_emulation();
+        rt.run_binding();
+        rt.install_programs(make_factory(Implementation::Native, side, 5.0));
+        assert_eq!(rt.run_application().exfil_count, 1);
+        let causal = rt.record_trace().causal;
+        for (level, merges) in [(1u8, 16), (2, 4), (3, 1)] {
+            let milestone = wsn_core::merge_milestone(level);
+            let milestones = causal.iter().filter(|e| e.label == milestone).count();
+            let key = wsn_core::MERGE_COMPLETE_KEYS[usize::from(level)];
+            let samples = rt.stats().histogram(key).map_or(0, |h| h.count());
+            assert_eq!((milestones, samples), (merges, merges), "level {level}");
+        }
     }
 
     #[test]

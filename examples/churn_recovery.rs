@@ -39,7 +39,8 @@ fn main() {
 
     rt.run_topology_emulation();
     let bind = rt.run_binding();
-    println!("initial election: {} unique leaders", bind.leaders.len());
+    let elected = bind.leaders.iter().flatten().count();
+    println!("initial election: {elected} unique leaders");
     rt.install_programs(move |_| Box::new(DandcProgram::new(side, 5.0)));
     let app = rt.run_application();
     println!(
